@@ -1,0 +1,154 @@
+"""CLI output pinned byte for byte: stdout and exit code, text and JSON.
+
+Every case runs ``petrisheaf.cli.main`` on documents built from
+``fixtures.py`` (the same documents as the ``workdir`` fixture of
+``test_cli.py``, a ``ring q`` copy of ``runX.pnet`` and a net with torsion
+classes) and compares the exit code and stdout with ``tests/golden/``.  The
+temporary directory is written as ``<DIR>``.  The expected files are only
+rewritten on purpose, when an output change is intended:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from petrisheaf.cli import main
+from petrisheaf.formats import serialize_morphism, serialize_net, serialize_winskel
+from petrisheaf.morphism import identity_morphism
+from petrisheaf.net import place_transition_net
+
+from fixtures import fold_morphism, unfolding_morphism, winskel_data, winskel_nets
+
+GOLDEN = Path(__file__).parent / "golden"
+DOCUMENT_SUFFIXES = (".pnet", ".pmor", ".pwin")
+
+FIBRE_A = ("--region", "fibre:a", "--via", "fold.pmor")
+FIBRE_U = ("--region", "fibre:u", "--via", "fold.pmor")
+
+CASES = {
+    "show-runX": ("show", "runX.pnet"),
+    "show-runY": ("show", "runY.pnet"),
+    "show-runXq": ("show", "runXq.pnet"),
+    "show-grow": ("show", "grow.pnet"),
+    "flows-runX-z": ("flows", "runX.pnet", "--ring", "z"),
+    "flows-runX-q": ("flows", "runX.pnet", "--ring", "q"),
+    "flows-runXq": ("flows", "runXq.pnet"),
+    "flows-fibre-a-z": ("flows", "runX.pnet", *FIBRE_A, "--ring", "z"),
+    "flows-fibre-a-q": ("flows", "runX.pnet", *FIBRE_A, "--ring", "q"),
+    "flows-fibre-a-n": ("flows", "runX.pnet", *FIBRE_A, "--ring", "n"),
+    "flows-unfoldY-z": ("flows", "unfoldY.pnet", "--ring", "z"),
+    "flows-unfoldY-q": ("flows", "unfoldY.pnet", "--ring", "q"),
+    "flows-twice-z": ("flows", "twice.pnet", "--ring", "z"),
+    "flows-twice-q": ("flows", "twice.pnet", "--ring", "q"),
+    "classes-runX-z": ("classes", "runX.pnet", "--ring", "z"),
+    "classes-runX-q": ("classes", "runX.pnet", "--ring", "q"),
+    "classes-runXq": ("classes", "runXq.pnet"),
+    "classes-fibre-u-z": ("classes", "runX.pnet", *FIBRE_U, "--ring", "z"),
+    "classes-fibre-u-q": ("classes", "runX.pnet", *FIBRE_U, "--ring", "q"),
+    "classes-runY-z": ("classes", "runY.pnet", "--ring", "z"),
+    "classes-runY-q": ("classes", "runY.pnet", "--ring", "q"),
+    "classes-twice-z": ("classes", "twice.pnet", "--ring", "z"),
+    "classes-twice-q": ("classes", "twice.pnet", "--ring", "q"),
+    "classes-ring-n": ("classes", "runX.pnet", "--ring", "n"),
+    "axioms-runX": ("axioms", "runX.pnet"),
+    "axioms-runXq": ("axioms", "runXq.pnet"),
+    "axioms-runY": ("axioms", "runY.pnet"),
+    "axioms-twice": ("axioms", "twice.pnet"),
+    "axioms-random": ("axioms", "runX.pnet", "--random", "4", "--seed", "5"),
+    "check-morphism-fold": ("check-morphism", "fold.pmor"),
+    "check-morphism-fold-guard-1": ("check-morphism", "fold.pmor", "--hilbert-guard", "1"),
+    "check-morphism-unfold": ("check-morphism", "unfold.pmor"),
+    "check-morphism-idY": ("check-morphism", "idY.pmor"),
+    "compose-unfold-idY": ("compose", "unfold.pmor", "idY.pmor"),
+    "compose-fold-idY": ("compose", "fold.pmor", "idY.pmor"),
+    "compose-mismatch": ("compose", "unfold.pmor", "fold.pmor"),
+    "product-runY-unfoldY": ("product", "runY.pnet", "unfoldY.pnet"),
+    "product-runY-unfoldY-marked": ("product", "runY.pnet", "unfoldY.pnet", "--marked"),
+    "product-runX-runXq": ("product", "runX.pnet", "runXq.pnet"),
+    "product-grow-twice": ("product", "grow.pnet", "twice.pnet"),
+    "winskel-loop": ("winskel", "loop.pwin"),
+}
+
+
+def build_documents(directory):
+    fold = fold_morphism()
+    unfold = unfolding_morphism()
+    run_x = serialize_net(fold.source)
+    (directory / "runX.pnet").write_text(run_x)
+    header, rest = run_x.split("\n", 1)
+    (directory / "runXq.pnet").write_text(f"{header}\nring q\n{rest}")
+    (directory / "runY.pnet").write_text(serialize_net(fold.target, marking={("u", "c"): 2}))
+    (directory / "unfoldY.pnet").write_text(
+        serialize_net(unfold.source, marking={("v", "v"): 2})
+    )
+    (directory / "fold.pmor").write_text(serialize_morphism(fold, "runX.pnet", "runY.pnet"))
+    (directory / "unfold.pmor").write_text(
+        serialize_morphism(unfold, "unfoldY.pnet", "runY.pnet")
+    )
+    (directory / "idY.pmor").write_text(
+        serialize_morphism(identity_morphism(fold.target), "runY.pnet", "runY.pnet")
+    )
+    grow = place_transition_net(
+        "grow", ["h"], ["g"], consume={"g": {"h": 1}}, produce={"g": {"h": 2}}
+    )
+    (directory / "grow.pnet").write_text(serialize_net(grow, marking={("h", "h"): 1}))
+    # one token type moved two at a time: the classes of the whole net carry torsion
+    twice = place_transition_net(
+        "twice", ["l", "r"], ["go", "back"],
+        consume={"go": {"l": 2}, "back": {"r": 2}},
+        produce={"go": {"r": 2}, "back": {"l": 2}},
+    )
+    (directory / "twice.pnet").write_text(serialize_net(twice, marking={("l", "l"): 2}))
+    wsrc, wtgt = winskel_nets()
+    (directory / "wsrc.pnet").write_text(serialize_net(wsrc))
+    (directory / "wtgt.pnet").write_text(serialize_net(wtgt))
+    (directory / "loop.pwin").write_text(
+        serialize_winskel(winskel_data(), "wsrc.pnet", "wtgt.pnet")
+    )
+
+
+def render(directory, case, json_mode):
+    argv = [
+        str(directory / a) if a.endswith(DOCUMENT_SUFFIXES) else a for a in CASES[case]
+    ]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + (["--json"] if json_mode else []))
+    return f"exit {code}\n" + out.getvalue().replace(str(directory), "<DIR>")
+
+
+def golden_path(case, json_mode):
+    return GOLDEN / f"{case}{'.json' if json_mode else ''}.txt"
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("golden")
+    build_documents(directory)
+    return directory
+
+
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_output_matches_golden(documents, case, json_mode):
+    expected = golden_path(case, json_mode).read_text()
+    assert render(documents, case, json_mode) == expected
+
+
+def write_goldens():
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        build_documents(directory)
+        for case in sorted(CASES):
+            for json_mode in (False, True):
+                golden_path(case, json_mode).write_text(render(directory, case, json_mode))
+
+
+if __name__ == "__main__":
+    write_goldens()
