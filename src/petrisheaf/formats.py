@@ -90,16 +90,26 @@ def _split_ref(token, what, lineno, raw):
     return node, element
 
 
-def _scalar(text):
+def _integer(text, lineno, raw):
+    """``int(text)`` of a literal already checked to be digits."""
+    try:
+        return int(text)
+    except ValueError:  # longer than the interpreter converts
+        raise FormatError(
+            f"number with {len(text)} characters is too long", lineno, _column(raw, text)
+        ) from None
+
+
+def _scalar(text, lineno, raw):
     """Integer or fraction literal, else None."""
     body = text[1:] if text[:1] in "+-" else text
     if body.isdigit():
-        return int(text)
+        return _integer(text, lineno, raw)
     num, slash, den = text.partition("/")
-    if slash and den.isdigit() and int(den):
+    if slash and den.isdigit() and _integer(den, lineno, raw):
         head = num[1:] if num[:1] in "+-" else num
         if head.isdigit():
-            return Fraction(int(num), int(den))
+            return Fraction(_integer(num, lineno, raw), _integer(den, lineno, raw))
     return None
 
 
@@ -126,8 +136,8 @@ def _parse_combination(expr, lineno, raw):
         term = part
         head, star, rest = part.partition("*")
         # only split when the prefix reads as a number, names may contain *
-        if star and _scalar(head.strip()) is not None and rest.strip():
-            coeff = _scalar(head.strip())
+        if star and _scalar(head.strip(), lineno, raw) is not None and rest.strip():
+            coeff = _scalar(head.strip(), lineno, raw)
             term = rest.strip()
         terms.append((coeff, term))
     return terms
@@ -250,7 +260,7 @@ def parse_net(text):
             key = (tokens[1], t, b, p, c)
             if key in doc.arcs:
                 raise FormatError(f"duplicate arc {tokens[2]} {tokens[3]}", lineno, _column(raw, head))
-            weight = int(tokens[4])
+            weight = _integer(tokens[4], lineno, raw)
             if weight:
                 doc.arcs[key] = weight
         elif head == "adjacency":
@@ -275,7 +285,7 @@ def parse_net(text):
                 raise FormatError("marking counts are naturals", lineno, _column(raw, tokens[2]))
             if (p, c) in doc.marking:
                 raise FormatError(f"duplicate marking line for {tokens[1]}", lineno, _column(raw, head))
-            doc.marking[(p, c)] = int(tokens[2])
+            doc.marking[(p, c)] = _integer(tokens[2], lineno, raw)
         else:
             raise FormatError(f"unknown directive {head!r}", lineno, _column(raw, head))
     if doc is None:

@@ -13,6 +13,12 @@ Conventions:
 * kernels are lattices of column vectors, canonicalised via HNF,
 * a matrix with zero rows still needs a column count, hence the ``cols``
   argument on the functions that cannot infer it.
+
+Code that works over a net's coefficient ring goes through ``RINGS[name]``,
+the ``Ring`` instance ``Z`` or ``Q``: each builds its module type (``Lattice``
+or ``Subspace``), kernels, solutions, quotients (``QuotientModule``, with
+invariant factors over Z only) and preimages.  ``Z`` runs on the HNF, ``Q``
+on rref.
 """
 
 from __future__ import annotations
@@ -38,10 +44,6 @@ class ResourceLimitExceeded(Exception):
 
 def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def zeros(rows, cols):
-    return [[0] * cols for _ in range(rows)]
 
 
 def shape(m, cols=None):
@@ -73,17 +75,8 @@ def matvec(m, v):
     return [sum(x * y for x, y in zip(row, v)) for row in m]
 
 
-def transpose(m, cols=None):
-    rows, cols = shape(m, cols) if (m or cols is not None) else (0, 0)
-    return [[m[i][j] for i in range(rows)] for j in range(cols)]
-
-
 def vec_add(a, b):
     return [x + y for x, y in zip(a, b)]
-
-
-def vec_sub(a, b):
-    return [x - y for x, y in zip(a, b)]
 
 
 def vec_scale(k, a):
@@ -240,7 +233,39 @@ def solve_columns(m, v, cols=None):
 # lattices (subgroups of Z^n)
 
 
-class Lattice:
+class _Module:
+    """Lattice or Subspace: a canonical basis, so equal modules have equal
+    bases, and a ``reduce`` that is zero exactly on members."""
+
+    __slots__ = ("ambient_dim", "basis", "pivots")
+
+    @property
+    def rank(self):
+        return len(self.basis)
+
+    def __contains__(self, v):
+        return all(x == 0 for x in self.reduce(v))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.ambient_dim == other.ambient_dim and self.basis == other.basis
+
+    def __hash__(self):
+        return hash((self.ambient_dim, self.basis))
+
+    def __le__(self, other):
+        if self.ambient_dim != other.ambient_dim:
+            raise ValueError("ambient dimensions differ")
+        return all(list(b) in other for b in self.basis)
+
+    def sum(self, other):
+        if self.ambient_dim != other.ambient_dim:
+            raise ValueError("ambient dimensions differ")
+        return type(self)(self.ambient_dim, list(self.basis) + list(other.basis))
+
+
+class Lattice(_Module):
     """A subgroup of Z^n, stored by its canonical column-HNF basis.
 
     ``basis`` is a tuple of tuples (each of length ``ambient_dim``), ordered
@@ -248,7 +273,7 @@ class Lattice:
     subgroup.
     """
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    __slots__ = ()
 
     def __init__(self, ambient_dim, vectors=()):
         vectors = [list(v) for v in vectors]
@@ -274,13 +299,6 @@ class Lattice:
         self.basis = tuple(basis)
         self.pivots = tuple(pivots)
 
-    @property
-    def rank(self):
-        return len(self.basis)
-
-    def is_trivial(self):
-        return not self.basis
-
     def is_full(self):
         # full rank with unit pivots means every unit vector reduces to zero
         return self.rank == self.ambient_dim and all(
@@ -303,9 +321,6 @@ class Lattice:
                     rem[i] -= q * b[i]
         return tuple(rem)
 
-    def __contains__(self, v):
-        return all(x == 0 for x in self.reduce(v))
-
     def coordinates(self, v):
         """Coefficients of ``v`` over ``self.basis``, or None if outside."""
         if len(v) != self.ambient_dim:
@@ -323,24 +338,6 @@ class Lattice:
         if not is_zero_vector(rem):
             return None
         return tuple(coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, Lattice):
-            return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.basis == other.basis
-
-    def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
-
-    def __le__(self, other):
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimensions differ")
-        return all(list(b) in other for b in self.basis)
-
-    def sum(self, other):
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimensions differ")
-        return Lattice(self.ambient_dim, list(self.basis) + list(other.basis))
 
     def __repr__(self):
         return f"Lattice(dim={self.ambient_dim}, basis={list(self.basis)!r})"
@@ -360,19 +357,8 @@ def kernel_lattice(m, cols=None):
 
 
 def preimage_lattice(m, lat, cols=None):
-    """``{x in Z^cols : m @ x in lat}`` as a Lattice.
-
-    ``lat`` lives in Z^rows.  Solved by taking the kernel of the block
-    matrix ``[m | -B]`` (B a basis of ``lat``) and projecting away the
-    auxiliary coordinates.
-    """
-    rows, cols = shape(m, cols) if (m or cols is not None) else (0, 0)
-    if lat.ambient_dim != rows:
-        raise ValueError("lattice lives in the wrong space")
-    k = lat.rank
-    block = [list(m[i]) + [-lat.basis[j][i] for j in range(k)] for i in range(rows)]
-    ker = kernel_lattice(block, cols + k)
-    return Lattice(cols, [list(b)[:cols] for b in ker.basis])
+    """``{x in Z^cols : m @ x in lat}`` as a Lattice."""
+    return Z.preimage(m, lat, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -480,19 +466,21 @@ def snf(m, cols=None):
 
 
 class QuotientModule:
-    """Z^n modulo a relation lattice, with canonical representatives."""
+    """Z^n or Q^n modulo a relation Lattice or Subspace (or generators of
+    a Lattice), with canonical representatives.  Only a lattice quotient
+    has torsion, so invariant factors are computed for lattices only."""
 
     __slots__ = ("ambient_dim", "relations", "invariant_factors")
 
     def __init__(self, ambient_dim, relation_vectors=()):
-        if isinstance(relation_vectors, Lattice):
+        if isinstance(relation_vectors, _Module):
             self.relations = relation_vectors
         else:
             self.relations = Lattice(ambient_dim, relation_vectors)
         if self.relations.ambient_dim != ambient_dim:
             raise ValueError("relations live in the wrong space")
         self.ambient_dim = ambient_dim
-        if self.relations.rank:
+        if isinstance(self.relations, Lattice) and self.relations.rank:
             cols = [[b[i] for b in self.relations.basis] for i in range(ambient_dim)]
             s, _, _ = snf(cols, cols=self.relations.rank)
             diag = [s[i][i] for i in range(min(ambient_dim, self.relations.rank))]
@@ -656,10 +644,10 @@ def rat_solve_columns(m, v, cols=None):
     return x
 
 
-class Subspace:
+class Subspace(_Module):
     """A Q-linear subspace of Q^n with a canonical (rref) basis."""
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    __slots__ = ()
 
     def __init__(self, ambient_dim, vectors=()):
         vectors = [[Fraction(x) for x in v] for v in vectors]
@@ -675,10 +663,6 @@ class Subspace:
         self.basis = tuple(tuple(r[i]) for i in range(len(pivots)))
         self.pivots = tuple(pivots)
 
-    @property
-    def rank(self):
-        return len(self.basis)
-
     def is_full(self):
         return self.rank == self.ambient_dim
 
@@ -692,87 +676,56 @@ class Subspace:
                 rem = [a - f * bb for a, bb in zip(rem, b)]
         return tuple(rem)
 
-    def __contains__(self, v):
-        return all(x == 0 for x in self.reduce(v))
-
-    def __eq__(self, other):
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.basis == other.basis
-
-    def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
-
-    def __le__(self, other):
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimensions differ")
-        return all(list(b) in other for b in self.basis)
-
-    def sum(self, other):
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimensions differ")
-        return Subspace(self.ambient_dim, list(self.basis) + list(other.basis))
-
     def __repr__(self):
         return f"Subspace(dim={self.ambient_dim}, rank={self.rank})"
 
 
-def rat_kernel_subspace(m, cols=None):
+# ---------------------------------------------------------------------------
+# coefficient rings
+
+
+class Ring:
+    """Coefficients ``Z`` (column HNF, Lattice) or ``Q`` (rref, Subspace).
+
+    ``module(dim, vectors)``, ``kernel(m, cols)``, ``kernel_basis(m, cols)``
+    and ``solve(m, v, cols)`` (an ``x`` with ``m @ x = v``, or None).
+    """
+
+    def __init__(self, name, module, kernel, kernel_basis, solve):
+        self.name = name
+        self.module = module
+        self.kernel = kernel
+        self.kernel_basis = kernel_basis
+        self.solve = solve
+
+    def quotient(self, ambient_dim, relation_vectors=()):
+        return QuotientModule(ambient_dim, self.module(ambient_dim, relation_vectors))
+
+    def preimage(self, m, target, cols=None):
+        """``{x : m @ x in target}`` as a module of this ring.
+
+        ``target`` lives in the row space of ``m``.  Solved by taking the
+        kernel of the block matrix ``[m | -B]`` (B a basis of ``target``)
+        and projecting away the auxiliary coordinates.
+        """
+        rows, cols = shape(m, cols) if (m or cols is not None) else (0, 0)
+        if target.ambient_dim != rows:
+            raise ValueError("target module lives in the wrong space")
+        k = target.rank
+        block = [list(m[i]) + [-target.basis[j][i] for j in range(k)] for i in range(rows)]
+        return self.module(cols, [list(v)[:cols] for v in self.kernel_basis(block, cols + k)])
+
+
+def _kernel_subspace(m, cols=None):
     rows, cols = shape(m, cols) if (m or cols is not None) else (0, 0)
     return Subspace(cols, rat_kernel_basis(m, cols))
 
 
-def rat_preimage_subspace(m, sub, cols=None):
-    """``{x in Q^cols : m @ x in sub}`` as a Subspace."""
-    rows, cols = shape(m, cols) if (m or cols is not None) else (0, 0)
-    if sub.ambient_dim != rows:
-        raise ValueError("subspace lives in the wrong space")
-    k = sub.rank
-    block = [
-        [Fraction(m[i][j]) for j in range(cols)] + [-sub.basis[jj][i] for jj in range(k)]
-        for i in range(rows)
-    ]
-    ker = rat_kernel_basis(block, cols + k)
-    return Subspace(cols, [v[:cols] for v in ker])
-
-
-class QuotientSpace:
-    """Q^n modulo a subspace of relations."""
-
-    __slots__ = ("ambient_dim", "relations")
-
-    def __init__(self, ambient_dim, relation_vectors=()):
-        if isinstance(relation_vectors, Subspace):
-            self.relations = relation_vectors
-        else:
-            self.relations = Subspace(ambient_dim, relation_vectors)
-        if self.relations.ambient_dim != ambient_dim:
-            raise ValueError("relations live in the wrong space")
-        self.ambient_dim = ambient_dim
-
-    @property
-    def rank(self):
-        return self.ambient_dim - self.relations.rank
-
-    @property
-    def invariant_factors(self):
-        return ()
-
-    @property
-    def torsion(self):
-        return ()
-
-    def reduce(self, v):
-        return self.relations.reduce(v)
-
-    def class_equal(self, v, w):
-        return self.reduce(v) == self.reduce(w)
-
-    def is_zero_class(self, v):
-        return list(v) in self.relations
-
-    def __repr__(self):
-        return f"QuotientSpace(dim={self.ambient_dim}, rank={self.rank})"
+Z = Ring(
+    "Z", Lattice, kernel_lattice, lambda m, cols=None: kernel_lattice(m, cols).basis, solve_columns
+)
+Q = Ring("Q", Subspace, _kernel_subspace, rat_kernel_basis, rat_solve_columns)
+RINGS = {"Z": Z, "Q": Q}
 
 
 def _fourier_motzkin_feasible(inequalities, nvars):

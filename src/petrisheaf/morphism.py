@@ -147,7 +147,7 @@ class NetMorphism:
         self.target = target
         self.name = name
         self.ring = ring or ("Q" if "Q" in (source.ring, target.ring) else "Z")
-        if self.ring not in ("Z", "Q"):
+        if self.ring not in la.RINGS:
             raise MorphismError(f"ring must be 'Z' or 'Q', got {ring!r}")
         if isinstance(node_map, SpaceMap):
             self.space_map = node_map
@@ -195,28 +195,20 @@ class NetMorphism:
                 for lab in fibre_tokens
             }
 
-        self._report = None
+        self._reports = {}  # hilbert guard -> complete VerificationReport
         self._rewrites = None  # per image transition: fibre token -> target token vector
         self._transport = None  # target token axis x source token axis
 
     # -- ring helpers ------------------------------------------------------
 
     def _module(self, dim, vectors):
-        if self.ring == "Z":
-            return la.Lattice(dim, vectors)
-        return la.Subspace(dim, vectors)
+        return la.RINGS[self.ring].module(dim, vectors)
 
     def _solve(self, vectors, dim, vec):
-        m = _columns(vectors, dim)
-        if self.ring == "Z":
-            return la.solve_columns(m, list(vec), cols=len(vectors))
-        return la.rat_solve_columns(m, list(vec), cols=len(vectors))
+        return la.RINGS[self.ring].solve(_columns(vectors, dim), list(vec), cols=len(vectors))
 
     def _kernel(self, vectors, dim):
-        m = _columns(vectors, dim)
-        if self.ring == "Z":
-            return [list(b) for b in la.kernel_lattice(m, len(vectors)).basis]
-        return [list(b) for b in la.rat_kernel_basis(m, cols=len(vectors))]
+        return la.RINGS[self.ring].kernel_basis(_columns(vectors, dim), len(vectors))
 
     # -- induced pieces ----------------------------------------------------
 
@@ -289,10 +281,13 @@ class NetMorphism:
     # -- verification --------------------------------------------------------
 
     def verify(self, hilbert_guard=10_000):
-        if self._report is not None:
-            return self._report
+        """Clause-by-clause report; cached per guard once every clause ran."""
+        if hilbert_guard not in self._reports:
+            self._reports[hilbert_guard] = self._verify(hilbert_guard)
+        return self._reports[hilbert_guard]
+
+    def _verify(self, hilbert_guard):
         report = VerificationReport(self.name)
-        self._report = report
 
         def fail(clause, detail):
             report.clauses.append(ClauseResult(clause, "failed", detail))
@@ -531,8 +526,8 @@ class NetMorphism:
 
     # -- marking transport -----------------------------------------------
 
-    def require_verified(self):
-        report = self.verify()
+    def require_verified(self, hilbert_guard=10_000):
+        report = self.verify(hilbert_guard)
         if report.status == "failed":
             bad = report.first_failure
             raise MorphismError(
@@ -580,7 +575,7 @@ class NetMorphism:
     # -- classification ----------------------------------------------------
 
     def classify(self, hilbert_guard=10_000, search_bound=6):
-        self.require_verified()
+        self.require_verified(hilbert_guard)
         src, tgt = self.source, self.target
         sm = self.space_map
 
@@ -692,15 +687,10 @@ class NetMorphism:
                 return False
             # inverse signedness on classes: each target token needs a
             # preimage class with a non-negative representative
-            m = _columns(cols, dim)
             for i in range(dim):
                 unit = [0] * dim
                 unit[i] = 1
-                x = (
-                    la.solve_columns(m, unit, cols=len(cols))
-                    if self.ring == "Z"
-                    else la.rat_solve_columns(m, unit, cols=len(cols))
-                )
+                x = self._solve(cols, dim, unit)
                 if x is None:
                     return False
                 if self.ring == "Z":

@@ -55,7 +55,7 @@ class ColouredNet:
         ring="Z",
         name="net",
     ):
-        if ring not in ("Z", "Q"):
+        if ring not in la.RINGS:
             raise NetError(f"ring must be 'Z' or 'Q', got {ring!r}")
         if not space.places or not space.transitions:
             raise NetError("a coloured net needs at least one place and one transition")
@@ -167,12 +167,7 @@ class ColouredNet:
         if not self.space.is_closed(region):
             raise NetError(f"flows need a closed region, {list(region)} is not closed")
         mat = self.incidence_matrix(region)
-        cols = len(mat.col_labels)
-        m = mat.as_lists()
-        if ring == "Z":
-            module = la.kernel_lattice(m, cols)
-        else:
-            module = la.Subspace(cols, la.rat_kernel_basis(m, cols))
+        module = la.RINGS[ring].kernel(mat.as_lists(), len(mat.col_labels))
         return FlowModule(self, region, mat, ring, module)
 
     def marking_classes(self, region=None, ring=None):
@@ -186,10 +181,7 @@ class ColouredNet:
         relations = [
             [mat.entries[i][j] for i in range(dim)] for j in range(len(mat.col_labels))
         ]
-        if ring == "Z":
-            quotient = la.QuotientModule(dim, relations)
-        else:
-            quotient = la.QuotientSpace(dim, relations)
+        quotient = la.RINGS[ring].quotient(dim, relations)
         return ClassModule(self, region, mat, ring, quotient)
 
     # -- restriction / extension -----------------------------------------
@@ -209,7 +201,7 @@ class ColouredNet:
         big_axis = self.binding_axis(big)
         if len(vector) != len(big_axis):
             raise NetError("flow vector has the wrong length")
-        small_flows = self.flows(small, ring="Q" if self.ring == "Q" else "Z")
+        small_flows = self.flows(small)
         pos = {lab: i for i, lab in enumerate(big_axis)}
         out = [vector[pos[lab]] for lab in self.binding_axis(small)]
         if not small_flows.contains(out):
@@ -316,10 +308,7 @@ class FlowModule:
 
     def same_module(self, vectors):
         """Do the given vectors span exactly this module?"""
-        n = len(self.axis)
-        if self.ring == "Z":
-            return la.Lattice(n, vectors) == self.module
-        return la.Subspace(n, vectors) == self.module
+        return la.RINGS[self.ring].module(len(self.axis), vectors) == self.module
 
     def __repr__(self):
         return f"FlowModule(region={list(self.region)!r}, rank={self.rank})"
@@ -430,6 +419,34 @@ class AxiomReport:
         return self.ok
 
 
+def _checked_cover(net, kind, region, covering, openness):
+    """Order a region and its covering (basic sets by default), both of them
+    ``openness`` ("open" or "closed"); ``failed`` is a failed report or None.
+    """
+    space = net.space
+    if openness == "open":
+        is_kind, basic = space.is_open, space.basic_open
+    else:
+        is_kind, basic = space.is_closed, space.basic_closed
+    region = tuple(space.nodes) if region is None else space.ordered(region)
+    if not is_kind(region):
+        return region, (), AxiomReport(kind, region, (), False, [f"region is not {openness}"])
+    if covering is None:
+        covering = [basic(x) for x in region]
+    covering = [space.ordered(c) for c in covering]
+    failures = []
+    for c in covering:
+        if not is_kind(c):
+            failures.append(f"cover element {list(c)} is not {openness}")
+        if not set(c) <= set(region):
+            failures.append(f"cover element {list(c)} leaves the region")
+    union = set().union(*map(set, covering)) if covering else set()
+    if union != set(region):
+        failures.append("cover does not exhaust the region")
+    failed = AxiomReport(kind, region, tuple(covering), False, failures) if failures else None
+    return region, covering, failed
+
+
 def _projection_columns(net, big, small, hook):
     """Matrix of the restriction C(big) -> C(small), columnwise via the hook."""
     big_axis = net.token_axis(big)
@@ -450,23 +467,9 @@ def verify_token_sheaf(net, region=None, covering=None, restrict=None):
     replaces the restriction map (a test hook; the default is the honest
     coordinate projection).
     """
-    region = tuple(net.space.nodes) if region is None else net.space.ordered(region)
-    if not net.space.is_open(region):
-        return AxiomReport("token-sheaf", region, (), False, ["region is not open"])
-    if covering is None:
-        covering = [net.space.basic_open(x) for x in region]
-    covering = [net.space.ordered(c) for c in covering]
-    failures = []
-    for c in covering:
-        if not net.space.is_open(c):
-            failures.append(f"cover element {list(c)} is not open")
-        if not set(c) <= set(region):
-            failures.append(f"cover element {list(c)} leaves the region")
-    union = set().union(*map(set, covering)) if covering else set()
-    if union != set(region):
-        failures.append("cover does not exhaust the region")
-    if failures:
-        return AxiomReport("token-sheaf", region, tuple(covering), False, failures)
+    region, covering, failed = _checked_cover(net, "token-sheaf", region, covering, "open")
+    if failed is not None:
+        return failed
 
     hook = restrict or (lambda vec, big, small: net.restrict_token_section(vec, big, small))
     n = len(net.token_axis(region))
@@ -495,18 +498,11 @@ def verify_token_sheaf(net, region=None, covering=None, restrict=None):
                 row[offsets[j] + col] -= pj[k][col]
             d_rows.append(row)
 
-    if net.ring == "Z":
-        injective = la.kernel_lattice(r, n).rank == 0
-        image = la.Lattice(total, [[r[i][j] for i in range(total)] for j in range(n)])
-        kernel = la.kernel_lattice(d_rows, total) if d_rows else la.Lattice(total, la.identity(total))
-    else:
-        injective = len(la.rat_kernel_basis(r, n)) == 0
-        image = la.Subspace(total, [[r[i][j] for i in range(total)] for j in range(n)])
-        kernel = (
-            la.rat_kernel_subspace(d_rows, total)
-            if d_rows
-            else la.Subspace(total, la.identity(total))
-        )
+    ring = la.RINGS[net.ring]
+    injective = not ring.kernel_basis(r, n)
+    image = ring.module(total, [[r[i][j] for i in range(total)] for j in range(n)])
+    kernel = ring.kernel(d_rows, total)
+    failures = []
     if not injective:
         failures.append("restriction to the cover is not injective")
     if image != kernel:
@@ -521,23 +517,9 @@ def verify_binding_cosheaf(net, region=None, covering=None, extend=None):
     the signed overlap images.  ``extend`` is the test hook; the default is
     honest extension by zero.
     """
-    region = tuple(net.space.nodes) if region is None else net.space.ordered(region)
-    if not net.space.is_closed(region):
-        return AxiomReport("binding-cosheaf", region, (), False, ["region is not closed"])
-    if covering is None:
-        covering = [net.space.basic_closed(x) for x in region]
-    covering = [net.space.ordered(c) for c in covering]
-    failures = []
-    for c in covering:
-        if not net.space.is_closed(c):
-            failures.append(f"cover element {list(c)} is not closed")
-        if not set(c) <= set(region):
-            failures.append(f"cover element {list(c)} leaves the region")
-    union = set().union(*map(set, covering)) if covering else set()
-    if union != set(region):
-        failures.append("cover does not exhaust the region")
-    if failures:
-        return AxiomReport("binding-cosheaf", region, tuple(covering), False, failures)
+    region, covering, failed = _checked_cover(net, "binding-cosheaf", region, covering, "closed")
+    if failed is not None:
+        return failed
 
     hook = extend or (lambda vec, small, big: net.extend_binding_section(vec, small, big))
 
@@ -581,14 +563,11 @@ def verify_binding_cosheaf(net, region=None, covering=None, extend=None):
                 col[offsets[j] + r_] -= into_j[r_][k]
             d_cols.append(col)
 
-    if net.ring == "Z":
-        surjective = la.Lattice(n, [[e[i][j] for i in range(n)] for j in range(total)]).is_full() if n else True
-        kernel = la.kernel_lattice(e, total) if n else la.Lattice(total, la.identity(total))
-        image = la.Lattice(total, d_cols)
-    else:
-        surjective = la.Subspace(n, [[e[i][j] for i in range(n)] for j in range(total)]).is_full() if n else True
-        kernel = la.rat_kernel_subspace(e, total) if n else la.Subspace(total, la.identity(total))
-        image = la.Subspace(total, d_cols)
+    ring = la.RINGS[net.ring]
+    surjective = ring.module(n, [[e[i][j] for i in range(n)] for j in range(total)]).is_full()
+    kernel = ring.kernel(e, total)
+    image = ring.module(total, d_cols)
+    failures = []
     if not surjective:
         failures.append("cover sections do not generate the region sections")
     if kernel != image:
@@ -603,27 +582,13 @@ def verify_flow_gluing(net, region=None, covering=None, ring=None):
     unique flow on the region.  Meaningful for strict nets (on relaxed nets
     the restriction maps need not stay inside the flow modules).
     """
-    ring = ring or net.ring
-    region = tuple(net.space.nodes) if region is None else net.space.ordered(region)
-    if not net.space.is_closed(region):
-        return AxiomReport("flow-gluing", region, (), False, ["region is not closed"])
-    if covering is None:
-        covering = [net.space.basic_closed(x) for x in region]
-    covering = [net.space.ordered(c) for c in covering]
-    failures = []
-    for c in covering:
-        if not net.space.is_closed(c):
-            failures.append(f"cover element {list(c)} is not closed")
-        if not set(c) <= set(region):
-            failures.append(f"cover element {list(c)} leaves the region")
-    union = set().union(*map(set, covering)) if covering else set()
-    if union != set(region):
-        failures.append("cover does not exhaust the region")
-    if failures:
-        return AxiomReport("flow-gluing", region, tuple(covering), False, failures)
+    ring = la.RINGS[ring or net.ring]
+    region, covering, failed = _checked_cover(net, "flow-gluing", region, covering, "closed")
+    if failed is not None:
+        return failed
 
-    global_flows = net.flows(region, ring=ring)
-    local = [net.flows(c, ring=ring) for c in covering]
+    global_flows = net.flows(region, ring=ring.name)
+    local = [net.flows(c, ring=ring.name) for c in covering]
     offsets = []
     off = 0
     for mod in local:
@@ -674,18 +639,9 @@ def verify_flow_gluing(net, region=None, covering=None, ring=None):
                         out[offsets[idx] + pos_] += c * val
         return out
 
-    if ring == "Z":
-        sol = la.kernel_lattice(rows, coff) if rows else la.Lattice(coff, la.identity(coff))
-        agreeing = la.Lattice(total, [coeffs_to_family(list(s)) for s in sol.basis])
-        image = la.Lattice(total, image_gens)
-    else:
-        sol_basis = (
-            la.rat_kernel_basis(rows, coff) if rows else [
-                [1 if i == j else 0 for i in range(coff)] for j in range(coff)
-            ]
-        )
-        agreeing = la.Subspace(total, [coeffs_to_family(s) for s in sol_basis])
-        image = la.Subspace(total, image_gens)
+    agreeing = ring.module(total, [coeffs_to_family(s) for s in ring.kernel_basis(rows, coff)])
+    image = ring.module(total, image_gens)
+    failures = []
     if image != agreeing:
         failures.append("glued flows differ from the agreeing families")
     return AxiomReport("flow-gluing", region, tuple(covering), not failures, failures)

@@ -689,7 +689,7 @@ def inverse_image(f, j, name=None):
         _, j_images = j.flow_maps[a]
         span = la.Subspace(dim, [list(v) for v in j_images])
         matrix = [[cols[k][i] for k in range(len(cols))] for i in range(dim)]
-        pre = la.rat_preimage_subspace(matrix, span, cols=len(cols))
+        pre = la.Q.preimage(matrix, span, cols=len(cols))
         binding_bases[x] = _name_basis(src.bindings[x], _integer_points(pre))
         flow_images[x] = {
             bn: [sum(bv * cols[k][i] for k, bv in enumerate(bvec)) for i in range(dim)]
@@ -704,7 +704,7 @@ def inverse_image(f, j, name=None):
         cols = [[Fraction(v) for v in f.mark_maps[u][(x, c)]] for c in src.tokens[x]]
         span = la.Subspace(dim, [list(j.mark_maps[u][(back[u], c)]) for c in sub.tokens[back[u]]])
         matrix = [[cols[k][i] for k in range(len(cols))] for i in range(dim)]
-        pre = la.rat_preimage_subspace(matrix, span, cols=len(cols))
+        pre = la.Q.preimage(matrix, span, cols=len(cols))
         token_bases[x] = _name_basis(src.tokens[x], _integer_points(pre))
         mark_images[x] = {
             tn: [sum(tv * cols[k][i] for k, tv in enumerate(tvec)) for i in range(dim)]

@@ -89,10 +89,6 @@ class PetriSpace:
     def is_transition(self, x):
         return self.sort_of(x) is Sort.TRANSITION
 
-    def neighbours(self, x):
-        self.sort_of(x)
-        return self._adj[x]
-
     def adjacent(self, p, t):
         return (p, t) in self.adjacency
 

@@ -363,3 +363,23 @@ def test_module_entry_point_runs(workdir):
     )
     assert proc.returncode == 0
     assert "net runY" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "command, last_line",
+    [
+        ("reach", "marking p.c {big}\n"),
+        ("show", "arc + t.b p.c {big}\n"),
+    ],
+    ids=["marking", "arc-weight"],
+)
+def test_overlong_integers_exit_2_naming_the_line(tmp_path, capsys, command, last_line):
+    # longer than the interpreter's int/str conversion limit of 4300 digits
+    big = "1" * 5001
+    text = "net n\nplace p tokens c\ntransition t bindings b\narc - t.b p.c 1\n"
+    (tmp_path / "big.pnet").write_text(text + last_line.format(big=big))
+    code = main([command, str(tmp_path / "big.pnet")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "too long" in err
+    assert "(line 5, column" in err

@@ -326,3 +326,42 @@ def test_nonneg_representative_status():
     assert la.nonneg_representative_status([(1, -1)], (-1, -1)) == "no"
     assert la.nonneg_representative_status([], (-1, 0)) == "no"
     assert la.nonneg_representative_status([], (0, 2)) == "yes"
+
+
+# ---------------------------------------------------------------------------
+# the two coefficient rings against each other
+
+
+@given(matrices)
+@settings(max_examples=80)
+def test_z_and_q_kernels_and_quotients_agree(m):
+    rows, cols = len(m), len(m[0])
+    z_kernel, q_kernel = la.Z.kernel(m, cols), la.Q.kernel(m, cols)
+    assert z_kernel.rank == q_kernel.rank == cols - la.rat_rank(m)
+    assert all(list(v) in q_kernel for v in la.Z.kernel_basis(m, cols))
+    relations = [[m[i][j] for i in range(rows)] for j in range(cols)]
+    assert la.Z.quotient(rows, relations).rank == la.Q.quotient(rows, relations).rank
+
+
+small_preimage_cases = st.integers(1, 3).flatmap(
+    lambda r: st.integers(1, 3).flatmap(
+        lambda c: st.tuples(
+            st.lists(st.lists(st.integers(-3, 3), min_size=c, max_size=c), min_size=r, max_size=r),
+            st.lists(st.lists(st.integers(-3, 3), min_size=r, max_size=r), max_size=2),
+        )
+    )
+)
+
+
+@pytest.mark.parametrize("ring", [la.Z, la.Q], ids=["Z", "Q"])
+@given(case=small_preimage_cases)
+@settings(max_examples=40)
+def test_preimage_membership_by_brute_force(ring, case):
+    from itertools import product
+
+    m, generators = case
+    rows, cols = len(m), len(m[0])
+    target = ring.module(rows, generators)
+    pre = ring.preimage(m, target, cols)
+    for x in product(range(-2, 3), repeat=cols):
+        assert (list(x) in pre) == (la.matvec(m, x) in target)
