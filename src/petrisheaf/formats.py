@@ -91,7 +91,7 @@ def _split_ref(token, what, lineno, raw):
 
 
 def _integer(text, lineno, raw):
-    """``int(text)`` of a literal already checked to be digits."""
+    """``int(text)`` of a literal already checked to be an integer."""
     try:
         return int(text)
     except ValueError:  # longer than the interpreter converts

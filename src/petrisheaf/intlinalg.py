@@ -704,7 +704,7 @@ class Ring:
     def preimage(self, m, target, cols=None):
         """``{x : m @ x in target}`` as a module of this ring.
 
-        ``target`` lives in the row space of ``m``.  Solved by taking the
+        ``target`` lives in dimension ``len(m)``.  Solved by taking the
         kernel of the block matrix ``[m | -B]`` (B a basis of ``target``)
         and projecting away the auxiliary coordinates.
         """
