@@ -2,8 +2,8 @@
 
 Every case runs ``petrisheaf.cli.main`` on documents built from
 ``fixtures.py`` (the same documents as the ``workdir`` fixture of
-``test_cli.py``, a ``ring q`` copy of ``runX.pnet`` and a net with torsion
-classes) and compares the exit code and stdout with ``tests/golden/``.  The
+``test_cli.py``, a ``ring q`` copy of ``runX.pnet``, a net with torsion
+classes and a three-place ring) and compares the exit code and stdout with ``tests/golden/``.  The
 temporary directory is written as ``<DIR>``.  The expected files are only
 rewritten on purpose, when an output change is intended:
 
@@ -72,6 +72,31 @@ CASES = {
     "product-runX-runXq": ("product", "runX.pnet", "runXq.pnet"),
     "product-grow-twice": ("product", "grow.pnet", "twice.pnet"),
     "winskel-loop": ("winskel", "loop.pwin"),
+    "reach-ring": ("reach", "ring.pnet"),
+    "reach-ring-depth-2": ("reach", "ring.pnet", "--depth", "2"),
+    "reach-ring-depth-4": ("reach", "ring.pnet", "--depth", "4"),
+    "reach-grow-budget": ("reach", "grow.pnet", "--max-states", "3"),
+    "simulate-runY": ("simulate", "runY.pnet", "--sequence", "a.b1,a.b2"),
+    "simulate-runY-disabled": (
+        "simulate", "runY.pnet", "--marking", "u.c=1", "--sequence", "a.b1"
+    ),
+    "simulate-ring": ("simulate", "ring.pnet", "--sequence", "s0,s1,s0,s2"),
+    "map-behaviour-fold": (
+        "map-behaviour", "fold.pmor", "--marking", "p1.p1=1 p2.p2=1", "--sequence", "t1,t3"
+    ),
+    "map-behaviour-fold-unsaturated": (
+        "map-behaviour", "fold.pmor", "--marking", "p1.p1=1 p2.p2=1", "--sequence", "t1"
+    ),
+    "check-product-reach-runY-unfoldY": (
+        "check-product-reach", "runY.pnet", "unfoldY.pnet", "--depth", "4"
+    ),
+    "check-product-reach-ring-twice": ("check-product-reach", "ring.pnet", "twice.pnet"),
+    "check-product-reach-grow-budget": (
+        "check-product-reach", "grow.pnet", "grow.pnet", "--depth", "3", "--max-states", "3"
+    ),
+    "diagonal-runY": ("diagonal", "runY.pnet"),
+    "diagonal-runX": ("diagonal", "runX.pnet"),
+    "diagonal-ring": ("diagonal", "ring.pnet"),
 }
 
 
@@ -104,6 +129,13 @@ def build_documents(directory):
         produce={"go": {"r": 2}, "back": {"l": 2}},
     )
     (directory / "twice.pnet").write_text(serialize_net(twice, marking={("l", "l"): 2}))
+    # three places in a cycle holding two tokens: six markings, radius 4
+    ring = place_transition_net(
+        "ring", ["r0", "r1", "r2"], ["s0", "s1", "s2"],
+        consume={"s0": {"r0": 1}, "s1": {"r1": 1}, "s2": {"r2": 1}},
+        produce={"s0": {"r1": 1}, "s1": {"r2": 1}, "s2": {"r0": 1}},
+    )
+    (directory / "ring.pnet").write_text(serialize_net(ring, marking={("r0", "r0"): 2}))
     wsrc, wtgt = winskel_nets()
     (directory / "wsrc.pnet").write_text(serialize_net(wsrc))
     (directory / "wtgt.pnet").write_text(serialize_net(wtgt))
