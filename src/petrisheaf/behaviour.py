@@ -88,48 +88,44 @@ def event_vector(net, t, data):
     return tuple(int(v) for v in values)
 
 
-def _event_effect(net, t, vec, kind):
-    axis = net.token_axis()
-    out = [0] * len(axis)
-    for mult, b in zip(vec, net.bindings[t]):
-        if not mult:
-            continue
-        for i, (p, c) in enumerate(axis):
-            w = net.w_minus(t, b, p, c) if kind == "minus" else net.w_plus(t, b, p, c)
-            if w:
-                out[i] += mult * w
-    return out
+def _step(net, marking, events):
+    """Fire ``(t, binding vector)`` events at once over the sparse binding
+    effects; the successor marking, or None when the pre-set does not fit."""
+    need, gain = {}, {}
+    for t, vec in events:
+        for mult, b in zip(vec, net.bindings[t]):
+            if mult:
+                for total, side in zip((need, gain), net.effect(t, b)):
+                    for i, w in side:
+                        total[i] = total.get(i, 0) + mult * w
+    if any(marking[i] < n for i, n in need.items()):
+        return None
+    out = list(marking)
+    for i, n in need.items():
+        out[i] -= n
+    for i, g in gain.items():
+        out[i] += g
+    return tuple(out)
 
 
 def is_enabled(net, marking, t, data):
-    vec = event_vector(net, t, data)
-    need = _event_effect(net, t, vec, "minus")
-    return all(m >= n for m, n in zip(marking, need))
+    return _step(net, marking, [(t, event_vector(net, t, data))]) is not None
 
 
 def fire(net, marking, t, data):
     """Fire a binding multiset of ``t``; raises when not enabled."""
-    vec = event_vector(net, t, data)
-    need = _event_effect(net, t, vec, "minus")
-    if not all(m >= n for m, n in zip(marking, need)):
+    after = _step(net, marking, [(t, event_vector(net, t, data))])
+    if after is None:
         raise BehaviourError(f"event over {t!r} is not enabled")
-    gain = _event_effect(net, t, vec, "plus")
-    return tuple(m - n + g for m, n, g in zip(marking, need, gain))
+    return after
 
 
 def fire_step(net, marking, events):
     """Fire several events concurrently (their pre-sets must fit at once)."""
-    need = [0] * len(marking)
-    gain = [0] * len(marking)
-    for t, data in events:
-        vec = event_vector(net, t, data)
-        for i, v in enumerate(_event_effect(net, t, vec, "minus")):
-            need[i] += v
-        for i, v in enumerate(_event_effect(net, t, vec, "plus")):
-            gain[i] += v
-    if not all(m >= n for m, n in zip(marking, need)):
+    after = _step(net, marking, [(t, event_vector(net, t, data)) for t, data in events])
+    if after is None:
         raise BehaviourError("step is not enabled")
-    return tuple(m - n + g for m, n, g in zip(marking, need, gain))
+    return after
 
 
 def fire_sequence(net, marking, events):
@@ -188,7 +184,9 @@ def reachable(net, marking, depth=None, max_states=10_000, record_edges=False):
     """Breadth-first reachability with single-binding steps.
 
     Exploration stops at the depth bound and at ``max_states`` distinct
-    markings; hitting either limit before exhaustion sets ``truncated``.
+    markings; ``truncated`` is set when either limit leaves a marking
+    unseen: the budget refused a new marking, or an event enabled at the
+    depth bound leads to a marking not found within it.
     """
     start = tuple(marking)
     seen = {start}
@@ -198,7 +196,10 @@ def reachable(net, marking, depth=None, max_states=10_000, record_edges=False):
         current, d = queue.popleft()
         result.depth_reached = max(result.depth_reached, d)
         if depth is not None and d >= depth:
-            if enabled_events(net, current):
+            # the cut hides something only if a successor here is unseen
+            if not result.truncated and any(
+                fire(net, current, t, b) not in seen for t, b in enabled_events(net, current)
+            ):
                 result.truncated = True
             continue
         for t, b in enabled_events(net, current):
@@ -294,11 +295,9 @@ def _fire_units(net, marking, a, vec):
     for mult, b in zip(vec, net.bindings[a]):
         unit = tuple(1 if x == b else 0 for x in net.bindings[a])
         for _ in range(mult):
-            need = _event_effect(net, a, unit, "minus")
-            if not all(m >= n for m, n in zip(current, need)):
+            current = _step(net, current, [(a, unit)])
+            if current is None:
                 return None
-            gain = _event_effect(net, a, unit, "plus")
-            current = tuple(m - n + g for m, n, g in zip(current, need, gain))
     return current
 
 

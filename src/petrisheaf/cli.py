@@ -756,6 +756,14 @@ def cmd_check_product_reach(args, out):
 # parser wiring
 
 
+def natural(text):
+    """Argument type of the count options: a negative count exits 2."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a natural number, got {value}")
+    return value
+
+
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
@@ -775,7 +783,7 @@ def build_parser():
     common.add_argument(
         "--hilbert-guard",
         dest="hilbert_guard",
-        type=int,
+        type=natural,
         default=10_000,
         metavar="K",
         help="growth guard for Hilbert basis completion",
@@ -812,7 +820,7 @@ def build_parser():
     p.add_argument("net")
     p.add_argument(
         "--random",
-        type=int,
+        type=natural,
         default=0,
         metavar="K",
         help="also sweep K seeded random strict nets",
@@ -849,8 +857,8 @@ def build_parser():
     p = add("reach", cmd_reach, "breadth-first reachable markings")
     p.add_argument("net")
     p.add_argument("--marking", metavar="M", help="start marking, entries P.C=N")
-    p.add_argument("--depth", type=int, default=None, metavar="D")
-    p.add_argument("--max-states", dest="max_states", type=int, default=10_000)
+    p.add_argument("--depth", type=natural, default=None, metavar="D")
+    p.add_argument("--max-states", dest="max_states", type=natural, default=10_000)
 
     p = add("map-behaviour", cmd_map_behaviour, "transport a saturated run forward")
     p.add_argument("morphism")
@@ -869,8 +877,8 @@ def build_parser():
     p.add_argument("second")
     p.add_argument("--marking1", metavar="M", help="first factor marking")
     p.add_argument("--marking2", metavar="M", help="second factor marking")
-    p.add_argument("--depth", type=int, default=5, metavar="D")
-    p.add_argument("--max-states", dest="max_states", type=int, default=10_000)
+    p.add_argument("--depth", type=natural, default=5, metavar="D")
+    p.add_argument("--max-states", dest="max_states", type=natural, default=10_000)
 
     return parser
 

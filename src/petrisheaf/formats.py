@@ -182,22 +182,15 @@ class NetDocument:
         else:
             adjacency = list(self.adjacency)
         space = PetriSpace(self.nodes, adjacency)
-        w_minus = {
-            (t, b, p, c): w
-            for (kind, t, b, p, c), w in self.arcs.items()
-            if kind == "-"
-        }
-        w_plus = {
-            (t, b, p, c): w
-            for (kind, t, b, p, c), w in self.arcs.items()
-            if kind == "+"
-        }
+        weights = {"-": {}, "+": {}}
+        for (kind, t, b, p, c), w in self.arcs.items():
+            weights[kind][t, b, p, c] = w
         return ColouredNet(
             space,
             self.bindings,
             self.tokens,
-            w_minus,
-            w_plus,
+            weights["-"],
+            weights["+"],
             strict=self.strict,
             ring=self.ring,
             name=self.name,
@@ -310,14 +303,9 @@ def serialize_net(net, marking=None, comments=()):
         index = {n: i for i, n in enumerate(net.space.nodes)}
         for p, t in sorted(net.space.adjacency, key=lambda pt: (index[pt[1]], index[pt[0]])):
             lines.append(f"adjacency {t} {p}")
-    for kind, get in (("-", net.w_minus), ("+", net.w_plus)):
-        for t in net.space.transitions:
-            for b in net.bindings[t]:
-                for p in net.space.places:
-                    for c in net.tokens[p]:
-                        w = get(t, b, p, c)
-                        if w:
-                            lines.append(f"arc {kind} {t}.{b} {p}.{c} {w}")
+    for kind, sign in (("minus", "-"), ("plus", "+")):
+        for (t, b, p, c), w in net.arcs(kind):
+            lines.append(f"arc {sign} {t}.{b} {p}.{c} {w}")
     if marking:
         axis = net.token_axis()
         values = dict(marking)

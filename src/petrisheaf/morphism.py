@@ -417,31 +417,26 @@ class NetMorphism:
                 u_tokens = src.token_axis(u_fibre)
                 mm = self.mark_maps[u]
                 tgt_dim = len(tgt.tokens[u])
-                for kind in ("minus", "plus"):
+                for kind, sign in (("minus", "-"), ("plus", "+")):
+                    src_cols = [src.binding_effect(s, b, u_fibre, kind) for s, b in fibre_axis]
+                    tgt_cols = [tgt.binding_effect(a, b, (u,), kind) for b in tgt.bindings[a]]
                     for vec, img in zip(basis, images):
                         lhs = [0] * tgt_dim
-                        for coeff, (s, b) in zip(vec, fibre_axis):
+                        for coeff, col in zip(vec, src_cols):
                             if not coeff:
                                 continue
-                            col = src.binding_effect(s, b, u_fibre, kind=kind)
                             for val, lab in zip(col, u_tokens):
                                 if val:
                                     for i, x in enumerate(mm[lab]):
                                         lhs[i] += coeff * val * x
                         rhs = [0] * tgt_dim
-                        for coeff, b_name in zip(img, tgt.bindings[a]):
+                        for coeff, col in zip(img, tgt_cols):
                             if not coeff:
                                 continue
-                            for i, c_name in enumerate(tgt.tokens[u]):
-                                w = (
-                                    tgt.w_minus(a, b_name, u, c_name)
-                                    if kind == "minus"
-                                    else tgt.w_plus(a, b_name, u, c_name)
-                                )
+                            for i, w in enumerate(col):
                                 if w:
                                     rhs[i] += coeff * w
                         if lhs != rhs:
-                            sign = "-" if kind == "minus" else "+"
                             fail(
                                 CLAUSE_INCIDENCE,
                                 f"w{sign} mismatch over ({a!r}, {u!r}): fibre side "
@@ -488,7 +483,9 @@ class NetMorphism:
         columns = p_vectors + r_vectors
         targets = p_targets + [[0] * tdim for _ in r_vectors]
 
-        relations = [[tgt.w(a, b, u, c) for u, c in tgt_axis] for b in tgt.bindings[a]]
+        relations = [
+            tgt.binding_effect(a, b, tgt.space.basic_open(a)) for b in tgt.bindings[a]
+        ]
         s_module = self._module(tdim, relations)
 
         # well-definedness: vanishing combinations must map into the relations
@@ -891,40 +888,35 @@ class WinskelMorphism:
             if s not in self.target.space.transitions:
                 raise WinskelError(f"eta({t!r}) hits unknown transition {s!r}")
 
-    def _side(self, net, t, kind):
-        out = {}
-        b = net.bindings[t][0]
-        for p in net.space.places:
-            c = net.tokens[p][0]
-            w = net.w_minus(t, b, p, c) if kind == "pre" else net.w_plus(t, b, p, c)
-            if w:
-                out[p] = w
-        return out
+    def _side(self, net, t, side):
+        """The places on one side (0: pre-set, 1: post-set) of ``t``, with weights."""
+        axis = net.token_axis()
+        return {axis[i][0]: w for i, w in net.effect(t, net.bindings[t][0])[side]}
 
     def check_invariants(self):
         """beta(pre t) = pre(eta t) and dually for post, as multisets."""
         failures = []
         for t in self.source.space.transitions:
             if t in self.eta:
-                for kind in ("pre", "post"):
+                for side, word in enumerate(("pre", "post")):
                     pushed = {}
-                    for p, k in self._side(self.source, t, kind).items():
+                    for p, k in self._side(self.source, t, side).items():
                         if p not in self.beta:
                             failures.append(
-                                f"{kind}({t!r}) meets {p!r} outside the domain of beta"
+                                f"{word}({t!r}) meets {p!r} outside the domain of beta"
                             )
                             continue
                         for q, m in self.beta[p].items():
                             pushed[q] = pushed.get(q, 0) + k * m
-                    want = self._side(self.target, self.eta[t], kind)
+                    want = self._side(self.target, self.eta[t], side)
                     if pushed != want:
                         failures.append(
-                            f"beta({kind}({t!r})) = {pushed} differs from "
-                            f"{kind}({self.eta[t]!r}) = {want}"
+                            f"beta({word}({t!r})) = {pushed} differs from "
+                            f"{word}({self.eta[t]!r}) = {want}"
                         )
             else:
-                touching = set(self._side(self.source, t, "pre")) | set(
-                    self._side(self.source, t, "post")
+                touching = set(self._side(self.source, t, 0)) | set(
+                    self._side(self.source, t, 1)
                 )
                 bad = touching & set(self.beta)
                 if bad:
@@ -981,15 +973,10 @@ def from_winskel(w):
     owner = {(u, token_name[y]): y for u, ys in members.items() for y in ys}
     bindings = {t: tgt.bindings[t] for t in qspace.transitions}
     wm, wp = {}, {}
-    for store, out in ((tgt.w_minus, wm), (tgt.w_plus, wp)):
-        for t in tgt.space.transitions:
-            b = tgt.bindings[t][0]
-            for y in tgt.space.places:
-                c = tgt.tokens[y][0]
-                val = store(t, b, y, c)
-                if val:
-                    key = (t, b, proj_map(y), token_name[y])
-                    out[key] = out.get(key, 0) + val
+    for kind, out in (("minus", wm), ("plus", wp)):
+        for (t, b, y, _c), val in tgt.arcs(kind):
+            key = (t, b, proj_map(y), token_name[y])
+            out[key] = out.get(key, 0) + val
     merged = ColouredNet(
         qspace,
         bindings,

@@ -12,6 +12,14 @@ Strict nets require the weight support to match the adjacency relation
 exactly; relaxed nets (products are the main source) may carry weights on
 non-adjacent pairs, at the price of some restriction maps failing, see
 ``restrict_flow``.
+
+The weights are validated once and stored once, per binding: each
+``(t, b)`` keeps its sparse (pre, post) effect, two tuples of (token-axis
+position, weight) pairs in token-axis order, holding only nonzero weights.
+Only this module reads that table.  Firing takes it as it is (``effect``);
+constructions and serialisers list the nonzero arcs in axis order
+(``arcs``); ``w_minus``/``w_plus``/``w``, ``binding_effect`` and
+``incidence_matrix`` read blocks of the incidence through ``_block``.
 """
 
 from __future__ import annotations
@@ -25,6 +33,10 @@ from .topology import PetriSpace, Sort
 
 class NetError(ValueError):
     """Malformed net data or an ill-typed region operation."""
+
+
+# signs of the (w-, w+) sides in each kind of weight
+_KIND_SIGNS = {"minus": (1, 0), "plus": (0, 1), "difference": (-1, 1)}
 
 
 @dataclass(frozen=True)
@@ -42,7 +54,7 @@ class LabeledMatrix:
 class ColouredNet:
     """A coloured net: Petri space + bindings + tokens + arc weights."""
 
-    __slots__ = ("name", "space", "bindings", "tokens", "strict", "ring", "_wm", "_wp")
+    __slots__ = ("name", "space", "bindings", "tokens", "strict", "ring", "_position", "_effect")
 
     def __init__(
         self,
@@ -57,7 +69,8 @@ class ColouredNet:
     ):
         if ring not in la.RINGS:
             raise NetError(f"ring must be 'Z' or 'Q', got {ring!r}")
-        if not space.places or not space.transitions:
+        places, transitions = space.places, space.transitions
+        if not places or not transitions:
             raise NetError("a coloured net needs at least one place and one transition")
         self.space = space
         self.name = name
@@ -75,46 +88,75 @@ class ColouredNet:
                     raise NetError(f"duplicate {what} names on {node!r}")
             return given
 
-        self.bindings = check_axes(bindings, space.transitions, "bindings")
-        self.tokens = check_axes(tokens, space.places, "tokens")
+        self.bindings = check_axes(bindings, transitions, "bindings")
+        self.tokens = check_axes(tokens, places, "tokens")
 
-        def check_weights(w, which):
-            out = {}
-            for (t, b, p, c), value in dict(w).items():
-                if t not in self.bindings or b not in self.bindings[t]:
+        position = {lab: i for i, lab in enumerate(self.token_axis())}
+        effect = {tb: ([], []) for tb in self.binding_axis()}
+        support = set()
+        for side, (given, which) in enumerate(((w_minus, "consume"), (w_plus, "produce"))):
+            for (t, b, p, c), value in dict(given).items():
+                if (t, b) not in effect:
                     raise NetError(f"{which} weight on unknown binding {t}.{b}")
-                if p not in self.tokens or c not in self.tokens[p]:
+                if (p, c) not in position:
                     raise NetError(f"{which} weight on unknown token {p}.{c}")
-                if value < 0:
+                if value < 0 or value != int(value):
                     raise NetError(f"{which} weight must be a natural number")
                 if value:
-                    out[(t, b, p, c)] = int(value)
-            return out
+                    effect[t, b][side].append((position[p, c], int(value)))
+                    support.add((p, t))
+        self._position = position
+        self._effect = {
+            tb: (tuple(sorted(pre)), tuple(sorted(post))) for tb, (pre, post) in effect.items()
+        }
 
-        self._wm = check_weights(w_minus, "consume")
-        self._wp = check_weights(w_plus, "produce")
-
-        support = {(p, t) for (t, _b, p, _c) in (*self._wm, *self._wp)}
-        if self.strict:
-            if support != space.adjacency:
-                off = support ^ space.adjacency
-                raise NetError(
-                    f"strict net: weight support must equal adjacency, mismatch on {sorted(off)}"
-                )
-        else:
-            # relaxed nets may weight any pair; nothing to check
-            pass
+        if self.strict and support != space.adjacency:
+            off = support ^ space.adjacency
+            raise NetError(
+                f"strict net: weight support must equal adjacency, mismatch on {sorted(off)}"
+            )
 
     # -- weights --------------------------------------------------------
 
+    def effect(self, t, b):
+        """The sparse (pre, post) effect of one binding: each side a tuple of
+        (token-axis position, weight) pairs in token-axis order."""
+        return self._effect[t, b]
+
+    def _block(self, kind, rows, cols):
+        """The ``kind`` weights ("minus": w-, "plus": w+, "difference":
+        w+ - w-) on (place, token) ``rows`` by (transition, binding) ``cols``,
+        as a list of rows."""
+        signs = _KIND_SIGNS[kind]
+        index = {self._position.get(lab): r for r, lab in enumerate(rows)}
+        block = [[0] * len(cols) for _ in rows]
+        for j, tb in enumerate(cols):
+            for sign, side in zip(signs, self._effect.get(tb, ((), ()))):
+                if sign:
+                    for i, w in side:
+                        r = index.get(i)
+                        if r is not None:
+                            block[r][j] += sign * w
+        return block
+
     def w_minus(self, t, b, p, c):
-        return self._wm.get((t, b, p, c), 0)
+        return self._block("minus", [(p, c)], [(t, b)])[0][0]
 
     def w_plus(self, t, b, p, c):
-        return self._wp.get((t, b, p, c), 0)
+        return self._block("plus", [(p, c)], [(t, b)])[0][0]
 
     def w(self, t, b, p, c):
-        return self.w_plus(t, b, p, c) - self.w_minus(t, b, p, c)
+        return self._block("difference", [(p, c)], [(t, b)])[0][0]
+
+    def arcs(self, kind):
+        """The nonzero ``((t, b, p, c), weight)`` of one side ("minus" or
+        "plus"), in binding-axis order, then token-axis order."""
+        axis = self.token_axis()
+        for t, b in self.binding_axis():
+            for sign, side in zip(_KIND_SIGNS[kind], self._effect[t, b]):
+                if sign:
+                    for i, w in side:
+                        yield (t, b, *axis[i]), sign * w
 
     # -- axes -----------------------------------------------------------
 
@@ -130,12 +172,7 @@ class ColouredNet:
 
     def binding_effect(self, t, b, region=None, kind="difference"):
         """Column of the incidence over the token axis of ``region``."""
-        pick = {
-            "difference": self.w,
-            "minus": self.w_minus,
-            "plus": self.w_plus,
-        }[kind]
-        return [pick(t, b, p, c) for p, c in self.token_axis(region)]
+        return [row[0] for row in self._block(kind, self.token_axis(region), [(t, b)])]
 
     def incidence_matrix(self, row_region=None, col_region=None, kind="difference"):
         """Tokens-by-bindings matrix; weights default to 0 off support."""
@@ -143,14 +180,7 @@ class ColouredNet:
             col_region = row_region
         rows = self.token_axis(row_region)
         cols = self.binding_axis(col_region)
-        pick = {
-            "difference": self.w,
-            "minus": self.w_minus,
-            "plus": self.w_plus,
-        }[kind]
-        entries = tuple(
-            tuple(pick(t, b, p, c) for t, b in cols) for p, c in rows
-        )
+        entries = tuple(map(tuple, self._block(kind, rows, cols)))
         return LabeledMatrix(entries, rows, cols)
 
     # -- section modules --------------------------------------------------
@@ -256,8 +286,10 @@ class ColouredNet:
         if not (keep & set(self.space.places) and keep & set(self.space.transitions)):
             raise NetError("subnet needs at least one place and one transition")
         sub_space = self.space.subspace(region)
-        wm = {k: v for k, v in self._wm.items() if k[0] in keep and k[2] in keep}
-        wp = {k: v for k, v in self._wp.items() if k[0] in keep and k[2] in keep}
+        wm, wp = (
+            {k: v for k, v in self.arcs(kind) if k[0] in keep and k[2] in keep}
+            for kind in ("minus", "plus")
+        )
         return ColouredNet(
             sub_space,
             {t: self.bindings[t] for t in sub_space.transitions},
@@ -379,18 +411,10 @@ def place_transition_net(
         [(p, Sort.PLACE) for p in places] + [(t, Sort.TRANSITION) for t in transitions],
         adjacency,
     )
-    wm = {
-        (t, t, p, p): wgt
-        for t, row in consume.items()
-        for p, wgt in row.items()
-        if wgt
-    }
-    wp = {
-        (t, t, p, p): wgt
-        for t, row in produce.items()
-        for p, wgt in row.items()
-        if wgt
-    }
+    wm, wp = (
+        {(t, t, p, p): wgt for t, row in side.items() for p, wgt in row.items() if wgt}
+        for side in (consume, produce)
+    )
     return ColouredNet(
         space,
         {t: (t,) for t in space.transitions},

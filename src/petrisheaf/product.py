@@ -102,33 +102,15 @@ def kronecker(first, second, name=None):
     }
 
     def fill(kind):
-        get1 = first.w_minus if kind == "minus" else first.w_plus
-        get2 = second.w_minus if kind == "minus" else second.w_plus
         table = {}
-        for s in s1.transitions:
-            for b in first.bindings[s]:
-                for p in s1.places:
-                    for c in first.tokens[p]:
-                        v = get1(s, b, p, c)
-                        if not v:
-                            continue
-                        for t in s2.transitions:
-                            for q in s2.places:
-                                table[
-                                    (pair_name(s, t), _tag(1, b), pair_name(p, q), _tag(1, c))
-                                ] = v
-        for t in s2.transitions:
-            for b in second.bindings[t]:
+        for (s, b, p, c), v in first.arcs(kind):
+            for t in s2.transitions:
                 for q in s2.places:
-                    for c in second.tokens[q]:
-                        v = get2(t, b, q, c)
-                        if not v:
-                            continue
-                        for s in s1.transitions:
-                            for p in s1.places:
-                                table[
-                                    (pair_name(s, t), _tag(2, b), pair_name(p, q), _tag(2, c))
-                                ] = v
+                    table[(pair_name(s, t), _tag(1, b), pair_name(p, q), _tag(1, c))] = v
+        for (t, b, q, c), v in second.arcs(kind):
+            for s in s1.transitions:
+                for p in s1.places:
+                    table[(pair_name(s, t), _tag(2, b), pair_name(p, q), _tag(2, c))] = v
         return table
 
     net = ColouredNet(
@@ -491,17 +473,10 @@ def diagonal(net, name=None):
         [(pair_name(x, x), net.space.sort_of(x)) for x in net.space.nodes],
         [(pair_name(p, p), pair_name(t, t)) for (p, t) in net.space.adjacency],
     )
-    tables = []
-    for get in (net.w_minus, net.w_plus):
-        table = {}
-        for a in net.space.transitions:
-            for b in net.bindings[a]:
-                for u in net.space.places:
-                    for c in net.tokens[u]:
-                        v = get(a, b, u, c)
-                        if v:
-                            table[(pair_name(a, a), b, pair_name(u, u), c)] = v
-        tables.append(table)
+    tables = [
+        {(pair_name(a, a), b, pair_name(u, u), c): v for (a, b, u, c), v in net.arcs(kind)}
+        for kind in ("minus", "plus")
+    ]
     delta = ColouredNet(
         space,
         {pair_name(a, a): net.bindings[a] for a in net.space.transitions},
@@ -723,10 +698,11 @@ def inverse_image(f, j, name=None):
         for bn, bvec in binding_bases[x]:
             for y in level_places:
                 basis = token_bases[y]
-                for store, get in ((w_minus, src.w_minus), (w_plus, src.w_plus)):
+                for store, kind in ((w_minus, "minus"), (w_plus, "plus")):
+                    cols = [src.binding_effect(x, b, (y,), kind) for b in src.bindings[x]]
                     combo = [
-                        sum(bv * get(x, b, y, c) for bv, b in zip(bvec, src.bindings[x]))
-                        for c in src.tokens[y]
+                        sum(bv * col[i] for bv, col in zip(bvec, cols))
+                        for i in range(len(src.tokens[y]))
                     ]
                     if not any(combo):
                         continue

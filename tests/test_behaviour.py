@@ -24,6 +24,8 @@ from petrisheaf.behaviour import (
     zero_marking,
 )
 from petrisheaf.morphism import identity_morphism
+from petrisheaf.net import place_transition_net
+from petrisheaf.product import kronecker
 
 from fixtures import fold_morphism, unfolding_morphism, x_net, y_net
 from test_net import strict_nets
@@ -109,6 +111,24 @@ def test_reachable_depth_bound():
     result = reachable(net, P1P2, depth=1)
     assert result.markings == {P1P2, (0, 0, 1, 1)}
     assert result.truncated
+
+
+def two_place_ring():
+    return place_transition_net(
+        "ring2", ["r0", "r1"], ["s0", "s1"],
+        consume={"s0": {"r0": 1}, "s1": {"r1": 1}},
+        produce={"s0": {"r1": 1}, "s1": {"r0": 1}},
+    )
+
+
+def test_depth_cut_at_the_radius_is_not_truncation():
+    # 2 tokens on a 2-place ring: 3 markings, all within 2 steps
+    result = reachable(two_place_ring(), (2, 0), depth=2)
+    assert result.markings == {(2, 0), (1, 1), (0, 2)}
+    assert not result.truncated
+    below = reachable(two_place_ring(), (2, 0), depth=1)
+    assert below.markings == {(2, 0), (1, 1)}
+    assert below.truncated
 
 
 def test_reachable_state_bound():
@@ -216,8 +236,13 @@ def test_invariance_rejects_non_modifications():
 
 
 def test_invariance_inconclusive_on_truncation():
-    report = check_modification_invariance(unfolding_morphism(), (2,), depth=0)
+    # t1 is enabled at P1P2 and leads to an unseen marking: a genuine cut
+    report = check_modification_invariance(identity_morphism(x_net()), P1P2, depth=0)
     assert report.status == "inconclusive"
+    # the unfolding only moves 2v back onto 2v: depth 0 already saw everything
+    report = check_modification_invariance(unfolding_morphism(), (2,), depth=0)
+    assert report.status == "ok"
+    assert report.source_count == 1
 
 
 @settings(max_examples=15, deadline=None)
@@ -229,3 +254,110 @@ def test_identity_invariance_on_random_nets(net, tokens):
     assert report.status in ("ok", "inconclusive")
     if report.status == "ok":
         assert report.source_count == report.target_count
+
+
+# ---------------------------------------------------------------------------
+# firing and reachability against dense oracles built from w-/w+
+
+
+def dense_step(net, marking, events):
+    """Reference firing: dense need/gain vectors summed over every token."""
+    axis = net.token_axis()
+    need = [0] * len(axis)
+    gain = [0] * len(axis)
+    for t, vec in events:
+        for mult, b in zip(vec, net.bindings[t]):
+            for k, (p, c) in enumerate(axis):
+                need[k] += mult * net.w_minus(t, b, p, c)
+                gain[k] += mult * net.w_plus(t, b, p, c)
+    if any(m < n for m, n in zip(marking, need)):
+        return None
+    return tuple(m - n + g for m, n, g in zip(marking, need, gain))
+
+
+def unit_events(net):
+    return [
+        (t, tuple(1 if x == b else 0 for x in net.bindings[t]))
+        for t in net.space.transitions
+        for b in net.bindings[t]
+    ]
+
+
+def closure_oracle(net, start, depth):
+    """Markings within ``depth`` unit steps by set iteration, the depth of
+    the last nonempty layer, and whether one more step finds a new one."""
+    seen = frontier = {start}
+    last = 0
+    for d in range(1, depth + 1):
+        frontier = {
+            after
+            for m in frontier
+            for event in unit_events(net)
+            if (after := dense_step(net, m, [event])) is not None
+        } - seen
+        if not frontier:
+            break
+        seen = seen | frontier
+        last = d
+    beyond = {
+        after
+        for m in frontier
+        for event in unit_events(net)
+        if (after := dense_step(net, m, [event])) is not None
+    } - seen
+    return seen, last, bool(beyond)
+
+
+@st.composite
+def nets_with_events(draw):
+    """A strict net, or a product of two (several bindings and tokens per
+    node), with a marking and a step of one to three binding multisets."""
+    if draw(st.booleans()):
+        net = draw(strict_nets())
+    else:
+        small = strict_nets(max_places=2, max_transitions=2)
+        net = kronecker(draw(small), draw(small)).net
+    size = len(net.token_axis())
+    marking = tuple(draw(st.lists(st.integers(0, 4), min_size=size, max_size=size)))
+    events = []
+    for _ in range(draw(st.integers(1, 3))):
+        t = draw(st.sampled_from(net.space.transitions))
+        n = len(net.bindings[t])
+        events.append((t, tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))))
+    return net, marking, events
+
+
+@settings(max_examples=60, deadline=None)
+@given(nets_with_events())
+def test_firing_agrees_with_the_dense_reference(case):
+    net, marking, events = case
+    t, vec = events[0]
+    expected = dense_step(net, marking, [(t, vec)])
+    assert is_enabled(net, marking, t, vec) == (expected is not None)
+    if expected is None:
+        with pytest.raises(BehaviourError):
+            fire(net, marking, t, vec)
+    else:
+        assert fire(net, marking, t, vec) == expected
+    expected = dense_step(net, marking, events)
+    if expected is None:
+        with pytest.raises(BehaviourError):
+            fire_step(net, marking, events)
+    else:
+        assert fire_step(net, marking, events) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(strict_nets(max_places=3, max_transitions=3), st.integers(0, 2), st.integers(0, 4))
+def test_reachable_matches_the_closure_oracle(net, tokens, depth):
+    start = tuple(tokens for _ in net.token_axis())
+    markings, last, beyond = closure_oracle(net, start, depth)
+    result = reachable(net, start, depth=depth)
+    assert result.markings == markings
+    assert result.depth_reached == last
+    assert result.truncated == beyond
+    if not beyond:
+        # nothing lies past the cut: the unbounded exploration agrees
+        whole = reachable(net, start)
+        assert whole.markings == markings
+        assert not whole.truncated

@@ -29,6 +29,7 @@ from fixtures import (
     x_net,
     y_net,
 )
+from test_behaviour import two_place_ring
 
 
 @pytest.fixture()
@@ -289,6 +290,20 @@ def test_reach_counts_the_loop(workdir, capsys):
     assert out.startswith("1 marking\n")
 
 
+def test_reach_depth_at_the_radius_is_not_truncated(tmp_path, capsys):
+    path = tmp_path / "ring2.pnet"
+    path.write_text(serialize_net(two_place_ring(), marking={("r0", "r0"): 2}))
+    code, out = run(capsys, "reach", path, "--depth", "2", "--json")
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["count"] == 3
+    assert payload["truncated"] is False
+    code, out = run(capsys, "reach", path, "--depth", "1", "--json")
+    payload = json.loads(out)
+    assert payload["count"] == 2
+    assert payload["truncated"] is True
+
+
 def test_reach_budget_exhaustion_is_inconclusive(workdir, capsys):
     code, out = run(capsys, "reach", workdir / "grow.pnet", "--max-states", "3")
     assert code == 3
@@ -348,6 +363,43 @@ USAGE_CASES = [
 def test_usage_errors_exit_2(workdir, capsys, case):
     code, _ = run(capsys, *case(workdir))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda d: ("check-product-reach", d / "runY.pnet", d / "runY.pnet", "--depth", "-1"),
+        lambda d: ("check-product-reach", d / "runY.pnet", d / "runY.pnet", "--max-states", "-3"),
+        lambda d: ("reach", d / "runY.pnet", "--depth", "-1"),
+        lambda d: ("reach", d / "runY.pnet", "--max-states", "-1"),
+        lambda d: ("axioms", d / "runY.pnet", "--random", "-1"),
+        lambda d: ("check-morphism", d / "fold.pmor", "--hilbert-guard", "-1"),
+    ],
+    ids=[
+        "product-depth", "product-max-states", "reach-depth", "reach-max-states", "random",
+        "hilbert-guard",
+    ],
+)
+def test_negative_counts_exit_2_with_a_message(workdir, capsys, case):
+    code = main([str(a) for a in case(workdir)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "expected a natural number, got -" in captured.err
+
+
+def test_non_numeric_count_exits_2(workdir, capsys):
+    code = main(["reach", str(workdir / "runY.pnet"), "--depth", "two"])
+    assert code == 2
+    assert "invalid natural value: 'two'" in capsys.readouterr().err
+
+
+def test_zero_counts_are_accepted(workdir, capsys):
+    code, out = run(capsys, "reach", workdir / "runY.pnet", "--depth", "0")
+    assert code == 0
+    assert out.startswith("1 marking\n")
+    code, out = run(capsys, "axioms", workdir / "runY.pnet", "--random", "0")
+    assert code == 0
 
 
 def test_unknown_command_exits_2(workdir, capsys):

@@ -1,6 +1,8 @@
 """Document formats: net, morphism and winskel files parse and round-trip."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from petrisheaf.formats import (
     FormatError,
@@ -25,6 +27,7 @@ from fixtures import (
     x_net,
     y_net,
 )
+from test_net import strict_nets
 
 TARGET_DOC = """\
 # running example target
@@ -244,3 +247,27 @@ BAD_WINSKEL_DOCS = [
 def test_bad_winskel_documents_are_rejected(text, needle):
     with pytest.raises(FormatError, match=needle):
         parse_winskel(text)
+
+
+# ---------------------------------------------------------------------------
+# generated nets round-trip through .pnet
+
+
+def assert_round_trip(net):
+    text = serialize_net(net)
+    back = parse_net(text).to_net()
+    assert net_data(back) == net_data(net)
+    assert serialize_net(back) == text
+
+
+@settings(max_examples=40, deadline=None)
+@given(strict_nets())
+def test_strict_nets_round_trip(net):
+    assert_round_trip(net)
+
+
+@settings(max_examples=20, deadline=None)
+@given(strict_nets(max_places=3, max_transitions=3), st.data())
+def test_products_round_trip(first, data):
+    second = data.draw(strict_nets(max_places=2, max_transitions=2))
+    assert_round_trip(kronecker(first, second).net)

@@ -1,5 +1,7 @@
 """Coloured nets: incidence, flows, marking classes, sheaf axioms."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -71,6 +73,13 @@ def test_strict_support_must_match_adjacency():
         {},
         strict=False,
     )
+
+
+@pytest.mark.parametrize("value", [-1, Fraction(1, 2)], ids=["negative", "fractional"])
+def test_weights_must_be_natural_numbers(value):
+    space = PetriSpace([("p", "place"), ("t", "transition")], [("p", "t")])
+    with pytest.raises(NetError, match="consume weight must be a natural number"):
+        ColouredNet(space, {"t": ("t",)}, {"p": ("p",)}, {("t", "t", "p", "p"): value}, {})
 
 
 def test_degenerate_nets_rejected():
