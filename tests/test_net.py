@@ -241,7 +241,10 @@ def test_corrupted_restriction_fails_sheaf_axioms():
 
     report = verify_token_sheaf(net, restrict=corrupt)
     assert not report.ok
-    assert report.failures
+    assert report.failures == [
+        "restriction to the cover is not injective",
+        "image of sections differs from the agreeing families",
+    ]
 
 
 def test_corrupted_extension_fails_cosheaf_axioms():
@@ -255,6 +258,43 @@ def test_corrupted_extension_fails_cosheaf_axioms():
 
     report = verify_binding_cosheaf(net, extend=corrupt)
     assert not report.ok
+    assert report.failures == ["kernel of the sum differs from the overlap relations"]
+
+
+def test_non_generating_extension_fails_cosheaf_axioms():
+    net = x_net()
+    region = net.space.ordered(net.space.nodes)
+
+    def doubled(vec, small, big):
+        out = net.extend_binding_section(vec, small, big)
+        if big == region:
+            out = [2 * x for x in out]  # only even sections reach the region
+        return out
+
+    report = verify_binding_cosheaf(net, extend=doubled)
+    assert report.failures == ["cover sections do not generate the region sections"]
+
+
+@pytest.mark.parametrize("ring", ["Z", "Q"])
+def test_flow_gluing_fails_on_relaxed_net(ring):
+    # t0 and t2 move tokens of p1 without being adjacent to it, so flows on
+    # the cover elements need not glue to a flow of the whole net
+    space = PetriSpace(
+        [("p0", "place"), ("p1", "place")]
+        + [(t, "transition") for t in ("t0", "t1", "t2")],
+        [("p0", "t0"), ("p0", "t2"), ("p1", "t1")],
+    )
+    net = ColouredNet(
+        space,
+        {t: (t,) for t in space.transitions},
+        {p: (p,) for p in space.places},
+        {("t0", "t0", "p0", "p0"): 1, ("t0", "t0", "p1", "p1"): 2, ("t2", "t2", "p0", "p0"): 1},
+        {("t2", "t2", "p1", "p1"): 1},
+        strict=False,
+        ring=ring,
+    )
+    report = verify_flow_gluing(net)
+    assert report.failures == ["glued flows differ from the agreeing families"]
 
 
 def test_bad_cover_reported():
