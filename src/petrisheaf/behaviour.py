@@ -35,18 +35,14 @@ def marking_vector(net, data):
     Dict keys are (place, token) labels; values must be non-negative and
     may be fractional (transported markings can leave the integers).
     """
-    axis = net.token_axis()
     if isinstance(data, dict):
+        axis = net.token_axis()
         extra = set(data) - set(axis)
         if extra:
             raise BehaviourError(f"unknown tokens {sorted(extra, key=str)!r}")
         values = [data.get(lab, 0) for lab in axis]
     else:
-        values = list(data)
-        if len(values) != len(axis):
-            raise BehaviourError(
-                f"marking must have length {len(axis)}, got {len(values)}"
-            )
+        values = _checked_marking(net, data)
     out = []
     for v in values:
         f = Fraction(v)
@@ -54,6 +50,15 @@ def marking_vector(net, data):
             raise BehaviourError(f"negative token count {v!r}")
         out.append(int(f) if f.denominator == 1 else f)
     return tuple(out)
+
+
+def _checked_marking(net, marking):
+    """``marking`` as a tuple, after checking its length against the token axis."""
+    marking = tuple(marking)
+    size = len(net.token_axis())
+    if len(marking) != size:
+        raise BehaviourError(f"marking must have length {size}, got {len(marking)}")
+    return marking
 
 
 def marking_dict(net, vector):
@@ -108,12 +113,29 @@ def _step(net, marking, events):
     return tuple(out)
 
 
+def _single_events(net):
+    """Every single-binding event in declaration order: its ``(t, b)`` label
+    and its ``_step`` argument."""
+    return [((t, b), [(t, event_vector(net, t, b))]) for t, b in net.binding_axis()]
+
+
+def _successors(net, marking, events):
+    """The label of each of ``events`` enabled at ``marking``, with the
+    marking it leads to."""
+    for label, step in events:
+        after = _step(net, marking, step)
+        if after is not None:
+            yield label, after
+
+
 def is_enabled(net, marking, t, data):
+    marking = _checked_marking(net, marking)
     return _step(net, marking, [(t, event_vector(net, t, data))]) is not None
 
 
 def fire(net, marking, t, data):
     """Fire a binding multiset of ``t``; raises when not enabled."""
+    marking = _checked_marking(net, marking)
     after = _step(net, marking, [(t, event_vector(net, t, data))])
     if after is None:
         raise BehaviourError(f"event over {t!r} is not enabled")
@@ -122,6 +144,7 @@ def fire(net, marking, t, data):
 
 def fire_step(net, marking, events):
     """Fire several events concurrently (their pre-sets must fit at once)."""
+    marking = _checked_marking(net, marking)
     after = _step(net, marking, [(t, event_vector(net, t, data)) for t, data in events])
     if after is None:
         raise BehaviourError("step is not enabled")
@@ -140,12 +163,8 @@ def fire_sequence(net, marking, events):
 
 def enabled_events(net, marking):
     """All enabled single-binding events, in declaration order."""
-    out = []
-    for t in net.space.transitions:
-        for b in net.bindings[t]:
-            if is_enabled(net, marking, t, b):
-                out.append((t, b))
-    return out
+    marking = _checked_marking(net, marking)
+    return [label for label, _ in _successors(net, marking, _single_events(net))]
 
 
 def activated_sequences(net, marking, max_length):
@@ -154,14 +173,15 @@ def activated_sequences(net, marking, max_length):
     Yields tuples of (transition, binding) pairs, shortest first; the empty
     sequence is included.
     """
-    queue = deque([((), tuple(marking))])
+    single = _single_events(net)
+    queue = deque([((), _checked_marking(net, marking))])
     while queue:
         events, current = queue.popleft()
         yield events
         if len(events) == max_length:
             continue
-        for t, b in enabled_events(net, current):
-            queue.append((events + ((t, b),), fire(net, current, t, b)))
+        for label, after in _successors(net, current, single):
+            queue.append((events + (label,), after))
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +208,8 @@ def reachable(net, marking, depth=None, max_states=10_000, record_edges=False):
     unseen: the budget refused a new marking, or an event enabled at the
     depth bound leads to a marking not found within it.
     """
-    start = tuple(marking)
+    start = _checked_marking(net, marking)
+    single = _single_events(net)
     seen = {start}
     result = ReachResult(initial=start, markings=seen)
     queue = deque([(start, 0)])
@@ -198,14 +219,13 @@ def reachable(net, marking, depth=None, max_states=10_000, record_edges=False):
         if depth is not None and d >= depth:
             # the cut hides something only if a successor here is unseen
             if not result.truncated and any(
-                fire(net, current, t, b) not in seen for t, b in enabled_events(net, current)
+                nxt not in seen for _, nxt in _successors(net, current, single)
             ):
                 result.truncated = True
             continue
-        for t, b in enabled_events(net, current):
-            nxt = fire(net, current, t, b)
+        for label, nxt in _successors(net, current, single):
             if record_edges:
-                result.edges.append((current, (t, b), nxt))
+                result.edges.append((current, label, nxt))
             if nxt in seen:
                 continue
             if len(seen) >= max_states:

@@ -30,6 +30,8 @@ from .behaviour import (
 )
 from .formats import (
     FormatError,
+    _format_combination,
+    _format_scalar,
     load_net,
     load_winskel,
     parse_morphism,
@@ -94,11 +96,6 @@ def _yes(value):
     return str(value)
 
 
-def _fmt_value(v):
-    f = Fraction(v)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 def _json_value(v):
     f = Fraction(v)
     return int(f) if f.denominator == 1 else str(f)
@@ -113,14 +110,9 @@ def _label(lab):
     return f"{node}.{element}"
 
 
-def _combo(labels, values):
-    parts = [f"{_fmt_value(v)}*{lab}" for lab, v in zip(labels, values) if v]
-    return " + ".join(parts) if parts else "0"
-
-
 def _fmt_marking(net, vector):
     parts = [
-        f"{p}.{c}={_fmt_value(v)}"
+        f"{p}.{c}={_format_scalar(v)}"
         for (p, c), v in zip(net.token_axis(), vector)
         if v
     ]
@@ -374,13 +366,13 @@ def cmd_flows(args, out):
         generators = sorted(tuple(g) for g in generators)
         out.say(f"{len(generators)} hilbert generators")
         for g in generators:
-            out.say(f"  {_combo(labels, g)}")
+            out.say(f"  {_format_combination(labels, g)}")
         out.put("ring", "N")
         out.put("generators", [_vector_payload(g) for g in generators])
         return OK
     out.say(f"rank {module.rank}")
     for vec in module.basis:
-        out.say(f"  {_combo(labels, vec)}")
+        out.say(f"  {_format_combination(labels, vec)}")
     out.put("ring", module.ring)
     out.put("rank", module.rank)
     out.put("basis", [_vector_payload(vec) for vec in module.basis])
@@ -405,7 +397,7 @@ def cmd_classes(args, out):
         unit[i] = 1
         rep = module.class_of(unit)
         classes[lab] = _vector_payload(rep)
-        out.say(f"  [{lab}] = {_combo(labels, rep)}")
+        out.say(f"  [{lab}] = {_format_combination(labels, rep)}")
     out.put("net", net.name)
     out.put("region", "all" if region is None else list(net.space.ordered(region)))
     out.put("ring", module.ring)
@@ -665,7 +657,7 @@ def cmd_map_behaviour(args, out):
         out.put("detail", str(exc))
         return FAILURE
     image = [
-        f"{a}[{_combo(f.target.bindings[a], vec)}]" for a, vec in report.image_events
+        f"{a}[{_format_combination(f.target.bindings[a], vec)}]" for a, vec in report.image_events
     ]
     out.say("image sequence: " + (" ".join(image) if image else "(empty)"))
     out.say(f"source post: {_fmt_marking(f.source, report.source_post)}")

@@ -168,14 +168,6 @@ class NetDocument:
         self.adjacency = []  # (p, t) pairs, relaxed documents only
         self.marking = {}  # (p, c) -> count
 
-    @property
-    def places(self):
-        return tuple(n for n, s in self.nodes if s == "place")
-
-    @property
-    def transitions(self):
-        return tuple(n for n, s in self.nodes if s == "transition")
-
     def to_net(self):
         if self.strict:
             adjacency = sorted({(p, t) for (_k, t, _b, p, _c) in self.arcs})

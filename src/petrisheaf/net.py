@@ -20,6 +20,11 @@ Only this module reads that table.  Firing takes it as it is (``effect``);
 constructions and serialisers list the nonzero arcs in axis order
 (``arcs``); ``w_minus``/``w_plus``/``w``, ``binding_effect`` and
 ``incidence_matrix`` read blocks of the incidence through ``_block``.
+
+The three gluing verifiers share one Čech builder, ``_cech``: given the
+section axis and the restriction matrices, it stacks the restrictions from
+a region to its cover and the signed differences on pairwise overlaps;
+each verifier then only states its exactness condition over the ring.
 """
 
 from __future__ import annotations
@@ -471,16 +476,49 @@ def _checked_cover(net, kind, region, covering, openness):
     return region, covering, failed
 
 
-def _projection_columns(net, big, small, hook):
-    """Matrix of the restriction C(big) -> C(small), columnwise via the hook."""
-    big_axis = net.token_axis(big)
-    cols = []
-    for k in range(len(big_axis)):
-        unit = [0] * len(big_axis)
+def _transpose(m, cols):
+    """The transpose of ``m``, a matrix with ``cols`` columns."""
+    return [[row[j] for row in m] for j in range(cols)]
+
+
+def _hook_matrix(hook, src, dst, axis):
+    """Matrix of the map ``hook(vector, src, dst)`` on the ``axis`` sections:
+    its columns are the images of the unit vectors of ``src``."""
+    n = len(axis(src))
+    images = []
+    for k in range(n):
+        unit = [0] * n
         unit[k] = 1
-        cols.append(hook(unit, big, small))
-    small_len = len(net.token_axis(small))
-    return [[cols[j][i] for j in range(len(big_axis))] for i in range(small_len)]
+        images.append(hook(unit, src, dst))
+    return [[image[i] for image in images] for i in range(len(axis(dst)))]
+
+
+def _cech(space, region, covering, axis, restriction):
+    """The Čech data of a region's covering, for sections labelled by ``axis``.
+
+    ``restriction(big, small)`` is the matrix from the sections of ``big`` to
+    those of ``small``.  Returns the restrictions from the region to the
+    cover elements stacked, the signed differences on pairwise overlaps (one
+    row per overlap section: restriction from the first element minus
+    restriction from the second) and the total cover dimension.
+    """
+    offsets = []
+    total = 0
+    for c in covering:
+        offsets.append(total)
+        total += len(axis(c))
+    stack = [row for c in covering for row in restriction(region, c)]
+    differences = []
+    for (i, ci), (j, cj) in combinations(enumerate(covering), 2):
+        overlap = space.ordered(set(ci) & set(cj))
+        if not overlap:
+            continue
+        for row_i, row_j in zip(restriction(ci, overlap), restriction(cj, overlap)):
+            row = [0] * total
+            row[offsets[i] : offsets[i] + len(row_i)] = row_i
+            row[offsets[j] : offsets[j] + len(row_j)] = [-x for x in row_j]
+            differences.append(row)
+    return stack, differences, total
 
 
 def verify_token_sheaf(net, region=None, covering=None, restrict=None):
@@ -495,41 +533,20 @@ def verify_token_sheaf(net, region=None, covering=None, restrict=None):
     if failed is not None:
         return failed
 
-    hook = restrict or (lambda vec, big, small: net.restrict_token_section(vec, big, small))
+    hook = restrict or net.restrict_token_section
+    r, d, total = _cech(
+        net.space,
+        region,
+        covering,
+        net.token_axis,
+        lambda big, small: _hook_matrix(hook, big, small, net.token_axis),
+    )
     n = len(net.token_axis(region))
-    # r stacks the restrictions to the cover
-    r_blocks = [_projection_columns(net, region, c, hook) for c in covering]
-    r = [row for block in r_blocks for row in block]
-    # d takes signed differences on pairwise overlaps
-    d_rows = []
-    offsets = []
-    off = 0
-    for c in covering:
-        offsets.append(off)
-        off += len(net.token_axis(c))
-    total = off
-    for (i, ci), (j, cj) in combinations(list(enumerate(covering)), 2):
-        overlap = net.space.ordered(set(ci) & set(cj))
-        if not overlap:
-            continue
-        pi = _projection_columns(net, ci, overlap, hook)
-        pj = _projection_columns(net, cj, overlap, hook)
-        for k in range(len(net.token_axis(overlap))):
-            row = [0] * total
-            for col in range(len(net.token_axis(ci))):
-                row[offsets[i] + col] += pi[k][col]
-            for col in range(len(net.token_axis(cj))):
-                row[offsets[j] + col] -= pj[k][col]
-            d_rows.append(row)
-
     ring = la.RINGS[net.ring]
-    injective = not ring.kernel_basis(r, n)
-    image = ring.module(total, [[r[i][j] for i in range(total)] for j in range(n)])
-    kernel = ring.kernel(d_rows, total)
     failures = []
-    if not injective:
+    if ring.kernel_basis(r, n):
         failures.append("restriction to the cover is not injective")
-    if image != kernel:
+    if ring.module(total, _transpose(r, n)) != ring.kernel(d, total):
         failures.append("image of sections differs from the agreeing families")
     return AxiomReport("token-sheaf", region, tuple(covering), not failures, failures)
 
@@ -545,56 +562,23 @@ def verify_binding_cosheaf(net, region=None, covering=None, extend=None):
     if failed is not None:
         return failed
 
-    hook = extend or (lambda vec, small, big: net.extend_binding_section(vec, small, big))
-
-    def extension_columns(small, big):
-        small_axis = net.binding_axis(small)
-        cols = []
-        for k in range(len(small_axis)):
-            unit = [0] * len(small_axis)
-            unit[k] = 1
-            cols.append(hook(unit, small, big))
-        big_len = len(net.binding_axis(big))
-        return [[cols[j][i] for j in range(len(small_axis))] for i in range(big_len)]
-
-    n = len(net.binding_axis(region))
-    offsets = []
-    off = 0
-    for c in covering:
-        offsets.append(off)
-        off += len(net.binding_axis(c))
-    total = off
-    # e: sum of extensions, as an n x total matrix
-    e = [[0] * total for _ in range(n)]
-    for idx, c in enumerate(covering):
-        block = extension_columns(c, region)
-        for i in range(n):
-            for j in range(len(net.binding_axis(c))):
-                e[i][offsets[idx] + j] += block[i][j]
-    # d: overlap sections pushed into both cover elements with opposite signs
-    d_cols = []
-    for (i, ci), (j, cj) in combinations(list(enumerate(covering)), 2):
-        overlap = net.space.ordered(set(ci) & set(cj))
-        if not overlap:
-            continue
-        into_i = extension_columns(overlap, ci)
-        into_j = extension_columns(overlap, cj)
-        for k in range(len(net.binding_axis(overlap))):
-            col = [0] * total
-            for r_ in range(len(net.binding_axis(ci))):
-                col[offsets[i] + r_] += into_i[r_][k]
-            for r_ in range(len(net.binding_axis(cj))):
-                col[offsets[j] + r_] -= into_j[r_][k]
-            d_cols.append(col)
-
+    hook = extend or net.extend_binding_section
+    axis = net.binding_axis
+    # fed the transposed extensions, the stack is the sum of extensions
+    # transposed and the difference rows are the overlap relations
+    stack, d, total = _cech(
+        net.space,
+        region,
+        covering,
+        axis,
+        lambda big, small: _transpose(_hook_matrix(hook, small, big, axis), len(axis(small))),
+    )
+    n = len(axis(region))
     ring = la.RINGS[net.ring]
-    surjective = ring.module(n, [[e[i][j] for i in range(n)] for j in range(total)]).is_full()
-    kernel = ring.kernel(e, total)
-    image = ring.module(total, d_cols)
     failures = []
-    if not surjective:
+    if not ring.module(n, stack).is_full():
         failures.append("cover sections do not generate the region sections")
-    if kernel != image:
+    if ring.kernel(_transpose(stack, n), total) != ring.module(total, d):
         failures.append("kernel of the sum differs from the overlap relations")
     return AxiomReport("binding-cosheaf", region, tuple(covering), not failures, failures)
 
@@ -611,62 +595,28 @@ def verify_flow_gluing(net, region=None, covering=None, ring=None):
     if failed is not None:
         return failed
 
-    global_flows = net.flows(region, ring=ring.name)
+    def projection(big, small):
+        pos = {lab: k for k, lab in enumerate(net.binding_axis(big))}
+        return [[int(k == pos[lab]) for k in range(len(pos))] for lab in net.binding_axis(small)]
+
+    stack, d, total = _cech(net.space, region, covering, net.binding_axis, projection)
     local = [net.flows(c, ring=ring.name) for c in covering]
-    offsets = []
-    off = 0
+    # the local flow bases as one block-diagonal matrix: cover coordinates
+    # by basis coefficients
+    coeffs = sum(len(mod.basis) for mod in local)
+    bases = []
+    done = 0
     for mod in local:
-        offsets.append(off)
-        off += len(mod.axis)
-    total = off
-
-    def family_vector(flow_vec):
-        big_axis = net.binding_axis(region)
-        pos = {lab: k for k, lab in enumerate(big_axis)}
-        out = [0] * total
-        for idx, mod in enumerate(local):
-            for k, lab in enumerate(mod.axis):
-                out[offsets[idx] + k] = flow_vec[pos[lab]]
-        return out
-
-    image_gens = [family_vector(list(b)) for b in global_flows.basis]
-
-    # agreeing families: coefficients over the local bases subject to
-    # overlap equalities
-    coeff_offsets = []
-    coff = 0
-    for mod in local:
-        coeff_offsets.append(coff)
-        coff += len(mod.basis)
-    rows = []
-    for (i, ci), (j, cj) in combinations(list(enumerate(covering)), 2):
-        overlap_axis = [
-            lab for lab in net.binding_axis(net.space.ordered(set(ci) & set(cj)))
-        ]
-        for lab in overlap_axis:
-            row = [0] * coff
-            ai = dict(zip(local[i].axis, range(len(local[i].axis))))
-            aj = dict(zip(local[j].axis, range(len(local[j].axis))))
-            for k, b in enumerate(local[i].basis):
-                row[coeff_offsets[i] + k] += b[ai[lab]]
-            for k, b in enumerate(local[j].basis):
-                row[coeff_offsets[j] + k] -= b[aj[lab]]
-            rows.append(row)
-
-    def coeffs_to_family(coeffs):
-        out = [0] * total
-        for idx, mod in enumerate(local):
+        for i in range(len(mod.axis)):
+            row = [0] * coeffs
             for k, b in enumerate(mod.basis):
-                c = coeffs[coeff_offsets[idx] + k]
-                if c:
-                    for pos_, val in enumerate(b):
-                        out[offsets[idx] + pos_] += c * val
-        return out
-
-    agreeing = ring.module(total, [coeffs_to_family(s) for s in ring.kernel_basis(rows, coff)])
-    image = ring.module(total, image_gens)
+                row[done + k] = b[i]
+            bases.append(row)
+        done += len(mod.basis)
+    glued = [la.matvec(stack, b) for b in net.flows(region, ring=ring.name).basis]
+    agreeing = [la.matvec(bases, s) for s in ring.kernel_basis(la.matmul(d, bases), coeffs)]
     failures = []
-    if image != agreeing:
+    if ring.module(total, glued) != ring.module(total, agreeing):
         failures.append("glued flows differ from the agreeing families")
     return AxiomReport("flow-gluing", region, tuple(covering), not failures, failures)
 

@@ -40,7 +40,7 @@ class SpaceError(ValueError):
 class PetriSpace:
     """Finite place/transition space with its two-sided topology."""
 
-    __slots__ = ("nodes", "_sorts", "_adj", "adjacency")
+    __slots__ = ("nodes", "places", "transitions", "_sorts", "_adj", "adjacency")
 
     def __init__(self, nodes, adjacency=()):
         declared = []
@@ -63,19 +63,13 @@ class PetriSpace:
             adj[p].append(t)
             adj[t].append(p)
         self.nodes = tuple(declared)
+        self.places = tuple(n for n in declared if sorts[n] is Sort.PLACE)
+        self.transitions = tuple(n for n in declared if sorts[n] is Sort.TRANSITION)
         self._sorts = sorts
         self._adj = {name: tuple(nbrs) for name, nbrs in adj.items()}
         self.adjacency = frozenset(pairs)
 
     # -- basic queries ------------------------------------------------
-
-    @property
-    def places(self):
-        return tuple(n for n in self.nodes if self._sorts[n] is Sort.PLACE)
-
-    @property
-    def transitions(self):
-        return tuple(n for n in self.nodes if self._sorts[n] is Sort.TRANSITION)
 
     def sort_of(self, x):
         try:

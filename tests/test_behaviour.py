@@ -58,6 +58,23 @@ def test_fire_consumes_and_produces():
         fire(net, P1P2, "t2", "t2")
 
 
+@pytest.mark.parametrize("marking", [(1, 1), (1, 1, 0, 0, 5)])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda net, m: fire(net, m, "t1", "t1"),
+        lambda net, m: is_enabled(net, m, "t1", "t1"),
+        lambda net, m: fire_step(net, m, [("t1", "t1")]),
+        lambda net, m: enabled_events(net, m),
+    ],
+    ids=["fire", "is_enabled", "fire_step", "enabled_events"],
+)
+def test_firing_rejects_a_marking_of_the_wrong_length(call, marking):
+    net = x_net()
+    with pytest.raises(BehaviourError, match=f"marking must have length 4, got {len(marking)}"):
+        call(net, marking)
+
+
 def test_fire_sequence_returns_trace():
     net = x_net()
     final, trace = fire_sequence(net, P1P2, [("t1", "t1"), ("t3", "t3")])
