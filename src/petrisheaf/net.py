@@ -24,12 +24,22 @@ constructions and serialisers list the nonzero arcs in axis order
 The three gluing verifiers share one Čech builder, ``_cech``: given the
 section axis and the restriction matrices, it stacks the restrictions from
 a region to its cover and the signed differences on pairwise overlaps;
-each verifier then only states its exactness condition over the ring.
+each verifier then only states its exactness condition over the ring.  By
+default every restriction is an index projection (``_projection``, built
+from label positions; the transposed zero-extension of bindings is the
+same projection).  A caller-supplied ``restrict``/``extend`` hook is turned
+into a matrix by ``_hook_matrix``, one unit vector at a time; with the
+honest hooks it gives the same matrices and serves as their reference.
+
+A net is not changed after construction, so it memoises its token and
+binding axes per region and its flow modules per region and ring.  A call
+that raises stores nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 
 from . import intlinalg as la
@@ -59,7 +69,9 @@ class LabeledMatrix:
 class ColouredNet:
     """A coloured net: Petri space + bindings + tokens + arc weights."""
 
-    __slots__ = ("name", "space", "bindings", "tokens", "strict", "ring", "_position", "_effect")
+    __slots__ = (
+        "name", "space", "bindings", "tokens", "strict", "ring", "_position", "_effect", "_memo"
+    )
 
     def __init__(
         self,
@@ -81,6 +93,9 @@ class ColouredNet:
         self.name = name
         self.strict = bool(strict)
         self.ring = ring
+        # axes keyed by (kind, region), flow modules by ("flows", region, ring);
+        # a region is a frozenset, or None for the whole net
+        self._memo = {}
 
         def check_axes(given, nodes, what):
             given = {k: tuple(v) for k, v in dict(given).items()}
@@ -166,14 +181,22 @@ class ColouredNet:
     # -- axes -----------------------------------------------------------
 
     def token_axis(self, region=None):
-        places = self.space.places if region is None else self.space.places_in(region)
-        return tuple((p, c) for p in places for c in self.tokens[p])
+        key = ("tokens", None if region is None else frozenset(region))
+        axis = self._memo.get(key)
+        if axis is None:
+            places = self.space.places if region is None else self.space.places_in(region)
+            axis = self._memo[key] = tuple((p, c) for p in places for c in self.tokens[p])
+        return axis
 
     def binding_axis(self, region=None):
-        transitions = (
-            self.space.transitions if region is None else self.space.transitions_in(region)
-        )
-        return tuple((t, b) for t in transitions for b in self.bindings[t])
+        key = ("bindings", None if region is None else frozenset(region))
+        axis = self._memo.get(key)
+        if axis is None:
+            transitions = (
+                self.space.transitions if region is None else self.space.transitions_in(region)
+            )
+            axis = self._memo[key] = tuple((t, b) for t in transitions for b in self.bindings[t])
+        return axis
 
     def binding_effect(self, t, b, region=None, kind="difference"):
         """Column of the incidence over the token axis of ``region``."""
@@ -198,12 +221,16 @@ class ColouredNet:
         strict net this agrees with summing over adjacent pairs only.
         """
         ring = ring or self.ring
-        region = tuple(self.space.nodes) if region is None else self.space.ordered(region)
-        if not self.space.is_closed(region):
-            raise NetError(f"flows need a closed region, {list(region)} is not closed")
-        mat = self.incidence_matrix(region)
-        module = la.RINGS[ring].kernel(mat.as_lists(), len(mat.col_labels))
-        return FlowModule(self, region, mat, ring, module)
+        key = ("flows", None if region is None else frozenset(region), ring)
+        flows = self._memo.get(key)
+        if flows is None:
+            region = tuple(self.space.nodes) if region is None else self.space.ordered(region)
+            if not self.space.is_closed(region):
+                raise NetError(f"flows need a closed region, {list(region)} is not closed")
+            mat = self.incidence_matrix(region)
+            module = la.RINGS[ring].kernel(mat.as_lists(), len(mat.col_labels))
+            flows = self._memo[key] = FlowModule(self, region, mat, ring, module)
+        return flows
 
     def marking_classes(self, region=None, ring=None):
         """Marking classes on an open region: cokernel of its incidence."""
@@ -481,6 +508,18 @@ def _transpose(m, cols):
     return [[row[j] for row in m] for j in range(cols)]
 
 
+def _projection(axis, big, small):
+    """The 0/1 matrix of the coordinate projection from the ``axis`` sections
+    of ``big`` onto those of its subregion ``small``."""
+    pos = {lab: k for k, lab in enumerate(axis(big))}
+    rows = []
+    for lab in axis(small):
+        row = [0] * len(pos)
+        row[pos[lab]] = 1
+        rows.append(row)
+    return rows
+
+
 def _hook_matrix(hook, src, dst, axis):
     """Matrix of the map ``hook(vector, src, dst)`` on the ``axis`` sections:
     its columns are the images of the unit vectors of ``src``."""
@@ -533,15 +572,16 @@ def verify_token_sheaf(net, region=None, covering=None, restrict=None):
     if failed is not None:
         return failed
 
-    hook = restrict or net.restrict_token_section
-    r, d, total = _cech(
-        net.space,
-        region,
-        covering,
-        net.token_axis,
-        lambda big, small: _hook_matrix(hook, big, small, net.token_axis),
-    )
-    n = len(net.token_axis(region))
+    axis = net.token_axis
+    if restrict is None:
+        restriction = partial(_projection, axis)
+    else:
+
+        def restriction(big, small):
+            return _hook_matrix(restrict, big, small, axis)
+
+    r, d, total = _cech(net.space, region, covering, axis, restriction)
+    n = len(axis(region))
     ring = la.RINGS[net.ring]
     failures = []
     if ring.kernel_basis(r, n):
@@ -562,17 +602,18 @@ def verify_binding_cosheaf(net, region=None, covering=None, extend=None):
     if failed is not None:
         return failed
 
-    hook = extend or net.extend_binding_section
     axis = net.binding_axis
     # fed the transposed extensions, the stack is the sum of extensions
-    # transposed and the difference rows are the overlap relations
-    stack, d, total = _cech(
-        net.space,
-        region,
-        covering,
-        axis,
-        lambda big, small: _transpose(_hook_matrix(hook, small, big, axis), len(axis(small))),
-    )
+    # transposed and the difference rows are the overlap relations; the
+    # transposed extension by zero is the projection
+    if extend is None:
+        restriction = partial(_projection, axis)
+    else:
+
+        def restriction(big, small):
+            return _transpose(_hook_matrix(extend, small, big, axis), len(axis(small)))
+
+    stack, d, total = _cech(net.space, region, covering, axis, restriction)
     n = len(axis(region))
     ring = la.RINGS[net.ring]
     failures = []
@@ -595,11 +636,8 @@ def verify_flow_gluing(net, region=None, covering=None, ring=None):
     if failed is not None:
         return failed
 
-    def projection(big, small):
-        pos = {lab: k for k, lab in enumerate(net.binding_axis(big))}
-        return [[int(k == pos[lab]) for k in range(len(pos))] for lab in net.binding_axis(small)]
-
-    stack, d, total = _cech(net.space, region, covering, net.binding_axis, projection)
+    axis = net.binding_axis
+    stack, d, total = _cech(net.space, region, covering, axis, partial(_projection, axis))
     local = [net.flows(c, ring=ring.name) for c in covering]
     # the local flow bases as one block-diagonal matrix: cover coordinates
     # by basis coefficients

@@ -6,7 +6,9 @@ topology whose open sets are the place-bordered subsets (a transition's
 adjacent places travel with it) and whose closed sets are the
 transition-bordered ones; every point is open (places) or closed
 (transitions), and arbitrary intersections of opens stay open, so minimal
-open neighbourhoods exist and continuity can be checked on them.
+open neighbourhoods exist and continuity can be checked on them.  A space
+is not changed after construction, so ``ordered`` memoises its answer per
+node set.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ class SpaceError(ValueError):
 class PetriSpace:
     """Finite place/transition space with its two-sided topology."""
 
-    __slots__ = ("nodes", "places", "transitions", "_sorts", "_adj", "adjacency")
+    __slots__ = ("nodes", "places", "transitions", "_sorts", "_adj", "adjacency", "_ordered")
 
     def __init__(self, nodes, adjacency=()):
         declared = []
@@ -68,6 +70,7 @@ class PetriSpace:
         self._sorts = sorts
         self._adj = {name: tuple(nbrs) for name, nbrs in adj.items()}
         self.adjacency = frozenset(pairs)
+        self._ordered = {}
 
     # -- basic queries ------------------------------------------------
 
@@ -87,12 +90,15 @@ class PetriSpace:
         return (p, t) in self.adjacency
 
     def ordered(self, nodes):
-        """The given nodes, in declaration order."""
-        wanted = set(nodes)
-        unknown = wanted - set(self.nodes)
-        if unknown:
-            raise SpaceError(f"unknown nodes {sorted(unknown)!r}")
-        return tuple(n for n in self.nodes if n in wanted)
+        """The given nodes, in declaration order (memoised per node set)."""
+        wanted = frozenset(nodes)
+        found = self._ordered.get(wanted)
+        if found is None:
+            unknown = wanted - self._sorts.keys()
+            if unknown:
+                raise SpaceError(f"unknown nodes {sorted(unknown)!r}")
+            found = self._ordered[wanted] = tuple(n for n in self.nodes if n in wanted)
+        return found
 
     def places_in(self, nodes):
         return tuple(n for n in self.ordered(nodes) if self.is_place(n))

@@ -6,16 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from petrisheaf.formats import parse_net, serialize_net
 from petrisheaf.net import (
     ColouredNet,
     NetError,
+    _hook_matrix,
+    _projection,
+    _transpose,
     basic_covers,
     place_transition_net,
     verify_binding_cosheaf,
     verify_flow_gluing,
     verify_token_sheaf,
 )
-from petrisheaf.topology import PetriSpace
+from petrisheaf.topology import PetriSpace, SpaceError
 
 from fixtures import (
     A1,
@@ -367,3 +371,143 @@ def test_flows_agree_with_adjacent_only_form_on_strict_nets(net):
     from petrisheaf import intlinalg as la
 
     assert la.kernel_lattice(rows, len(axis)) == net.flows(region).module
+
+
+# ---------------------------------------------------------------------------
+# memoised axes and flows, index projections against the hook path
+
+
+@st.composite
+def relaxed_nets(draw, max_places=3, max_transitions=3):
+    """A relaxed net over Z or Q: one or two tokens per place and bindings
+    per transition, a random adjacency, weights on any (binding, token)."""
+    places = [f"q{i}" for i in range(draw(st.integers(1, max_places)))]
+    transitions = [f"s{i}" for i in range(draw(st.integers(1, max_transitions)))]
+    adjacency = [(p, t) for p in places for t in transitions if draw(st.booleans())]
+    space = PetriSpace(
+        [(p, "place") for p in places] + [(t, "transition") for t in transitions], adjacency
+    )
+    tokens = {p: tuple(f"c{k}" for k in range(draw(st.integers(1, 2)))) for p in places}
+    bindings = {t: tuple(f"b{k}" for k in range(draw(st.integers(1, 2)))) for t in transitions}
+    arcs = [(t, b, p, c) for t in transitions for b in bindings[t] for p in places for c in tokens[p]]
+    weights = st.dictionaries(st.sampled_from(arcs), st.integers(1, 3), max_size=6)
+    ring = draw(st.sampled_from(["Z", "Q"]))
+    return ColouredNet(
+        space, bindings, tokens, draw(weights), draw(weights), strict=False, ring=ring, name="rlx"
+    )
+
+
+any_nets = st.one_of(strict_nets(max_places=3, max_transitions=3), relaxed_nets())
+
+
+def fresh_copy(net):
+    return parse_net(serialize_net(net)).to_net()
+
+
+def basic_regions(space, kind):
+    basic = space.basic_open if kind == "open" else space.basic_closed
+    return [basic(x) for x in space.nodes]
+
+
+def report_fields(report):
+    return report.kind, report.region, report.cover, report.ok, report.failures
+
+
+def flow_fields(flows):
+    return flows.region, flows.ring, flows.matrix, flows.module
+
+
+@given(any_nets)
+@settings(max_examples=40, deadline=None)
+def test_memoised_axes_and_flows_match_a_fresh_copy(net):
+    space = net.space
+    regions = [None, *basic_regions(space, "open"), *basic_regions(space, "closed")]
+    closed = [r for r in regions if r is None or space.is_closed(r)]
+    # every call twice and interleaved, so that later calls are memo hits
+    for _ in range(2):
+        for region in regions:
+            fresh = fresh_copy(net)
+            nodes = [x for x in fresh.space.nodes if region is None or x in region]
+            tokens = tuple((p, c) for p in nodes if p in fresh.tokens for c in fresh.tokens[p])
+            bindings = tuple((t, b) for t in nodes if t in fresh.bindings for b in fresh.bindings[t])
+            assert net.token_axis(region) == fresh.token_axis(region) == tokens
+            assert net.binding_axis(region) == fresh.binding_axis(region) == bindings
+        for ring in ("Q", "Z", None):
+            for region in closed:
+                fresh = fresh_copy(net)
+                assert flow_fields(net.flows(region, ring)) == flow_fields(fresh.flows(region, ring))
+
+
+@given(any_nets)
+@settings(max_examples=30, deadline=None)
+def test_flows_memo_keeps_rings_apart(net):
+    for first, second in (("Z", "Q"), ("Q", "Z")):
+        memo = fresh_copy(net)
+        for region in [None, *basic_regions(net.space, "closed")]:
+            a = memo.flows(region, ring=first)
+            b = memo.flows(region, ring=second)
+            assert flow_fields(a) == flow_fields(fresh_copy(net).flows(region, ring=first))
+            assert flow_fields(b) == flow_fields(fresh_copy(net).flows(region, ring=second))
+            assert memo.flows(region, ring=first) is a
+            # the default ring is applied before the memo is consulted
+            assert memo.flows(region) is memo.flows(region, ring=memo.ring)
+
+
+@given(any_nets)
+@settings(max_examples=30, deadline=None)
+def test_non_closed_region_raises_on_every_call(net):
+    net.flows()  # a memo entry for the whole net
+    for region in basic_regions(net.space, "open"):
+        if net.space.is_closed(region):
+            continue
+        for _ in range(2):
+            with pytest.raises(NetError, match="not closed"):
+                net.flows(region)
+
+
+def test_unknown_nodes_raise_on_every_call():
+    net = x_net()
+    net.token_axis(U1)
+    net.flows(A1)
+    for _ in range(2):
+        with pytest.raises(NetError):
+            net.flows(U1)
+        with pytest.raises(SpaceError, match="unknown nodes"):
+            net.token_axis(U1 | {"zz"})
+        with pytest.raises(SpaceError, match="unknown nodes"):
+            net.flows(A1 | {"zz"})
+
+
+@given(any_nets)
+@settings(max_examples=40, deadline=None)
+def test_index_projection_equals_the_hook_matrix(net):
+    space = net.space
+    for kind in ("open", "closed"):
+        for region in basic_regions(space, kind):
+            for cover in basic_covers(space, region, kind=kind):
+                for small in cover:
+                    assert _projection(net.token_axis, region, small) == _hook_matrix(
+                        net.restrict_token_section, region, small, net.token_axis
+                    )
+                    extension = _hook_matrix(
+                        net.extend_binding_section, small, region, net.binding_axis
+                    )
+                    assert _projection(net.binding_axis, region, small) == _transpose(
+                        extension, len(net.binding_axis(small))
+                    )
+
+
+@given(any_nets)
+@settings(max_examples=40, deadline=None)
+def test_default_verifiers_agree_with_the_honest_hooks(net):
+    space = net.space
+    checks = (
+        ("open", verify_token_sheaf, {"restrict": net.restrict_token_section}),
+        ("closed", verify_binding_cosheaf, {"extend": net.extend_binding_section}),
+    )
+    for kind, verify, hook in checks:
+        for region in [None, *basic_regions(space, kind)]:
+            covers = [None] if region is None else [None, *basic_covers(space, region, kind=kind)]
+            for cover in covers:
+                default = verify(net, region, cover)
+                assert report_fields(default) == report_fields(verify(net, region, cover, **hook))

@@ -261,3 +261,17 @@ def test_place_gluing_projection_is_open(sp):
         return
     _, proj = quotient_by_pairs(sp, [(places[0], places[1])])
     assert proj.is_open_map()
+
+
+@given(spaces().flatmap(lambda sp: st.tuples(st.just(sp), subsets(sp))))
+def test_ordered_memo_agrees_and_still_rejects_unknown_nodes(data):
+    sp, s = data
+    want = tuple(n for n in sp.nodes if n in s)
+    assert sp.ordered(s) == want
+    assert sp.ordered(list(s)) == want  # a memo hit, from another iterable
+    for _ in range(2):
+        with pytest.raises(SpaceError, match="unknown nodes"):
+            sp.ordered(set(s) | {"zz"})
+        with pytest.raises(SpaceError, match="unknown nodes"):
+            sp.ordered(["zz"])
+    assert sp.ordered(s) == want
