@@ -1,9 +1,9 @@
 """Exact linear algebra over the integers and the rationals.
 
 Matrices are plain lists of rows, rows are lists of Python ints (or
-`fractions.Fraction` in the rational helpers), so everything is exact at any
-magnitude.  Sizes here are tiny (axes are token/binding sets of small nets),
-dense row-major storage is fine.
+`fractions.Fraction` in the rational inputs and results), so everything is
+exact at any magnitude.  Sizes here are tiny (axes are token/binding sets of
+small nets), dense row-major storage is fine.
 
 Conventions:
 
@@ -17,12 +17,17 @@ Conventions:
 Code that works over a net's coefficient ring goes through ``RINGS[name]``,
 the ``Ring`` instance ``Z`` or ``Q``: each builds its module type (``Lattice``
 or ``Subspace``), kernels, solutions, quotients (``QuotientModule``, with
-invariant factors over Z only) and preimages.  ``Z`` runs on the HNF, ``Q``
-on rref.
+invariant factors over Z only) and preimages.  ``Z`` runs on the HNF.  ``Q``
+runs on one fraction-free integer echelon (``_echelon``): rows are scaled to
+integers once and stay integers until ``rref`` divides each pivot row by its
+pivot.  ``Ring.solver(m, cols)`` factors ``m`` once (the HNF over Z, the
+echelon of ``[m | I]`` over Q) and returns a ``solve(v)`` to reuse for many
+right-hand sides; ``Ring.solve`` is one such solve.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -75,20 +80,8 @@ def matvec(m, v):
     return [sum(x * y for x, y in zip(row, v)) for row in m]
 
 
-def vec_add(a, b):
-    return [x + y for x, y in zip(a, b)]
-
-
-def vec_scale(k, a):
-    return [k * x for x in a]
-
-
 def is_zero_vector(v):
     return all(x == 0 for x in v)
-
-
-def mat_equal(a, b):
-    return [list(r) for r in a] == [list(r) for r in b]
 
 
 def xgcd(a, b):
@@ -178,55 +171,47 @@ def hnf(m, cols=None):
     return h, u
 
 
-def det(m):
-    """Determinant of a square integer matrix, fraction-free (Bareiss)."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+def _hnf_solver(m, cols=None):
+    """``solve(v)``: an integer ``x`` with ``m @ x = v``, or None.
 
-
-def solve_columns(m, v, cols=None):
-    """An integer ``x`` with ``m @ x = v``, or None.
-
-    Back-substitution through the column HNF; any solution returned is exact,
-    and None is a proof that ``v`` is outside the column lattice.
+    The column HNF is taken once; each ``solve`` back-substitutes through
+    it.  Any solution returned is exact, and None is a proof that ``v`` is
+    outside the column lattice.
     """
     rows, cols = shape(m, cols) if (m or cols is not None) else (0, 0)
-    if rows != len(v):
-        raise ValueError("dimension mismatch")
     h, u = hnf(m, cols)
-    rem = list(v)
-    y = [0] * cols
+    steps = []  # (pivot row, column of h), in column order
     for j in range(cols):
         p = next((i for i in range(rows) if h[i][j]), None)
         if p is None:
             break
-        q, r = divmod(rem[p], h[p][j])
-        if r:
+        steps.append((p, [h[i][j] for i in range(rows)]))
+    pad = [0] * (cols - len(steps))
+
+    def solve(v):
+        if len(v) != rows:
+            raise ValueError("dimension mismatch")
+        rem = list(v)
+        y = []
+        for p, col in steps:
+            q, r = divmod(rem[p], col[p])
+            if r:
+                return None
+            if q:
+                for i in range(p, rows):
+                    rem[i] -= q * col[i]
+            y.append(q)
+        if not is_zero_vector(rem):
             return None
-        if q:
-            for i in range(rows):
-                rem[i] -= q * h[i][j]
-        y[j] = q
-    if not is_zero_vector(rem):
-        return None
-    return [sum(u[i][j] * y[j] for j in range(cols)) for i in range(cols)]
+        y += pad
+        return [sum(a * b for a, b in zip(row, y)) for row in u]
+
+    return solve
+
+
+def solve_columns(m, v, cols=None):
+    """An integer ``x`` with ``m @ x = v``, or None."""
+    return Z.solve(m, v, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -354,11 +339,6 @@ def kernel_lattice(m, cols=None):
         if all(h[i][j] == 0 for i in range(rows)):
             gens.append([u[i][j] for i in range(cols)])
     return Lattice(cols, gens)
-
-
-def preimage_lattice(m, lat, cols=None):
-    """``{x in Z^cols : m @ x in lat}`` as a Lattice."""
-    return Z.preimage(m, lat, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -579,39 +559,67 @@ def hilbert_basis(m, cols=None, guard=10_000):
 # rational layer
 
 
-def _to_fractions(m):
-    return [[Fraction(x) for x in row] for row in m]
+_ZERO = Fraction(0)
 
 
-def rref(m, cols=None):
-    """Reduced row echelon form over Q.  Returns ``(r, pivot_cols)``."""
-    rows, cols = shape(m, cols) if (m or cols is not None) else (0, 0)
-    r = _to_fractions(m)
+def _integer_row(row):
+    """``row`` scaled to integers by the lcm of its denominators: ``(ints, lcm)``."""
+    if all(type(x) is int for x in row):
+        return list(row), 1
+    d = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (d // x.denominator) for x in row], d
+
+
+def _echelon(m, cols):
+    """Fraction-free Gauss-Jordan elimination on the first ``cols`` columns.
+
+    Each row is scaled once to integers.  Column by column, the pivot is the
+    first row at or below the current one that is nonzero there; every other
+    row ``r`` with entry ``x`` in that column becomes ``a*r - b*pivot_row``
+    (``a``, ``b`` the pivot and ``x`` over their gcd), divided by its
+    content.  Returns ``(rows, pivots)``: integer rows, pivot rows first,
+    each a nonzero multiple of the row that elimination over Q with the
+    same pivots gives, so dividing a pivot row by its pivot yields the
+    reduced row echelon form.
+    """
+    r = [_integer_row(row)[0] for row in m]
+    rows = len(r)
     pivots = []
     lead = 0
     for i in range(rows):
         while lead < cols:
-            piv = next((k for k in range(i, rows) if r[k][lead] != 0), None)
+            piv = next((k for k in range(i, rows) if r[k][lead]), None)
             if piv is None:
                 lead += 1
                 continue
             r[i], r[piv] = r[piv], r[i]
-            inv = Fraction(1) / r[i][lead]
-            r[i] = [x * inv for x in r[i]]
+            top = r[i]
+            p = top[lead]
             for k in range(rows):
-                if k != i and r[k][lead] != 0:
-                    f = r[k][lead]
-                    r[k] = [a - f * b for a, b in zip(r[k], r[i])]
+                x = r[k][lead]
+                if x and k != i:
+                    g = math.gcd(p, x)
+                    a, b = p // g, x // g
+                    row = [a * y - b * z for y, z in zip(r[k], top)]
+                    c = math.gcd(*row)
+                    r[k] = [y // c for y in row] if c > 1 else row
             pivots.append(lead)
             lead += 1
             break
     return r, pivots
 
 
-def rat_rank(m, cols=None):
-    if not m:
-        return 0
-    return len(rref(m, cols)[1])
+def rref(m, cols=None):
+    """Reduced row echelon form over Q.  Returns ``(r, pivot_cols)``.
+
+    The integer echelon with each pivot row divided by its pivot; entries
+    are Fractions.
+    """
+    rows, cols = shape(m, cols) if (m or cols is not None) else (0, 0)
+    e, pivots = _echelon(m, cols)
+    r = [[Fraction(x, row[p]) if x else _ZERO for x in row] for row, p in zip(e, pivots)]
+    r += [[Fraction(x) if x else _ZERO for x in row] for row in e[len(pivots) :]]
+    return r, pivots
 
 
 def rat_kernel_basis(m, cols=None):
@@ -631,30 +639,63 @@ def rat_kernel_basis(m, cols=None):
     return basis
 
 
+def _echelon_solver(m, cols=None):
+    """``solve(v)``: a rational ``x`` with ``m @ x = v``, or None.
+
+    ``[m | I]`` is echeloned once on the columns of ``m``; the identity
+    block records each integer row as a combination of the equations.  A
+    ``v`` is consistent when the combinations of the zero rows vanish on
+    it, and each pivot unknown is its row's combination of ``v`` over the
+    pivot.  Free unknowns are 0, so the solution is the one rref gives.
+    """
+    rows, cols = shape(m, cols) if (m or cols is not None) else (0, 0)
+    aug = [list(m[i][:cols]) + [int(i == k) for k in range(rows)] for i in range(rows)]
+    e, pivots = _echelon(aug, cols)
+
+    def combination(row):
+        return [(k, t) for k, t in enumerate(row[cols:]) if t]
+
+    solved = [(p, row[p], combination(row)) for row, p in zip(e, pivots)]
+    checks = [combination(row) for row in e[len(pivots) :]]
+
+    def solve(v):
+        if len(v) != rows:
+            raise ValueError("dimension mismatch")
+        w, d = _integer_row(v)
+        for comb in checks:
+            if sum(t * w[k] for k, t in comb):
+                return None
+        x = [_ZERO] * cols
+        for p, pivot, comb in solved:
+            x[p] = Fraction(sum(t * w[k] for k, t in comb), pivot * d)
+        return x
+
+    return solve
+
+
 def rat_solve_columns(m, v, cols=None):
     """Rational ``x`` with ``m @ x = v``, or None if inconsistent."""
-    rows, cols = shape(m, cols) if (m or cols is not None) else (0, 0)
-    aug = [[Fraction(m[i][j]) for j in range(cols)] + [Fraction(v[i])] for i in range(rows)]
-    r, pivots = rref(aug, cols + 1)
-    if cols in pivots:
-        return None
-    x = [Fraction(0)] * cols
-    for row_idx, p in enumerate(pivots):
-        x[p] = r[row_idx][cols]
-    return x
+    return Q.solve(m, v, cols)
 
 
 class Subspace(_Module):
-    """A Q-linear subspace of Q^n with a canonical (rref) basis."""
+    """A Q-linear subspace of Q^n with a canonical (rref) basis.
 
-    __slots__ = ()
+    ``reduce`` runs on integers.  With ``L`` the lcm of the basis
+    denominators, ``L * reduce(v)[j]`` is ``L*v[j] - sum_p v[p]*L*b_p[j]``
+    on each free column ``j`` (``b_p`` the basis vector with pivot ``p``)
+    and 0 on the pivot columns.
+    """
+
+    __slots__ = ("_free",)
 
     def __init__(self, ambient_dim, vectors=()):
-        vectors = [[Fraction(x) for x in v] for v in vectors]
+        vectors = [list(v) for v in vectors]
         for v in vectors:
             if len(v) != ambient_dim:
                 raise ValueError("generator has wrong length")
         self.ambient_dim = ambient_dim
+        self._free = None
         if not vectors:
             self.basis = ()
             self.pivots = ()
@@ -666,14 +707,35 @@ class Subspace(_Module):
     def is_full(self):
         return self.rank == self.ambient_dim
 
+    def _free_columns(self):
+        """``(L, [(j, [(p, L*b_p[j]), ...]), ...])`` over the free columns."""
+        if self._free is None:
+            lcm = math.lcm(*(x.denominator for b in self.basis for x in b))
+            pivots = set(self.pivots)
+            self._free = lcm, [
+                (
+                    j,
+                    [
+                        (p, b[j].numerator * (lcm // b[j].denominator))
+                        for b, p in zip(self.basis, self.pivots)
+                        if b[j]
+                    ],
+                )
+                for j in range(self.ambient_dim)
+                if j not in pivots
+            ]
+        return self._free
+
     def reduce(self, v):
         if len(v) != self.ambient_dim:
             raise ValueError("vector has wrong length")
-        rem = [Fraction(x) for x in v]
-        for b, p in zip(self.basis, self.pivots):
-            f = rem[p]
-            if f:
-                rem = [a - f * bb for a, bb in zip(rem, b)]
+        w, d = _integer_row(v)
+        lcm, free = self._free_columns()
+        rem = [_ZERO] * self.ambient_dim
+        for j, terms in free:
+            s = lcm * w[j] - sum(w[p] * c for p, c in terms)
+            if s:
+                rem[j] = Fraction(s, lcm * d)
         return tuple(rem)
 
     def __repr__(self):
@@ -685,18 +747,24 @@ class Subspace(_Module):
 
 
 class Ring:
-    """Coefficients ``Z`` (column HNF, Lattice) or ``Q`` (rref, Subspace).
+    """Coefficients ``Z`` (column HNF, Lattice) or ``Q`` (integer echelon,
+    Subspace).
 
-    ``module(dim, vectors)``, ``kernel(m, cols)``, ``kernel_basis(m, cols)``
-    and ``solve(m, v, cols)`` (an ``x`` with ``m @ x = v``, or None).
+    ``module(dim, vectors)``, ``kernel(m, cols)``, ``kernel_basis(m, cols)``,
+    ``solver(m, cols)`` (factors ``m`` once and returns ``solve(v)``: an
+    ``x`` with ``m @ x = v``, or None; a ``v`` whose length is not the row
+    count raises ValueError) and ``solve(m, v, cols)``, one solve.
     """
 
-    def __init__(self, name, module, kernel, kernel_basis, solve):
+    def __init__(self, name, module, kernel, kernel_basis, solver):
         self.name = name
         self.module = module
         self.kernel = kernel
         self.kernel_basis = kernel_basis
-        self.solve = solve
+        self.solver = solver
+
+    def solve(self, m, v, cols=None):
+        return self.solver(m, cols)(v)
 
     def quotient(self, ambient_dim, relation_vectors=()):
         return QuotientModule(ambient_dim, self.module(ambient_dim, relation_vectors))
@@ -722,9 +790,9 @@ def _kernel_subspace(m, cols=None):
 
 
 Z = Ring(
-    "Z", Lattice, kernel_lattice, lambda m, cols=None: kernel_lattice(m, cols).basis, solve_columns
+    "Z", Lattice, kernel_lattice, lambda m, cols=None: kernel_lattice(m, cols).basis, _hnf_solver
 )
-Q = Ring("Q", Subspace, _kernel_subspace, rat_kernel_basis, rat_solve_columns)
+Q = Ring("Q", Subspace, _kernel_subspace, rat_kernel_basis, _echelon_solver)
 RINGS = {"Z": Z, "Q": Q}
 
 

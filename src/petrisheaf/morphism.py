@@ -16,6 +16,7 @@ failure.  Clause identifiers are stable strings used by reports and the CLI.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -198,14 +199,17 @@ class NetMorphism:
         self._reports = {}  # hilbert guard -> complete VerificationReport
         self._rewrites = None  # per image transition: fibre token -> target token vector
         self._transport = None  # target token axis x source token axis
+        self._scaled = None  # the transport scaled to sparse integer rows
+        self._flow_solvers = {}  # image transition -> (fibre length, solve) of its basis
 
     # -- ring helpers ------------------------------------------------------
 
     def _module(self, dim, vectors):
         return la.RINGS[self.ring].module(dim, vectors)
 
-    def _solve(self, vectors, dim, vec):
-        return la.RINGS[self.ring].solve(_columns(vectors, dim), list(vec), cols=len(vectors))
+    def _solver(self, vectors, dim):
+        """``solve(v)`` for the matrix whose columns are ``vectors`` (length dim)."""
+        return la.RINGS[self.ring].solver(_columns(vectors, dim), len(vectors))
 
     def _kernel(self, vectors, dim):
         return la.RINGS[self.ring].kernel_basis(_columns(vectors, dim), len(vectors))
@@ -221,16 +225,24 @@ class NetMorphism:
         return tuple(u for u in self.target.space.places if u in img)
 
     def flow_image(self, a, vector):
-        """Image of a fibre flow over ``a`` as a binding vector of ``a``."""
+        """Image of a fibre flow over ``a`` as a binding vector of ``a``.
+
+        The basis over ``a`` is factored once per morphism and its solver
+        reused for every vector (``flow_maps`` never changes).
+        """
         basis, images = self.flow_maps[a]
-        fibre_axis = self.source.binding_axis(self.space_map.fibre(a))
-        if len(vector) != len(fibre_axis):
+        if a not in self._flow_solvers:
+            dim = len(self.source.binding_axis(self.space_map.fibre(a)))
+            solve = self._solver(basis, dim) if basis else None
+            self._flow_solvers[a] = (dim, solve)
+        dim, solve = self._flow_solvers[a]
+        if len(vector) != dim:
             raise MorphismError("fibre flow vector has the wrong length")
         if not basis:
             if any(vector):
                 raise MorphismError("nonzero flow over an empty basis")
             return tuple(0 for _ in self.target.bindings[a])
-        coords = self._solve(basis, len(fibre_axis), vector)
+        coords = solve(list(vector))
         if coords is None:
             raise MorphismError(f"vector is not in the span of the flow basis over {a!r}")
         out = [0] * len(self.target.bindings[a])
@@ -503,10 +515,11 @@ class NetMorphism:
 
         full_axis = tgt.token_axis()
         out = {}
+        solve = self._solver(columns, dim) if columns and t_labels else None
         for idx, lab in t_labels:
             unit = [0] * dim
             unit[idx] = 1
-            coords = self._solve(columns, dim, unit) if columns else None
+            coords = solve(unit) if solve else None
             if coords is None:
                 return (
                     f"transport over {a!r} is underdetermined: token {lab} is not "
@@ -563,11 +576,39 @@ class NetMorphism:
         return self._transport
 
     def map_marking(self, values):
-        """Push a token vector forward; entries may leave N in general."""
-        transport = self.marking_transport()
+        """Push a token vector forward; entries may leave N in general.
+
+        Runs on integers: each row of ``marking_transport()`` is scaled once,
+        by the lcm of its denominators, to sparse integer coefficients, and
+        each entry is one integer sum over that lcm.  An entry is a
+        ``Fraction`` when its transport row or ``values`` holds one, and an
+        ``int`` otherwise, the type the plain sum of products has.
+        """
+        if self._scaled is None:
+            scaled = []
+            for row in self.marking_transport():
+                d = None
+                if any(type(x) is not int for x in row):
+                    d = math.lcm(*(x.denominator for x in row))
+                coeffs = [
+                    (j, x if d is None else x.numerator * (d // x.denominator))
+                    for j, x in enumerate(row)
+                    if x
+                ]
+                scaled.append((d, coeffs))
+            self._scaled = scaled
         if len(values) != len(self.source.token_axis()):
             raise MorphismError("marking vector has the wrong length")
-        return [sum(row[j] * values[j] for j in range(len(values))) for row in transport]
+        whole = all(isinstance(x, int) for x in values)
+        scale = 1
+        if not whole:
+            scale = math.lcm(*(x.denominator for x in values))
+            values = [x.numerator * (scale // x.denominator) for x in values]
+        out = []
+        for d, coeffs in self._scaled:
+            s = sum(c * values[j] for j, c in coeffs)
+            out.append(s if whole and d is None else Fraction(s, scale * (d or 1)))
+        return out
 
     # -- classification ----------------------------------------------------
 
@@ -654,10 +695,11 @@ class NetMorphism:
             # inverse signedness: the preimage of each unit binding must be
             # a non-negative fibre flow
             fibre_axis = src.binding_axis(sm.fibre(a))
+            solve = self._solver(image_vecs, dim)
             for i in range(dim):
                 unit = [0] * dim
                 unit[i] = 1
-                coords = self._solve(image_vecs, dim, unit)
+                coords = solve(unit)
                 if coords is None:
                     return False
                 pre = [0] * len(fibre_axis)
@@ -684,10 +726,11 @@ class NetMorphism:
                 return False
             # inverse signedness on classes: each target token needs a
             # preimage class with a non-negative representative
+            solve = self._solver(cols, dim)
             for i in range(dim):
                 unit = [0] * dim
                 unit[i] = 1
-                x = self._solve(cols, dim, unit)
+                x = solve(unit)
                 if x is None:
                     return False
                 if self.ring == "Z":

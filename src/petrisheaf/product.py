@@ -283,15 +283,16 @@ def check_reachability_correspondence(
     )
     matched = 0
     for m in rp.markings:
-        if not is_saturated_marking(result, m):
+        # one trace serves the saturation test and the component lookup
+        t1, t2 = trace_markings(result, m)
+        if product_marking(result, t1, t2) != m:
             return ReachCorrespondence(
                 "failed", "unsaturated marking reached in the product", n1, n2, matched
             )
-        if integral and any(Fraction(x).denominator != 1 for x in m):
+        if integral and any(x.denominator != 1 for x in m):
             return ReachCorrespondence(
                 "failed", "non-integral marking reached in the product", n1, n2, matched
             )
-        t1, t2 = trace_markings(result, m)
         if t1 not in w1.markings or t2 not in w2.markings:
             if _budget_cut(w1, max_states) or _budget_cut(w2, max_states):
                 return ReachCorrespondence(

@@ -2,7 +2,10 @@
 
 The expected values below were derived by hand (gcds of minors for the
 Smith form, explicit kernel combinations) so the tests are independent of
-the implementation.
+the implementation.  The plain helpers below (vector sums, matrix equality,
+a Bareiss determinant, rank and the rref over ``Fraction``, the
+back-substitution solves) are the slow reference paths that the library's
+fast paths are checked against; other test modules import them.
 """
 
 from fractions import Fraction
@@ -50,6 +53,117 @@ matrices = st.integers(1, 5).flatmap(
 )
 
 
+def vec_add(a, b):
+    return [x + y for x, y in zip(a, b)]
+
+
+def vec_scale(k, a):
+    return [k * x for x in a]
+
+
+def mat_equal(a, b):
+    return [list(r) for r in a] == [list(r) for r in b]
+
+
+def det(m):
+    """Determinant of a square integer matrix, fraction-free (Bareiss)."""
+    n = len(m)
+    if n == 0:
+        return 1
+    a = [list(row) for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if piv is None:
+                return 0
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def reference_rref(m, cols=None):
+    """Reduced row echelon form by Gauss-Jordan elimination over ``Fraction``."""
+    rows, cols = la.shape(m, cols) if (m or cols is not None) else (0, 0)
+    r = [[Fraction(x) for x in row] for row in m]
+    pivots = []
+    lead = 0
+    for i in range(rows):
+        while lead < cols:
+            piv = next((k for k in range(i, rows) if r[k][lead] != 0), None)
+            if piv is None:
+                lead += 1
+                continue
+            r[i], r[piv] = r[piv], r[i]
+            inv = Fraction(1) / r[i][lead]
+            r[i] = [x * inv for x in r[i]]
+            for k in range(rows):
+                if k != i and r[k][lead] != 0:
+                    f = r[k][lead]
+                    r[k] = [a - f * b for a, b in zip(r[k], r[i])]
+            pivots.append(lead)
+            lead += 1
+            break
+    return r, pivots
+
+
+def rat_rank(m, cols=None):
+    if not m:
+        return 0
+    return len(reference_rref(m, cols)[1])
+
+
+def preimage_lattice(m, lat, cols=None):
+    """``{x in Z^cols : m @ x in lat}`` as a Lattice."""
+    return la.Z.preimage(m, lat, cols)
+
+
+def reference_solve_columns(m, v, cols=None):
+    """Integer solve by back-substitution through a fresh column HNF."""
+    rows, cols = la.shape(m, cols) if (m or cols is not None) else (0, 0)
+    if rows != len(v):
+        raise ValueError("dimension mismatch")
+    h, u = la.hnf(m, cols)
+    rem = list(v)
+    y = [0] * cols
+    for j in range(cols):
+        p = next((i for i in range(rows) if h[i][j]), None)
+        if p is None:
+            break
+        q, r = divmod(rem[p], h[p][j])
+        if r:
+            return None
+        if q:
+            for i in range(rows):
+                rem[i] -= q * h[i][j]
+        y[j] = q
+    if not la.is_zero_vector(rem):
+        return None
+    return [sum(u[i][j] * y[j] for j in range(cols)) for i in range(cols)]
+
+
+def reference_rat_solve_columns(m, v, cols=None):
+    """Rational solve read off the rref of ``[m | v]``; ``v`` must fit ``m``."""
+    rows, cols = la.shape(m, cols) if (m or cols is not None) else (0, 0)
+    aug = [[Fraction(m[i][j]) for j in range(cols)] + [Fraction(v[i])] for i in range(rows)]
+    r, pivots = reference_rref(aug, cols + 1)
+    if cols in pivots:
+        return None
+    x = [Fraction(0)] * cols
+    for row_idx, p in enumerate(pivots):
+        x[p] = r[row_idx][cols]
+    return x
+
+
+REFERENCE_SOLVES = {"Z": reference_solve_columns, "Q": reference_rat_solve_columns}
+
+
 def det_fraction(m):
     # plain Gaussian elimination over Q, as an independent determinant oracle
     n = len(m)
@@ -80,7 +194,7 @@ def det_fraction(m):
 def test_hnf_properties(m):
     rows, cols = len(m), len(m[0])
     h, u = la.hnf(m)
-    assert la.mat_equal(h, la.matmul(m, u))
+    assert mat_equal(h, la.matmul(m, u))
     assert abs(det_fraction(u)) == 1
     assert is_column_hnf(h, rows, cols)
 
@@ -89,13 +203,13 @@ def test_hnf_idempotent_on_canonical():
     m = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
     h, _ = la.hnf(m)
     h2, _ = la.hnf(h)
-    assert la.mat_equal(h, h2)
+    assert mat_equal(h, h2)
 
 
 def test_hnf_zero_rows():
     h, u = la.hnf([], cols=3)
     assert h == []
-    assert la.mat_equal(u, la.identity(3))
+    assert mat_equal(u, la.identity(3))
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +234,7 @@ def test_kernel_annihilates_and_is_complete(m):
     ker = la.kernel_lattice(m)
     for b in ker.basis:
         assert la.is_zero_vector(la.matvec(m, list(b)))
-    assert ker.rank == cols - la.rat_rank(m)
+    assert ker.rank == cols - rat_rank(m)
 
 
 @given(matrices, st.lists(st.integers(-3, 3), min_size=1, max_size=5))
@@ -131,13 +245,13 @@ def test_lattice_membership_and_coordinates(m, coeffs):
     coeffs = (coeffs * len(ker.basis))[: len(ker.basis)]
     v = [0] * ker.ambient_dim
     for c, b in zip(coeffs, ker.basis):
-        v = la.vec_add(v, la.vec_scale(c, list(b)))
+        v = vec_add(v, vec_scale(c, list(b)))
     assert v in ker
     got = ker.coordinates(v)
     assert got is not None
     rebuilt = [0] * ker.ambient_dim
     for c, b in zip(got, ker.basis):
-        rebuilt = la.vec_add(rebuilt, la.vec_scale(c, list(b)))
+        rebuilt = vec_add(rebuilt, vec_scale(c, list(b)))
     assert rebuilt == v
 
 
@@ -152,7 +266,7 @@ def test_preimage_lattice():
     # x mapsto (x1+x2) mod lattice 3Z: preimage of 3Z under the sum map
     m = [[1, 1]]
     lat = la.Lattice(1, [(3,)])
-    pre = la.preimage_lattice(m, lat)
+    pre = preimage_lattice(m, lat)
     assert [1, 2] in pre
     assert [3, 0] in pre
     assert [1, 1] not in pre
@@ -175,7 +289,7 @@ def test_solve_columns():
 def test_snf_classic_example():
     m = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
     s, u, v = la.snf(m)
-    assert la.mat_equal(s, la.matmul(la.matmul(u, m), v))
+    assert mat_equal(s, la.matmul(la.matmul(u, m), v))
     assert [s[i][i] for i in range(3)] == [2, 6, 12]
     assert abs(det_fraction(u)) == 1
     assert abs(det_fraction(v)) == 1
@@ -186,7 +300,7 @@ def test_snf_classic_example():
 def test_snf_properties(m):
     rows, cols = len(m), len(m[0])
     s, u, v = la.snf(m)
-    assert la.mat_equal(s, la.matmul(la.matmul(u, m), v))
+    assert mat_equal(s, la.matmul(la.matmul(u, m), v))
     assert abs(det_fraction(u)) == 1
     assert abs(det_fraction(v)) == 1
     diag = [s[i][i] for i in range(min(rows, cols))]
@@ -278,14 +392,14 @@ def test_rref_and_rank():
     r, pivots = la.rref([[1, 2], [2, 4]])
     assert pivots == [0]
     assert r[0] == [Fraction(1), Fraction(2)]
-    assert la.rat_rank([[1, 2], [2, 4]]) == 1
+    assert rat_rank([[1, 2], [2, 4]]) == 1
 
 
 @given(matrices)
 def test_rat_kernel(m):
     rows, cols = len(m), len(m[0])
     basis = la.rat_kernel_basis(m)
-    assert len(basis) == cols - la.rat_rank(m)
+    assert len(basis) == cols - rat_rank(m)
     for v in basis:
         assert all(x == 0 for x in la.matvec(m, v))
 
@@ -294,6 +408,154 @@ def test_rat_solve():
     x = la.rat_solve_columns([[2, 0], [0, 4]], [1, 1])
     assert x == [Fraction(1, 2), Fraction(1, 4)]
     assert la.rat_solve_columns([[1, 1], [1, 1]], [0, 1]) is None
+
+
+def test_solve_checks_the_length_of_the_right_hand_side():
+    # a longer v used to lose its last equation over Q, a shorter one
+    # raised IndexError; both rings now refuse either
+    m = [[1, 0], [0, 1]]
+    for v in ([1, 2, 3], [1]):
+        for solve in (la.rat_solve_columns, la.solve_columns, la.Q.solve, la.Z.solve):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                solve(m, v, 2)
+        for ring in (la.Q, la.Z):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                ring.solver(m, 2)(v)
+
+
+fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+entries = st.one_of(st.integers(-6, 6), fractions, st.just(0))
+
+
+@st.composite
+def rational_matrices(draw, max_rows=5, max_cols=5, entries=entries):
+    """Matrices with int and Fraction entries, some rows and columns zero,
+    possibly no rows or no columns; returns ``(m, cols)``."""
+    rows = draw(st.integers(0, max_rows))
+    cols = draw(st.integers(0, max_cols))
+    m = [draw(st.lists(entries, min_size=cols, max_size=cols)) for _ in range(rows)]
+    for i in draw(st.sets(st.integers(0, max(rows - 1, 0)), max_size=2)):
+        if i < rows:
+            m[i] = [0] * cols
+    for j in draw(st.sets(st.integers(0, max(cols - 1, 0)), max_size=2)):
+        if j < cols:
+            for row in m:
+                row[j] = 0
+    return m, cols
+
+
+@given(rational_matrices())
+@settings(max_examples=300)
+def test_rref_matches_the_fraction_reference(case):
+    m, cols = case
+    got, pivots = la.rref(m, cols)
+    want, want_pivots = reference_rref(m, cols)
+    assert pivots == want_pivots
+    assert got == want
+    assert all(type(x) is Fraction for row in got for x in row)
+    if m and cols:
+        assert la.rref(m) == (want, want_pivots)
+
+
+@given(rational_matrices(max_cols=6), st.data())
+@settings(max_examples=150)
+def test_rref_on_leading_columns_matches_the_reference_on_pivot_rows(case, data):
+    # with cols short of the row width, trailing rows may keep nonzero
+    # entries beyond cols; they are multiples of the reference rows
+    m, width = case
+    cols = data.draw(st.integers(0, width))
+    got, pivots = la.rref(m, cols)
+    want, want_pivots = reference_rref(m, cols)
+    assert pivots == want_pivots
+    rank = len(pivots)
+    assert got[:rank] == want[:rank]
+    for g, w in zip(got[rank:], want[rank:]):
+        assert not any(g[:cols]) and not any(w[:cols])
+        assert reference_rref([g, w])[1] == reference_rref([w])[1]
+
+
+def _consistent_or_not(draw, m, rows, cols, ring):
+    values = st.integers(-4, 4) if ring == "Z" else entries
+    if draw(st.booleans()) or not cols:
+        return draw(st.lists(values, min_size=rows, max_size=rows))
+    x = draw(st.lists(values, min_size=cols, max_size=cols))
+    return la.matvec(m, x)
+
+
+@st.composite
+def solve_cases(draw, ring):
+    if ring == "Z":
+        m, cols = draw(rational_matrices(max_rows=4, max_cols=4, entries=st.integers(-4, 4)))
+    else:
+        m, cols = draw(rational_matrices(max_rows=4, max_cols=4))
+    vs = [_consistent_or_not(draw, m, len(m), cols, ring) for _ in range(draw(st.integers(1, 4)))]
+    return m, cols, vs
+
+
+@pytest.mark.parametrize("ring", ["Z", "Q"])
+@given(data=st.data())
+@settings(max_examples=200)
+def test_solver_matches_the_reference_solve(ring, data):
+    m, cols, vs = data.draw(solve_cases(ring))
+    solve = la.RINGS[ring].solver(m, cols)
+    for v in vs:
+        want = REFERENCE_SOLVES[ring](m, v, cols)
+        got = solve(v)
+        assert got == want
+        assert la.RINGS[ring].solve(m, v, cols) == want
+        if want is not None:
+            assert [type(x) for x in got] == [type(x) for x in want]
+            assert la.matvec(m, got) == list(v)
+
+
+@pytest.mark.parametrize("ring", ["Z", "Q"])
+@given(data=st.data())
+@settings(max_examples=100)
+def test_a_reused_solver_equals_fresh_solvers(ring, data):
+    m, cols, vs = data.draw(solve_cases(ring))
+    solve = la.RINGS[ring].solver(m, cols)
+    first = [solve(v) for v in vs]
+    again = [solve(v) for v in reversed(vs)][::-1]
+    fresh = [la.RINGS[ring].solver(m, cols)(v) for v in vs]
+    assert first == again == fresh
+
+
+@pytest.mark.parametrize("ring", ["Z", "Q"])
+def test_solver_on_empty_matrices(ring):
+    solve = la.RINGS[ring].solver([], 3)
+    assert solve([]) == REFERENCE_SOLVES[ring]([], [], 3) == [0, 0, 0]
+    assert la.RINGS[ring].solver([], 0)([]) == []
+    no_columns = la.RINGS[ring].solver([[], []], 0)
+    assert no_columns([0, 0]) == []
+    assert no_columns([0, 1]) is None is REFERENCE_SOLVES[ring]([[], []], [0, 1], 0)
+
+
+def reference_reduce(subspace, v):
+    """Subtract each basis vector times the entry at its pivot, over Fraction."""
+    rem = [Fraction(x) for x in v]
+    for b, p in zip(subspace.basis, subspace.pivots):
+        f = rem[p]
+        if f:
+            rem = [a - f * bb for a, bb in zip(rem, b)]
+    return tuple(rem)
+
+
+@given(rational_matrices(), st.data())
+@settings(max_examples=150)
+def test_subspace_reduce_matches_the_fraction_reference(case, data):
+    gens, dim = case
+    space = la.Subspace(dim, gens)
+    assert space.basis == tuple(map(tuple, reference_rref(gens, dim)[0][: space.rank]))
+    for _ in range(3):
+        v = data.draw(st.lists(entries, min_size=dim, max_size=dim))
+        if gens and data.draw(st.booleans()):
+            coeffs = data.draw(st.lists(entries, min_size=len(gens), max_size=len(gens)))
+            v = [sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(dim)]
+            assert v in space
+        got = space.reduce(v)
+        assert got == reference_reduce(space, v)
+        assert all(type(x) is Fraction for x in got)
+        assert (v in space) == (not any(got))
 
 
 def test_subspace():
@@ -306,12 +568,12 @@ def test_subspace():
 
 def test_det_bareiss_matches_fraction_oracle():
     m = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
-    assert la.det(m) == det_fraction(m) == -144
+    assert det(m) == det_fraction(m) == -144
 
 
 @given(st.lists(st.lists(st.integers(-5, 5), min_size=4, max_size=4), min_size=4, max_size=4))
 def test_det_random(m):
-    assert la.det(m) == det_fraction(m)
+    assert det(m) == det_fraction(m)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +599,7 @@ def test_nonneg_representative_status():
 def test_z_and_q_kernels_and_quotients_agree(m):
     rows, cols = len(m), len(m[0])
     z_kernel, q_kernel = la.Z.kernel(m, cols), la.Q.kernel(m, cols)
-    assert z_kernel.rank == q_kernel.rank == cols - la.rat_rank(m)
+    assert z_kernel.rank == q_kernel.rank == cols - rat_rank(m)
     assert all(list(v) in q_kernel for v in la.Z.kernel_basis(m, cols))
     relations = [[m[i][j] for i in range(rows)] for j in range(cols)]
     assert la.Z.quotient(rows, relations).rank == la.Q.quotient(rows, relations).rank

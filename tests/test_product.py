@@ -1,15 +1,20 @@
 """Products, projections, mediating morphisms, diagonals, fibre products."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from petrisheaf.behaviour import fire, marking_vector
-from petrisheaf.morphism import NetMorphism, identity_morphism, morphisms_equal
+from petrisheaf.behaviour import fire, marking_vector, reachable
+from petrisheaf.cli import random_strict_net
+from petrisheaf.morphism import MorphismError, NetMorphism, identity_morphism, morphisms_equal
 from petrisheaf.net import ColouredNet, place_transition_net
 from petrisheaf.product import (
     ProductError,
+    ProductResult,
+    ReachCorrespondence,
     check_reachability_correspondence,
     diagonal,
     factors_through_diagonal,
@@ -465,3 +470,248 @@ def test_projection_round_trip_on_random_nets(net):
     t1, t2 = trace_markings(res, m)
     assert t1 == ones
     assert t2 == (5,)
+
+
+# ---------------------------------------------------------------------------
+# integer traces against the plain Fraction path
+
+
+def ring_net(n, colours=1):
+    """A cycle of ``n`` places; each colour moves one step per firing."""
+    places = [f"r{i}" for i in range(n)]
+    transitions = [f"s{i}" for i in range(n)]
+    space = PetriSpace(
+        [(p, "place") for p in places] + [(t, "transition") for t in transitions],
+        [(places[i], transitions[i]) for i in range(n)]
+        + [(places[(i + 1) % n], transitions[i]) for i in range(n)],
+    )
+    cs = [f"c{k}" for k in range(colours)]
+    bs = [f"b{k}" for k in range(colours)]
+    w_minus = {(transitions[i], b, places[i], c): 1 for i in range(n) for b, c in zip(bs, cs)}
+    w_plus = {
+        (transitions[i], b, places[(i + 1) % n], c): 1 for i in range(n) for b, c in zip(bs, cs)
+    }
+    return ColouredNet(
+        space,
+        {t: tuple(bs) for t in transitions},
+        {p: tuple(cs) for p in places},
+        w_minus,
+        w_plus,
+        name=f"ring{n}x{colours}",
+    )
+
+
+def dense_map_marking(morphism, values):
+    """The sum of products over the transport matrix, entry by entry."""
+    transport = morphism.marking_transport()
+    return [sum(row[j] * values[j] for j in range(len(values))) for row in transport]
+
+
+def reference_correspondence(result, first_marking, second_marking, depth=5, max_states=10_000):
+    """The correspondence check tracing every product marking twice, through
+    ``is_saturated_marking`` and ``trace_markings``."""
+    first, second = result.factors
+
+    def cut(run):
+        return run.truncated and len(run.markings) >= max_states
+
+    r1 = reachable(first, first_marking, depth=depth, max_states=max_states)
+    r2 = reachable(second, second_marking, depth=depth, max_states=max_states)
+    n1, n2 = len(r1.markings), len(r2.markings)
+    if cut(r1) or cut(r2):
+        return ReachCorrespondence(
+            "inconclusive", "component exploration hit the state budget", n1, n2, 0
+        )
+    start = product_marking(result, first_marking, second_marking)
+    wide = None if depth is None else 2 * depth
+    rp = reachable(result.net, start, depth=wide, max_states=max_states)
+    if cut(rp):
+        return ReachCorrespondence(
+            "inconclusive", "product exploration hit the state budget", n1, n2, len(rp.markings)
+        )
+    pairings = {product_marking(result, a, b) for a in r1.markings for b in r2.markings}
+    if len(pairings) != n1 * n2:
+        return ReachCorrespondence(
+            "failed", "distinct component pairs collapse in the product", n1, n2, len(pairings)
+        )
+    if not pairings <= rp.markings:
+        return ReachCorrespondence(
+            "failed",
+            "a pairing of component markings was not reached in the product",
+            n1,
+            n2,
+            len(pairings & rp.markings),
+        )
+    if wide == depth:
+        w1, w2 = r1, r2
+    else:
+        w1 = reachable(first, first_marking, depth=wide, max_states=max_states)
+        w2 = reachable(second, second_marking, depth=wide, max_states=max_states)
+    integral = (
+        first.ring == "Z"
+        and second.ring == "Z"
+        and all(Fraction(x).denominator == 1 for x in start)
+    )
+    matched = 0
+    for m in rp.markings:
+        if not is_saturated_marking(result, m):
+            return ReachCorrespondence(
+                "failed", "unsaturated marking reached in the product", n1, n2, matched
+            )
+        if integral and any(Fraction(x).denominator != 1 for x in m):
+            return ReachCorrespondence(
+                "failed", "non-integral marking reached in the product", n1, n2, matched
+            )
+        t1, t2 = trace_markings(result, m)
+        if t1 not in w1.markings or t2 not in w2.markings:
+            if cut(w1) or cut(w2):
+                return ReachCorrespondence(
+                    "inconclusive", "component exploration hit the state budget", n1, n2, matched
+                )
+            return ReachCorrespondence(
+                "failed", "a product state traces outside the component reach", n1, n2, matched
+            )
+        if t1 in r1.markings and t2 in r2.markings:
+            matched += 1
+    if matched != n1 * n2:
+        return ReachCorrespondence(
+            "failed", "reachable state counts do not multiply", n1, n2, matched
+        )
+    return ReachCorrespondence("ok", "", n1, n2, matched)
+
+
+def small_net(seed):
+    return random_strict_net(random.Random(seed), 3, 3)
+
+
+FIXED_NETS = {
+    "ring3": lambda: ring_net(3),
+    "ring4x2": lambda: ring_net(4, colours=2),
+    "x": x_net,
+    "y": y_net,
+}
+factor_nets = st.one_of(
+    st.integers(0, 10_000).map(small_net),
+    st.sampled_from(sorted(FIXED_NETS)).map(lambda name: FIXED_NETS[name]()),
+)
+token_counts = st.one_of(st.integers(0, 3), st.builds(Fraction, st.integers(0, 6), st.integers(1, 4)))
+
+
+def start_marking(net, rng):
+    return tuple(rng.randint(0, 2) for _ in net.token_axis())
+
+
+@settings(max_examples=25, deadline=None)
+@given(factor_nets, factor_nets, st.integers(0, 1000), st.data())
+def test_map_marking_equals_the_dense_product(first, second, seed, data):
+    rng = random.Random(seed)
+    res = kronecker(first, second)
+    start = product_marking(res, start_marking(first, rng), start_marking(second, rng))
+    reached = sorted(reachable(res.net, start, depth=2, max_states=200).markings)
+    size = len(res.net.token_axis())
+    vectors = [list(m) for m in reached[:20]] + [
+        data.draw(st.lists(token_counts, min_size=size, max_size=size)) for _ in range(3)
+    ]
+    morphisms = [res.left, res.right, identity_morphism(first), identity_morphism(res.net)]
+    for f in morphisms:
+        n = len(f.source.token_axis())
+        for values in vectors if n == size else [list(start_marking(f.source, rng))]:
+            got = f.map_marking(values)
+            want = dense_map_marking(f, values)
+            assert got == want
+            assert [type(x) for x in got] == [type(x) for x in want]
+    assert all(type(x) is Fraction for x in res.left.map_marking(list(start)))
+    ident = identity_morphism(first)
+    assert all(type(x) is int for x in ident.map_marking(start_marking(first, rng)))
+
+
+def test_map_marking_types_follow_the_transport_rows():
+    fold = fold_morphism()
+    values = [1, 2, 0, 3]
+    assert fold.map_marking(values) == dense_map_marking(fold, values)
+    assert all(type(x) is int for x in fold.map_marking(values))
+    halves = [Fraction(1, 2), 0, 0, 1]
+    got = fold.map_marking(halves)
+    assert got == dense_map_marking(fold, halves)
+    assert all(type(x) is Fraction for x in got)
+    with pytest.raises(MorphismError, match="wrong length"):
+        fold.map_marking([1, 2])
+    # over Q, a target place outside the image keeps a transport row of ints
+    into_first = NetMorphism(
+        y_net(),
+        disjoint_copies_net(),
+        {"u": "u1", "a": "a1"},
+        flow_maps={"a1": [((1, 0), (1, 0)), ((0, 1), (0, 1))]},
+        mark_maps={"u1": {("u", "c"): (1,)}},
+        ring="Q",
+    )
+    assert into_first.verify().ok
+    for values in ([3], [Fraction(3, 2)]):
+        got = into_first.map_marking(values)
+        want = dense_map_marking(into_first, values)
+        assert got == want
+        assert [type(x) for x in got] == [type(x) for x in want]
+    assert [type(x) for x in into_first.map_marking([3])] == [Fraction, int]
+
+
+@settings(max_examples=20, deadline=None)
+@given(factor_nets, factor_nets, st.integers(0, 1000), st.sampled_from([1, 2]))
+def test_correspondence_equals_the_two_trace_reference(first, second, seed, depth):
+    rng = random.Random(seed)
+    res = kronecker(first, second)
+    m1, m2 = start_marking(first, rng), start_marking(second, rng)
+    # a product net with one output weight raised reaches unsaturated
+    # markings, so the failing branches are compared as well
+    for result in (res, ProductResult(bumped(res.net, rng), res.left, res.right, res.pairs)):
+        for max_states in (10_000, 12):
+            got = check_reachability_correspondence(
+                result, m1, m2, depth=depth, max_states=max_states
+            )
+            want = reference_correspondence(result, m1, m2, depth=depth, max_states=max_states)
+            assert got == want
+
+
+def bumped(net, rng):
+    """A copy of ``net`` with one output weight raised by one."""
+    w_minus = dict(net.arcs("minus"))
+    w_plus = dict(net.arcs("plus"))
+    if not w_plus:
+        return net
+    key = rng.choice(sorted(w_plus))
+    w_plus[key] += 1
+    return ColouredNet(
+        net.space, net.bindings, net.tokens, w_minus, w_plus,
+        strict=net.strict, ring=net.ring, name=f"{net.name}+",
+    )
+
+
+def fibre_flows(f, a, rng):
+    """A few fibre flow vectors over ``a``: the basis and random combinations."""
+    basis = [list(v) for v in f.flow_maps[a][0]]
+    combos = []
+    for _ in range(3):
+        coeffs = [rng.randint(-2, 2) for _ in basis]
+        combos.append([sum(c * v[i] for c, v in zip(coeffs, basis)) for i in range(len(basis[0]))])
+    return basis + combos if basis else []
+
+
+@settings(max_examples=20, deadline=None)
+@given(factor_nets, factor_nets, st.integers(0, 1000))
+def test_flow_image_memo_equals_a_fresh_morphism(first, second, seed):
+    rng = random.Random(seed)
+    res = kronecker(first, second)
+    cases = []
+    for side, f in (("left", res.left), ("right", res.right)):
+        for a in f.image_transitions():
+            cases += [(side, a, v) for v in fibre_flows(f, a, rng)]
+    rng.shuffle(cases)
+    # left and right share their source net; their calls interleave over
+    # every image transition, then answers are asked of a fresh product
+    got = [getattr(res, side).flow_image(a, v) for side, a, v in cases]
+    again = [getattr(res, side).flow_image(a, v) for side, a, v in cases]
+    assert got == again
+    for (side, a, v), image in list(zip(cases, got))[:8]:
+        assert getattr(kronecker(first, second), side).flow_image(a, v) == image
+    for side, a, v in cases[:3]:
+        with pytest.raises(MorphismError, match="wrong length"):
+            getattr(res, side).flow_image(a, v + [0])
