@@ -6,6 +6,16 @@ plain firing uses a unit multiset.  Sequences of single-binding events can
 be pushed through a verified morphism once they are saturated: every
 maximal run of events sitting over one image transition must have a Parikh
 vector that is a flow of the corresponding fibre.
+
+Single-binding firing runs on one compiled table per exploration:
+``_single_events`` turns each binding's sparse effect (``net.effect``)
+into ``((t, b), pre, delta)`` once, and ``_successors`` checks the ``pre``
+weights and adds the nonzero ``delta`` entries of each event.
+``reachable``, ``enabled_events``, ``activated_sequences`` and the unit
+firing of transported events (``_fire_units``) all read that table; only
+multiset events (``fire``, ``fire_step``, ``is_enabled``) sum the effects
+in ``_step``.  The table is built per call, so the net holds no state for
+it.
 """
 
 from __future__ import annotations
@@ -114,18 +124,34 @@ def _step(net, marking, events):
 
 
 def _single_events(net):
-    """Every single-binding event in declaration order: its ``(t, b)`` label
-    and its ``_step`` argument."""
-    return [((t, b), [(t, event_vector(net, t, b))]) for t, b in net.binding_axis()]
+    """Every single-binding event in declaration order, compiled to
+    ``((t, b), pre, delta)``: ``pre`` is the binding's sparse consume side
+    as it stands in ``net.effect``, ``delta`` the nonzero (position, change)
+    pairs of post minus pre."""
+    table = []
+    for t, b in net.binding_axis():
+        pre, post = net.effect(t, b)
+        change = {}
+        for i, w in pre:
+            change[i] = change.get(i, 0) - w
+        for i, w in post:
+            change[i] = change.get(i, 0) + w
+        table.append(((t, b), pre, tuple((i, d) for i, d in change.items() if d)))
+    return table
 
 
-def _successors(net, marking, events):
-    """The label of each of ``events`` enabled at ``marking``, with the
-    marking it leads to."""
-    for label, step in events:
-        after = _step(net, marking, step)
-        if after is not None:
-            yield label, after
+def _successors(marking, events):
+    """The label of each compiled single event (``_single_events``) enabled
+    at ``marking``, with the marking it leads to."""
+    for label, pre, delta in events:
+        for i, w in pre:
+            if marking[i] < w:
+                break
+        else:
+            out = list(marking)
+            for i, d in delta:
+                out[i] += d
+            yield label, tuple(out)
 
 
 def is_enabled(net, marking, t, data):
@@ -164,7 +190,7 @@ def fire_sequence(net, marking, events):
 def enabled_events(net, marking):
     """All enabled single-binding events, in declaration order."""
     marking = _checked_marking(net, marking)
-    return [label for label, _ in _successors(net, marking, _single_events(net))]
+    return [label for label, _ in _successors(marking, _single_events(net))]
 
 
 def activated_sequences(net, marking, max_length):
@@ -180,7 +206,7 @@ def activated_sequences(net, marking, max_length):
         yield events
         if len(events) == max_length:
             continue
-        for label, after in _successors(net, current, single):
+        for label, after in _successors(current, single):
             queue.append((events + (label,), after))
 
 
@@ -195,6 +221,7 @@ class ReachResult:
     edges: list = field(default_factory=list)  # (marking, (t, b), marking)
     truncated: bool = False
     depth_reached: int = 0
+    budget_exhausted: bool = False
 
     def __len__(self):
         return len(self.markings)
@@ -205,31 +232,33 @@ def reachable(net, marking, depth=None, max_states=10_000, record_edges=False):
 
     Exploration stops at the depth bound and at ``max_states`` distinct
     markings; ``truncated`` is set when either limit leaves a marking
-    unseen: the budget refused a new marking, or an event enabled at the
-    depth bound leads to a marking not found within it.
+    unseen: the budget refused a new marking (``budget_exhausted`` is set
+    too), or an event enabled at the depth bound leads to a marking not
+    found within it.
     """
     start = _checked_marking(net, marking)
     single = _single_events(net)
     seen = {start}
     result = ReachResult(initial=start, markings=seen)
+    edges = result.edges if record_edges else None
     queue = deque([(start, 0)])
     while queue:
         current, d = queue.popleft()
-        result.depth_reached = max(result.depth_reached, d)
+        result.depth_reached = d  # breadth first: d never decreases
         if depth is not None and d >= depth:
             # the cut hides something only if a successor here is unseen
             if not result.truncated and any(
-                nxt not in seen for _, nxt in _successors(net, current, single)
+                nxt not in seen for _, nxt in _successors(current, single)
             ):
                 result.truncated = True
             continue
-        for label, nxt in _successors(net, current, single):
-            if record_edges:
-                result.edges.append((current, label, nxt))
+        for label, nxt in _successors(current, single):
+            if edges is not None:
+                edges.append((current, label, nxt))
             if nxt in seen:
                 continue
             if len(seen) >= max_states:
-                result.truncated = True
+                result.truncated = result.budget_exhausted = True
                 continue
             seen.add(nxt)
             queue.append((nxt, d + 1))
@@ -303,19 +332,24 @@ def map_sequence(morphism, events):
     return out
 
 
-def _fire_units(net, marking, a, vec):
+def _unit_events(net):
+    """The compiled single events of ``net`` (``_single_events``) by label."""
+    return {event[0]: event for event in _single_events(net)}
+
+
+def _fire_units(net, units, marking, a, vec):
     """Fire a binding multiset one unit at a time, declaration order.
 
     Image events of transported runs collapse a sequential run into one
     multiset; enabledness of the image is judged unit by unit, matching the
-    sequential firing on the source side.  Returns the final marking or
-    None when some unit is disabled.
+    sequential firing on the source side.  ``units`` is ``_unit_events(net)``.
+    Returns the final marking or None when some unit is disabled.
     """
     current = tuple(marking)
     for mult, b in zip(vec, net.bindings[a]):
-        unit = tuple(1 if x == b else 0 for x in net.bindings[a])
+        unit = [units[a, b]]
         for _ in range(mult):
-            current = _step(net, current, [(a, unit)])
+            current = next((after for _, after in _successors(current, unit)), None)
             if current is None:
                 return None
     return current
@@ -350,10 +384,11 @@ def check_behaviour_mapping(morphism, marking, events):
     start = marking_vector(src, marking)
     post, _ = fire_sequence(src, start, events)
     image_events = map_sequence(morphism, events)
-    target_start = tuple(morphism.map_marking(list(start)))
-    current = target_start
+    target = morphism.target
+    units = _unit_events(target)
+    current = tuple(morphism.map_marking(list(start)))
     for a, vec in image_events:
-        stepped = _fire_units(morphism.target, current, a, vec)
+        stepped = _fire_units(target, units, current, a, vec)
         if stepped is None:
             return MappingReport(
                 "failed",
@@ -482,13 +517,14 @@ def check_modification_invariance(morphism, marking, depth=6, max_states=5_000):
                     len(reach_y),
                 )
             event_image[(t, b)] = (a, tuple(int(x) for x in image))
+    units = _unit_events(tgt)
     for m, (t, b), m2 in reach_x.edges:
         if (t, b) not in event_image:
             return InvarianceReport(
                 "failed", f"event {t}.{b} sits over a place", len(reach_x), len(reach_y)
             )
         a, vec = event_image[(t, b)]
-        stepped = _fire_units(tgt, image_of[m], a, vec)
+        stepped = _fire_units(tgt, units, image_of[m], a, vec)
         if stepped is None:
             return InvarianceReport(
                 "failed",

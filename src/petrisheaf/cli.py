@@ -71,9 +71,11 @@ class CliError(Exception):
 
 
 class Report:
-    """Human lines plus a JSON payload; main prints one of the two."""
+    """Human lines plus a JSON payload; main prints the payload when
+    ``json`` is set and the lines otherwise."""
 
-    def __init__(self, command):
+    def __init__(self, command, json=False):
+        self.json = json
         self.lines = []
         self.payload = {"command": command}
 
@@ -97,6 +99,8 @@ def _yes(value):
 
 
 def _json_value(v):
+    if type(v) is int:
+        return v
     f = Fraction(v)
     return int(f) if f.denominator == 1 else str(f)
 
@@ -628,21 +632,23 @@ def cmd_reach(args, out):
     count = len(result.markings)
     out.say(f"{count} marking" + ("" if count == 1 else "s"))
     out.say(f"depth reached: {result.depth_reached}")
-    budget_exhausted = result.truncated and count >= args.max_states
-    if budget_exhausted:
+    if result.budget_exhausted:
         out.say("note: state budget exhausted, exploration incomplete")
     elif result.truncated:
         out.say("note: cut at the depth bound")
     markings = sorted(result.markings)
-    for m in markings:
-        out.say(f"  {_fmt_marking(net, m)}")
     out.put("net", net.name)
     out.put("count", count)
     out.put("depth_reached", result.depth_reached)
     out.put("truncated", result.truncated)
-    out.put("budget_exhausted", budget_exhausted)
-    out.put("markings", [_marking_payload(net, m) for m in markings])
-    return INCONCLUSIVE if budget_exhausted else OK
+    out.put("budget_exhausted", result.budget_exhausted)
+    # each marking is rendered once, in the format that is printed
+    if out.json:
+        out.put("markings", [_marking_payload(net, m) for m in markings])
+    else:
+        for m in markings:
+            out.say(f"  {_fmt_marking(net, m)}")
+    return INCONCLUSIVE if result.budget_exhausted else OK
 
 
 def cmd_map_behaviour(args, out):
@@ -881,7 +887,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return OK if exc.code in (0, None) else USAGE
-    out = Report(args.command)
+    out = Report(args.command, args.json)
     try:
         code = args.handler(args, out)
     except CliError as exc:

@@ -114,6 +114,8 @@ def _scalar(text, lineno, raw):
 
 
 def _format_scalar(value):
+    if type(value) is int:
+        return str(value)
     value = Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)

@@ -175,29 +175,42 @@ def _projection(prod, pairs, first, second, side):
 # markings on a product
 
 
-def product_marking(result, first_marking, second_marking):
-    """The marking whose side-1 slice copies the first component and
-    side-2 slice the second, at every pairing of the other coordinate."""
+def _slices(result):
+    """For each product token, the side it copies and its position on that
+    factor's token axis."""
     first, second = result.factors
-    v1 = marking_vector(first, first_marking)
-    v2 = marking_vector(second, second_marking)
     i1 = {lab: i for i, lab in enumerate(first.token_axis())}
     i2 = {lab: i for i, lab in enumerate(second.token_axis())}
     out = []
     for node, tagged in result.net.token_axis():
         p, q = result.pairs[node]
         side, label = _side_of(tagged)
-        out.append(v1[i1[(p, label)]] if side == 1 else v2[i2[(q, label)]])
-    return tuple(out)
+        out.append((True, i1[(p, label)]) if side == 1 else (False, i2[(q, label)]))
+    return out
+
+
+def _pairing(slices, v1, v2):
+    """``product_marking`` of two checked factor markings, over ``_slices``."""
+    return tuple(v1[i] if first else v2[i] for first, i in slices)
+
+
+def _traces(result, m):
+    """``trace_markings`` of a checked product marking."""
+    return tuple(result.left.map_marking(m)), tuple(result.right.map_marking(m))
+
+
+def product_marking(result, first_marking, second_marking):
+    """The marking whose side-1 slice copies the first component and
+    side-2 slice the second, at every pairing of the other coordinate."""
+    first, second = result.factors
+    v1 = marking_vector(first, first_marking)
+    v2 = marking_vector(second, second_marking)
+    return _pairing(_slices(result), v1, v2)
 
 
 def trace_markings(result, marking):
     """Component markings recovered through the two projections."""
-    m = marking_vector(result.net, marking)
-    return (
-        tuple(result.left.map_marking(list(m))),
-        tuple(result.right.map_marking(list(m))),
-    )
+    return _traces(result, marking_vector(result.net, marking))
 
 
 def is_saturated_marking(result, marking):
@@ -220,11 +233,6 @@ class ReachCorrespondence:
         return self.status == "ok"
 
 
-def _budget_cut(run, max_states):
-    # a depth cut also sets ``truncated``; only the state budget is fatal
-    return run.truncated and len(run.markings) >= max_states
-
-
 def check_reachability_correspondence(
     result, first_marking, second_marking, depth=5, max_states=10_000
 ):
@@ -243,14 +251,14 @@ def check_reachability_correspondence(
     r1 = reachable(first, first_marking, depth=depth, max_states=max_states)
     r2 = reachable(second, second_marking, depth=depth, max_states=max_states)
     n1, n2 = len(r1.markings), len(r2.markings)
-    if _budget_cut(r1, max_states) or _budget_cut(r2, max_states):
+    if r1.budget_exhausted or r2.budget_exhausted:
         return ReachCorrespondence(
             "inconclusive", "component exploration hit the state budget", n1, n2, 0
         )
     start = product_marking(result, first_marking, second_marking)
     wide = None if depth is None else 2 * depth
     rp = reachable(result.net, start, depth=wide, max_states=max_states)
-    if _budget_cut(rp, max_states):
+    if rp.budget_exhausted:
         return ReachCorrespondence(
             "inconclusive",
             "product exploration hit the state budget",
@@ -258,7 +266,9 @@ def check_reachability_correspondence(
             n2,
             len(rp.markings),
         )
-    pairings = {product_marking(result, a, b) for a in r1.markings for b in r2.markings}
+    # every marking below is a checked tuple: pair and trace them directly
+    slices = _slices(result)
+    pairings = {_pairing(slices, a, b) for a in r1.markings for b in r2.markings}
     if len(pairings) != n1 * n2:
         return ReachCorrespondence(
             "failed", "distinct component pairs collapse in the product", n1, n2, len(pairings)
@@ -284,8 +294,8 @@ def check_reachability_correspondence(
     matched = 0
     for m in rp.markings:
         # one trace serves the saturation test and the component lookup
-        t1, t2 = trace_markings(result, m)
-        if product_marking(result, t1, t2) != m:
+        t1, t2 = _traces(result, m)
+        if _pairing(slices, t1, t2) != m:
             return ReachCorrespondence(
                 "failed", "unsaturated marking reached in the product", n1, n2, matched
             )
@@ -294,7 +304,7 @@ def check_reachability_correspondence(
                 "failed", "non-integral marking reached in the product", n1, n2, matched
             )
         if t1 not in w1.markings or t2 not in w2.markings:
-            if _budget_cut(w1, max_states) or _budget_cut(w2, max_states):
+            if w1.budget_exhausted or w2.budget_exhausted:
                 return ReachCorrespondence(
                     "inconclusive",
                     "component exploration hit the state budget",

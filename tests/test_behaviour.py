@@ -1,5 +1,7 @@
 """Firing, reachability, saturation, and behaviour transport."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -153,6 +155,25 @@ def test_reachable_state_bound():
     result = reachable(net, P1P2, max_states=1)
     assert result.markings == {P1P2}
     assert result.truncated
+    assert result.budget_exhausted
+
+
+def test_budget_flag_needs_a_refused_marking():
+    # 2 markings fill a budget of 2 at depth 1; the one unseen marking lies
+    # past the depth cut, so the budget refused nothing
+    below = reachable(two_place_ring(), (2, 0), depth=1, max_states=2)
+    assert below.markings == {(2, 0), (1, 1)}
+    assert below.truncated
+    assert not below.budget_exhausted
+    # without the depth cut the budget refuses (0, 2)
+    refused = reachable(two_place_ring(), (2, 0), max_states=2)
+    assert refused.markings == {(2, 0), (1, 1)}
+    assert refused.truncated
+    assert refused.budget_exhausted
+    # a budget that holds every marking refuses nothing
+    whole = reachable(two_place_ring(), (2, 0), max_states=3)
+    assert not whole.truncated
+    assert not whole.budget_exhausted
 
 
 def test_reachable_records_edges():
@@ -326,14 +347,20 @@ def closure_oracle(net, start, depth):
 
 
 @st.composite
-def nets_with_events(draw):
+def firing_nets(draw):
     """A strict net, or a product of two (several bindings and tokens per
-    node), with a marking and a step of one to three binding multisets."""
+    node)."""
     if draw(st.booleans()):
-        net = draw(strict_nets())
-    else:
-        small = strict_nets(max_places=2, max_transitions=2)
-        net = kronecker(draw(small), draw(small)).net
+        return draw(strict_nets())
+    small = strict_nets(max_places=2, max_transitions=2)
+    return kronecker(draw(small), draw(small)).net
+
+
+@st.composite
+def nets_with_events(draw):
+    """A net from ``firing_nets`` with a marking and a step of one to three
+    binding multisets."""
+    net = draw(firing_nets())
     size = len(net.token_axis())
     marking = tuple(draw(st.lists(st.integers(0, 4), min_size=size, max_size=size)))
     events = []
@@ -378,3 +405,56 @@ def test_reachable_matches_the_closure_oracle(net, tokens, depth):
         whole = reachable(net, start)
         assert whole.markings == markings
         assert not whole.truncated
+
+
+def dense_successors(net, marking):
+    """Each enabled single-binding event, labelled, with the marking
+    ``dense_step`` gives."""
+    for label, event in zip(net.binding_axis(), unit_events(net)):
+        after = dense_step(net, marking, [event])
+        if after is not None:
+            yield label, after
+
+
+def dense_sequences(net, marking, length):
+    """Every activated single-binding sequence of at most ``length`` events,
+    by depth-first recursion over ``dense_successors``."""
+    yield ()
+    if length:
+        for label, after in dense_successors(net, marking):
+            for rest in dense_sequences(net, after, length - 1):
+                yield (label, *rest)
+
+
+token_counts = st.integers(0, 3) | st.fractions(0, 3, max_denominator=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(firing_nets(), st.data())
+def test_compiled_single_events_agree_with_the_dense_reference(net, data):
+    size = len(net.token_axis())
+    start = tuple(data.draw(st.lists(token_counts, min_size=size, max_size=size)))
+    depth = data.draw(st.integers(0, 2))
+    # breadth-first layers by the dense reference; markings nearer than
+    # ``depth`` are expanded and give every edge
+    layers, seen = [{start}], {start}
+    for _ in range(depth):
+        layer = {after for m in layers[-1] for _, after in dense_successors(net, m)} - seen
+        seen |= layer
+        layers.append(layer)
+    edges = {
+        (m, label, after)
+        for m in set().union(*layers[:depth])
+        for label, after in dense_successors(net, m)
+    }
+
+    result = reachable(net, start, depth=depth, record_edges=True)
+    assert not result.budget_exhausted
+    assert result.markings == seen
+    assert len(result.edges) == len(edges)
+    assert set(result.edges) == edges
+    for m in seen:
+        assert enabled_events(net, m) == [label for label, _ in dense_successors(net, m)]
+    assert Counter(activated_sequences(net, start, depth)) == Counter(
+        dense_sequences(net, start, depth)
+    )

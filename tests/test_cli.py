@@ -1,14 +1,17 @@
 """Command line surface: spec'd outputs, exit codes, JSON determinism."""
 
 import json
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from petrisheaf import intlinalg as la
-from petrisheaf.cli import main
+from petrisheaf.cli import _json_value, main, random_strict_net
 from petrisheaf.formats import (
+    _format_scalar,
     parse_morphism,
     parse_net,
     serialize_morphism,
@@ -308,6 +311,95 @@ def test_reach_budget_exhaustion_is_inconclusive(workdir, capsys):
     code, out = run(capsys, "reach", workdir / "grow.pnet", "--max-states", "3")
     assert code == 3
     assert "state budget exhausted" in out
+
+
+def test_reach_depth_cut_that_fills_the_budget_is_not_a_budget_cut(tmp_path, capsys):
+    # 2 markings within depth 1 fill a budget of 2; the one unseen marking
+    # lies past the depth cut, the budget refused nothing
+    path = tmp_path / "ring2.pnet"
+    path.write_text(serialize_net(two_place_ring(), marking={("r0", "r0"): 2}))
+    code, out = run(capsys, "reach", path, "--depth", "1", "--max-states", "2")
+    assert code == 0
+    assert "note: cut at the depth bound" in out
+    assert "budget" not in out
+    code, out = run(capsys, "reach", path, "--depth", "1", "--max-states", "2", "--json")
+    payload = json.loads(out)
+    assert code == 0
+    assert (payload["count"], payload["truncated"], payload["budget_exhausted"]) == (
+        2, True, False
+    )
+
+
+def reach_in_both_formats(capsys, *argv):
+    """``reach`` in text and in JSON; both must give one exit code, one
+    count and the same markings in the same order."""
+    code, text = run(capsys, "reach", *argv)
+    json_code, out = run(capsys, "reach", *argv, "--json")
+    assert code == json_code
+    payload = json.loads(out)
+    lines = text.splitlines()
+    count = payload["count"]
+    assert lines[0] == f"{count} marking" + ("" if count == 1 else "s")
+    shown = [
+        {} if line == "  (empty)" else dict(part.split("=") for part in line.split())
+        for line in lines
+        if line.startswith("  ")
+    ]
+    assert shown == [{lab: str(v) for lab, v in m.items()} for m in payload["markings"]]
+    assert len(shown) == count
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda d: (d / "runY.pnet", "--marking", "u.c=2"),
+        lambda d: (d / "unfoldY.pnet",),
+        lambda d: (d / "grow.pnet", "--max-states", "3"),
+        lambda d: (d / "runX.pnet", "--marking", "p1.p1=1,p2.p2=1"),
+        lambda d: (d / "runX.pnet", "--marking", "p1.p1=3/2,p2.p2=2", "--depth", "3"),
+        lambda d: (d / "runX.pnet", "--marking", "p3.p3=0"),
+    ],
+    ids=["runY", "unfoldY", "grow-budget", "runX", "runX-fractions", "runX-empty"],
+)
+def test_reach_text_and_json_agree_on_the_fixtures(workdir, capsys, argv):
+    reach_in_both_formats(capsys, *argv(workdir))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_reach_text_and_json_agree_on_random_nets(tmp_path, capsys, seed):
+    rng = random.Random(seed)
+    net = random_strict_net(rng, max_places=3, max_transitions=3)
+    path = tmp_path / "rand.pnet"
+    path.write_text(serialize_net(net))
+    marking = ",".join(
+        f"{p}.{c}={rng.choice([1, 2, 3, '1/2', '7/3'])}" for p, c in net.token_axis()
+    )
+    reach_in_both_formats(capsys, path, "--marking", marking, "--depth", "4", "--max-states", "60")
+
+
+BIG = 10**199 + 7  # 200 digits
+
+
+@pytest.mark.parametrize(
+    "value, payload, text",
+    [
+        (3, 3, "3"),
+        (0, 0, "0"),
+        (Fraction(4, 2), 2, "2"),
+        (Fraction(-7, 3), "-7/3", "-7/3"),
+        (Fraction(1, 3), "1/3", "1/3"),
+        (BIG, BIG, str(BIG)),
+        (Fraction(BIG, 1), BIG, str(BIG)),
+        (True, 1, "1"),
+    ],
+    ids=["int", "zero", "fraction-1", "negative-fraction", "fraction", "200-digits",
+         "200-digit-fraction", "bool"],
+)
+def test_scalar_renderings(value, payload, text):
+    got = _json_value(value)
+    assert got == payload
+    assert type(got) is type(payload)
+    assert _format_scalar(value) == text
 
 
 def test_map_behaviour_transports_a_saturated_run(workdir, capsys):

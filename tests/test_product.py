@@ -512,20 +512,17 @@ def reference_correspondence(result, first_marking, second_marking, depth=5, max
     ``is_saturated_marking`` and ``trace_markings``."""
     first, second = result.factors
 
-    def cut(run):
-        return run.truncated and len(run.markings) >= max_states
-
     r1 = reachable(first, first_marking, depth=depth, max_states=max_states)
     r2 = reachable(second, second_marking, depth=depth, max_states=max_states)
     n1, n2 = len(r1.markings), len(r2.markings)
-    if cut(r1) or cut(r2):
+    if r1.budget_exhausted or r2.budget_exhausted:
         return ReachCorrespondence(
             "inconclusive", "component exploration hit the state budget", n1, n2, 0
         )
     start = product_marking(result, first_marking, second_marking)
     wide = None if depth is None else 2 * depth
     rp = reachable(result.net, start, depth=wide, max_states=max_states)
-    if cut(rp):
+    if rp.budget_exhausted:
         return ReachCorrespondence(
             "inconclusive", "product exploration hit the state budget", n1, n2, len(rp.markings)
         )
@@ -564,7 +561,7 @@ def reference_correspondence(result, first_marking, second_marking, depth=5, max
             )
         t1, t2 = trace_markings(result, m)
         if t1 not in w1.markings or t2 not in w2.markings:
-            if cut(w1) or cut(w2):
+            if w1.budget_exhausted or w2.budget_exhausted:
                 return ReachCorrespondence(
                     "inconclusive", "component exploration hit the state budget", n1, n2, matched
                 )
