@@ -13,6 +13,7 @@ from petrisheaf.morphism import (
     identity_morphism,
 )
 from petrisheaf.net import ColouredNet, place_transition_net
+from petrisheaf.product import diagonal
 
 from fixtures import (
     fold_morphism,
@@ -178,6 +179,144 @@ def test_fault_negative_flow_image_fails_signedness():
     report = g.verify()
     assert report.status == "failed"
     assert report.first_failure.clause == "signedness"
+
+
+# ---------------------------------------------------------------------------
+# clause details: the exact text, with the int/Fraction types of the vectors
+
+
+FOLD_FLOWS = {"a": [((1, 0, 1, 0), (1, 0)), ((1, 1, 0, 1), (0, 1))]}
+FOLD_MARKS = {"u": {("p3", "p3"): (1,), ("p4", "p4"): (1,)}}
+PASSED = [
+    (clause, "ok", "")
+    for clause in ("continuity", "flow-basis", "flow-map-extends", "mark-map-defined")
+]
+BEFORE_INCIDENCE = PASSED + [("class-transport", "ok", ""), ("signedness", "ok", "")]
+
+FAULTS = {
+    "fold-badw": (bad_weight_target, FOLD_FLOWS, FOLD_MARKS),
+    "fold-badm": (y_net, FOLD_FLOWS, {"u": {("p3", "p3"): (1,), ("p4", "p4"): (0,)}}),
+    "fold-neg": (
+        y_net,
+        {"a": [((1, 0, 1, 0), (2, -1)), ((1, 1, 0, 1), (0, 1))]},
+        FOLD_MARKS,
+    ),
+}
+
+FAULT_DETAILS = {
+    ("fold-badw", None): BEFORE_INCIDENCE
+    + [
+        (
+            "incidence-compat",
+            "failed",
+            "w- mismatch over ('a', 'u'): fibre side [2] vs image side [3]",
+        )
+    ],
+    ("fold-badw", "Q"): BEFORE_INCIDENCE
+    + [
+        (
+            "incidence-compat",
+            "failed",
+            "w- mismatch over ('a', 'u'): fibre side [Fraction(2, 1)] vs image side "
+            "[Fraction(3, 1)]",
+        )
+    ],
+    ("fold-badm", None): PASSED[:3]
+    + [
+        (
+            "mark-map-defined",
+            "failed",
+            "binding t5.t5 has nonzero image [-1] in the tokens of 'u'",
+        )
+    ],
+    ("fold-badm", "Q"): PASSED[:3]
+    + [
+        (
+            "mark-map-defined",
+            "failed",
+            "binding t5.t5 has nonzero image [Fraction(-1, 1)] in the tokens of 'u'",
+        )
+    ],
+    ("fold-neg", None): PASSED
+    + [
+        ("class-transport", "ok", ""),
+        ("signedness", "failed", "non-negative fibre flow [1, 0, 1, 0] maps to [2, -1]"),
+    ],
+    ("fold-neg", "Q"): PASSED
+    + [
+        ("class-transport", "ok", ""),
+        (
+            "signedness",
+            "failed",
+            "non-negative fibre flow [1, 0, 1, 0] maps to "
+            "[Fraction(2, 1), Fraction(-1, 1)]",
+        ),
+    ],
+}
+
+
+def clause_details(morphism):
+    return [(c.clause, c.status, c.detail) for c in morphism.verify().clauses]
+
+
+@pytest.mark.parametrize("name, ring", list(FAULT_DETAILS), ids=lambda v: str(v))
+def test_fault_clause_details(name, ring):
+    target, flows, marks = FAULTS[name]
+    g = NetMorphism(
+        x_net(),
+        target(),
+        dict(fold_morphism().space_map.mapping),
+        flow_maps=flows,
+        mark_maps=marks,
+        ring=ring,
+        name=name,
+    )
+    assert clause_details(g) == FAULT_DETAILS[(name, ring)]
+
+
+def test_diagonal_embedding_class_transport_detail():
+    one, zero, minus = "Fraction(1, 1)", "Fraction(0, 1)", "Fraction(-1, 1)"
+    image = [one, one] + [zero] * 8 + [one, one] + [zero] * 8 + [minus, minus]
+    image += [zero] * 8 + [minus, minus]
+    assert len(image) == 32
+    assert clause_details(diagonal(x_net()).embedding) == PASSED + [
+        (
+            "class-transport",
+            "failed",
+            "transport over '(t1,t1)' is inconsistent: a vanishing combination maps "
+            f"to [{', '.join(image)}], outside the relations",
+        )
+    ]
+
+
+def test_incidence_detail_keeps_an_unweighted_zero_on_the_image_side():
+    # the second token of u carries no weight: over Q the fibre side sums a
+    # Fraction zero there, the image side skips the zero weight and keeps 0
+    target = ColouredNet(
+        y_space(),
+        bindings={"a": ("b1", "b2")},
+        tokens={"u": ("c", "d")},
+        w_minus={("a", "b1", "u", "c"): 2, ("a", "b2", "u", "c"): 3},
+        w_plus={("a", "b1", "u", "c"): 2, ("a", "b2", "u", "c"): 3},
+        name="runY-two",
+    )
+    g = NetMorphism(
+        x_net(),
+        target,
+        dict(fold_morphism().space_map.mapping),
+        flow_maps=FOLD_FLOWS,
+        mark_maps={"u": {("p3", "p3"): (1, 0), ("p4", "p4"): (1, 0)}},
+        ring="Q",
+        name="fold-two",
+    )
+    assert clause_details(g) == BEFORE_INCIDENCE + [
+        (
+            "incidence-compat",
+            "failed",
+            "w- mismatch over ('a', 'u'): fibre side [Fraction(2, 1), Fraction(0, 1)] "
+            "vs image side [Fraction(3, 1), 0]",
+        )
+    ]
 
 
 def test_constructor_rejects_wrong_data_shape():
