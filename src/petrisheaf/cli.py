@@ -396,9 +396,7 @@ def cmd_classes(args, out):
     out.say(f"rank {module.rank}")
     out.say("invariant factors: " + (" ".join(map(str, factors)) if factors else "none"))
     classes = {}
-    for i, lab in enumerate(labels):
-        unit = [0] * len(labels)
-        unit[i] = 1
+    for lab, unit in zip(labels, la.identity(len(labels))):
         rep = module.class_of(unit)
         classes[lab] = _vector_payload(rep)
         out.say(f"  [{lab}] = {_format_combination(labels, rep)}")

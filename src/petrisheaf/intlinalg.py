@@ -48,16 +48,35 @@ class ResourceLimitExceeded(Exception):
 
 
 def identity(n):
+    """The n x n identity; its rows are the unit vectors of length n."""
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def shape(m, cols=None):
-    rows = len(m)
+    """``(rows, cols)``; a matrix with no rows and no ``cols`` is 0 x 0."""
     if cols is None:
-        if rows == 0:
-            raise ValueError("cannot infer column count of an empty matrix")
-        cols = len(m[0])
-    return rows, cols
+        cols = len(m[0]) if m else 0
+    return len(m), cols
+
+
+def transpose(m, cols):
+    """The transpose of ``m``, a matrix with ``cols`` columns: the columns of
+    a matrix whose rows are given, or the matrix whose columns are given."""
+    return [[row[j] for row in m] for j in range(cols)]
+
+
+def combine(coeffs, vectors, dim):
+    """``sum(c * v)`` over the nonzero ``coeffs``, as a list of length ``dim``.
+
+    Entries start as int zeros, so an entry is a Fraction exactly when a
+    Fraction product was added to it.
+    """
+    out = [0] * dim
+    for c, v in zip(coeffs, vectors):
+        if c:
+            for i, x in enumerate(v):
+                out[i] += c * x
+    return out
 
 
 def matmul(a, b):
@@ -129,7 +148,7 @@ def hnf(m, cols=None):
     ``[0, pivot)``, and zero columns come last.  This form is unique for the
     column lattice, so it doubles as a canonical lattice basis.
     """
-    rows, cols = shape(m, cols) if (m or cols is not None) else (0, 0)
+    rows, cols = shape(m, cols)
     h = [list(row) for row in m]
     u = identity(cols)
     c = 0
@@ -178,14 +197,14 @@ def _hnf_solver(m, cols=None):
     it.  Any solution returned is exact, and None is a proof that ``v`` is
     outside the column lattice.
     """
-    rows, cols = shape(m, cols) if (m or cols is not None) else (0, 0)
+    rows, cols = shape(m, cols)
     h, u = hnf(m, cols)
     steps = []  # (pivot row, column of h), in column order
-    for j in range(cols):
-        p = next((i for i in range(rows) if h[i][j]), None)
+    for col in transpose(h, cols):
+        p = next((i for i, x in enumerate(col) if x), None)
         if p is None:
             break
-        steps.append((p, [h[i][j] for i in range(rows)]))
+        steps.append((p, col))
     pad = [0] * (cols - len(steps))
 
     def solve(v):
@@ -204,7 +223,7 @@ def _hnf_solver(m, cols=None):
         if not is_zero_vector(rem):
             return None
         y += pad
-        return [sum(a * b for a, b in zip(row, y)) for row in u]
+        return matvec(u, y)
 
     return solve
 
@@ -270,12 +289,10 @@ class Lattice(_Module):
             self.basis = ()
             self.pivots = ()
             return
-        cols = [[v[i] for v in vectors] for i in range(ambient_dim)]
-        h, _ = hnf(cols, cols=len(vectors))
+        h, _ = hnf(transpose(vectors, ambient_dim), cols=len(vectors))
         basis = []
         pivots = []
-        for j in range(len(vectors)):
-            col = [h[i][j] for i in range(ambient_dim)]
+        for col in transpose(h, len(vectors)):
             p = next((i for i in range(ambient_dim) if col[i]), None)
             if p is None:
                 break
@@ -330,15 +347,13 @@ class Lattice(_Module):
 
 def kernel_lattice(m, cols=None):
     """``{x in Z^cols : m @ x = 0}`` as a canonical Lattice."""
-    rows, cols = shape(m, cols) if (m or cols is not None) else (0, 0)
+    rows, cols = shape(m, cols)
     if rows == 0:
         return Lattice(cols, identity(cols))
     h, u = hnf(m, cols)
-    gens = []
-    for j in range(cols):
-        if all(h[i][j] == 0 for i in range(rows)):
-            gens.append([u[i][j] for i in range(cols)])
-    return Lattice(cols, gens)
+    return Lattice(
+        cols, [uc for hc, uc in zip(transpose(h, cols), transpose(u, cols)) if not any(hc)]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +367,7 @@ def snf(m, cols=None):
     unimodular, ``s`` diagonal with non-negative entries and each diagonal
     entry dividing the next.
     """
-    rows, cols = shape(m, cols) if (m or cols is not None) else (0, 0)
+    rows, cols = shape(m, cols)
     s = [list(row) for row in m]
     u = identity(rows)
     v = identity(cols)
@@ -461,8 +476,9 @@ class QuotientModule:
             raise ValueError("relations live in the wrong space")
         self.ambient_dim = ambient_dim
         if isinstance(self.relations, Lattice) and self.relations.rank:
-            cols = [[b[i] for b in self.relations.basis] for i in range(ambient_dim)]
-            s, _, _ = snf(cols, cols=self.relations.rank)
+            s, _, _ = snf(
+                transpose(self.relations.basis, ambient_dim), cols=self.relations.rank
+            )
             diag = [s[i][i] for i in range(min(ambient_dim, self.relations.rank))]
             self.invariant_factors = tuple(d for d in diag if d)
         else:
@@ -507,8 +523,8 @@ def hilbert_basis(m, cols=None, guard=10_000):
     it raises ResourceLimitExceeded (the enumeration is complete only if it
     finishes).  Returns generators sorted lexicographically.
     """
-    rows, cols = shape(m, cols) if (m or cols is not None) else (0, 0)
-    columns = [[m[i][j] for i in range(rows)] for j in range(cols)]
+    _, cols = shape(m, cols)
+    columns = transpose(m, cols)
     basis = []
 
     def dominated(x):
@@ -516,10 +532,9 @@ def hilbert_basis(m, cols=None, guard=10_000):
 
     frontier = []
     seen = set()
-    for j in range(cols):
-        x = tuple(1 if i == j else 0 for i in range(cols))
-        val = tuple(columns[j])
-        frontier.append((x, val))
+    for unit, column in zip(identity(cols), columns):
+        x = tuple(unit)
+        frontier.append((x, tuple(column)))
         seen.add(x)
     steps = 0
     while frontier:
@@ -615,7 +630,7 @@ def rref(m, cols=None):
     The integer echelon with each pivot row divided by its pivot; entries
     are Fractions.
     """
-    rows, cols = shape(m, cols) if (m or cols is not None) else (0, 0)
+    rows, cols = shape(m, cols)
     e, pivots = _echelon(m, cols)
     r = [[Fraction(x, row[p]) if x else _ZERO for x in row] for row, p in zip(e, pivots)]
     r += [[Fraction(x) if x else _ZERO for x in row] for row in e[len(pivots) :]]
@@ -624,7 +639,7 @@ def rref(m, cols=None):
 
 def rat_kernel_basis(m, cols=None):
     """Basis of the rational nullspace, one vector per free column."""
-    rows, cols = shape(m, cols) if (m or cols is not None) else (0, 0)
+    rows, cols = shape(m, cols)
     if rows == 0:
         return [[Fraction(int(i == j)) for i in range(cols)] for j in range(cols)]
     r, pivots = rref(m, cols)
@@ -648,8 +663,8 @@ def _echelon_solver(m, cols=None):
     it, and each pivot unknown is its row's combination of ``v`` over the
     pivot.  Free unknowns are 0, so the solution is the one rref gives.
     """
-    rows, cols = shape(m, cols) if (m or cols is not None) else (0, 0)
-    aug = [list(m[i][:cols]) + [int(i == k) for k in range(rows)] for i in range(rows)]
+    rows, cols = shape(m, cols)
+    aug = [list(row[:cols]) + unit for row, unit in zip(m, identity(rows))]
     e, pivots = _echelon(aug, cols)
 
     def combination(row):
@@ -776,16 +791,18 @@ class Ring:
         kernel of the block matrix ``[m | -B]`` (B a basis of ``target``)
         and projecting away the auxiliary coordinates.
         """
-        rows, cols = shape(m, cols) if (m or cols is not None) else (0, 0)
+        rows, cols = shape(m, cols)
         if target.ambient_dim != rows:
             raise ValueError("target module lives in the wrong space")
         k = target.rank
-        block = [list(m[i]) + [-target.basis[j][i] for j in range(k)] for i in range(rows)]
+        block = [
+            list(row) + [-x for x in col] for row, col in zip(m, transpose(target.basis, rows))
+        ]
         return self.module(cols, [list(v)[:cols] for v in self.kernel_basis(block, cols + k)])
 
 
 def _kernel_subspace(m, cols=None):
-    rows, cols = shape(m, cols) if (m or cols is not None) else (0, 0)
+    _, cols = shape(m, cols)
     return Subspace(cols, rat_kernel_basis(m, cols))
 
 
@@ -837,7 +854,7 @@ def nonneg_representative_status(vectors, target, bound=6):
         return "yes"
     k = len(vectors)
     dim = len(tgt)
-    ineqs = [([vectors[j][i] for j in range(k)], tgt[i]) for i in range(dim)]
+    ineqs = list(zip(transpose(vectors, dim), tgt))
     if not _fourier_motzkin_feasible(ineqs, k):
         return "no"
     if k == 0:

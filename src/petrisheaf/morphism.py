@@ -12,12 +12,19 @@ Everything else (flow maps over place closures, class maps over transition
 neighbourhoods, marking transport) is induced, and ``verify`` checks the
 induction is possible, in a fixed clause order, stopping at the first hard
 failure.  Clause identifiers are stable strings used by reports and the CLI.
+
+The linear data goes through ``intlinalg``'s dense vocabulary: unit vectors
+are rows of ``identity``, matrices of given columns come from ``transpose``,
+and images are ``combine``-d from basis images.  ``combine`` sums from int
+zeros, so a vector in a report is a list of ints over Z and of Fractions
+wherever a rational coefficient entered.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from fractions import Fraction
 
 from . import intlinalg as la
@@ -133,11 +140,6 @@ def _as_vector(data, axis, ring, what):
     return tuple(_coeff(ring, x) for x in data)
 
 
-def _columns(vectors, dim):
-    """Matrix whose columns are the given vectors of length dim."""
-    return [[v[i] for v in vectors] for i in range(dim)]
-
-
 class NetMorphism:
     """Node map plus canonical-basis flow and mark data between two nets."""
 
@@ -156,13 +158,15 @@ class NetMorphism:
             self.space_map = SpaceMap(source.space, target.space, node_map)
 
         image = set(self.space_map.mapping.values())
-        image_transitions = [a for a in target.space.transitions if a in image]
-        image_places = [u for u in target.space.places if u in image]
+        self._image_transitions = image_transitions = tuple(
+            a for a in target.space.transitions if a in image
+        )
+        self._image_places = image_places = tuple(u for u in target.space.places if u in image)
 
         flow_maps = dict(flow_maps)
         if set(flow_maps) != set(image_transitions):
             raise MorphismError(
-                f"flow data must cover exactly the image transitions {image_transitions!r}"
+                f"flow data must cover exactly the image transitions {list(image_transitions)!r}"
             )
         self.flow_maps = {}
         for a in image_transitions:
@@ -179,7 +183,7 @@ class NetMorphism:
         mark_maps = dict(mark_maps)
         if set(mark_maps) != set(image_places):
             raise MorphismError(
-                f"mark data must cover exactly the image places {image_places!r}"
+                f"mark data must cover exactly the image places {list(image_places)!r}"
             )
         self.mark_maps = {}
         for u in image_places:
@@ -209,20 +213,18 @@ class NetMorphism:
 
     def _solver(self, vectors, dim):
         """``solve(v)`` for the matrix whose columns are ``vectors`` (length dim)."""
-        return la.RINGS[self.ring].solver(_columns(vectors, dim), len(vectors))
+        return la.RINGS[self.ring].solver(la.transpose(vectors, dim), len(vectors))
 
     def _kernel(self, vectors, dim):
-        return la.RINGS[self.ring].kernel_basis(_columns(vectors, dim), len(vectors))
+        return la.RINGS[self.ring].kernel_basis(la.transpose(vectors, dim), len(vectors))
 
     # -- induced pieces ----------------------------------------------------
 
     def image_transitions(self):
-        img = set(self.space_map.mapping.values())
-        return tuple(a for a in self.target.space.transitions if a in img)
+        return self._image_transitions
 
     def image_places(self):
-        img = set(self.space_map.mapping.values())
-        return tuple(u for u in self.target.space.places if u in img)
+        return self._image_places
 
     def flow_image(self, a, vector):
         """Image of a fibre flow over ``a`` as a binding vector of ``a``.
@@ -245,12 +247,7 @@ class NetMorphism:
         coords = solve(list(vector))
         if coords is None:
             raise MorphismError(f"vector is not in the span of the flow basis over {a!r}")
-        out = [0] * len(self.target.bindings[a])
-        for c, img in zip(coords, images):
-            if c:
-                for i, x in enumerate(img):
-                    out[i] += c * x
-        return tuple(out)
+        return tuple(la.combine(coords, images, len(self.target.bindings[a])))
 
     def induced_flow_family(self, region):
         """The induced flow map on a closed target region.
@@ -363,15 +360,10 @@ class NetMorphism:
         for u in self.image_places():
             fibre = self.space_map.fibre(u)
             fibre_tokens = src.token_axis(fibre)
-            mm = self.mark_maps[u]
+            images = [self.mark_maps[u][lab] for lab in fibre_tokens]
             tgt_dim = len(tgt.tokens[u])
             for t, b in src.binding_axis(fibre):
-                col = src.binding_effect(t, b, fibre)
-                out = [0] * tgt_dim
-                for val, lab in zip(col, fibre_tokens):
-                    if val:
-                        for i, x in enumerate(mm[lab]):
-                            out[i] += val * x
+                out = la.combine(src.binding_effect(t, b, fibre), images, tgt_dim)
                 if any(out):
                     fail(
                         CLAUSE_MARK_DEFINED,
@@ -426,21 +418,20 @@ class NetMorphism:
             basis, images = self.flow_maps[a]
             for u in self.image_places():
                 u_fibre = self.space_map.fibre(u)
-                u_tokens = src.token_axis(u_fibre)
-                mm = self.mark_maps[u]
+                marks = [self.mark_maps[u][lab] for lab in src.token_axis(u_fibre)]
                 tgt_dim = len(tgt.tokens[u])
                 for kind, sign in (("minus", "-"), ("plus", "+")):
+                    # the fibre bindings that weigh on u's fibre, with their
+                    # weights pushed through the mark data; leaving out the
+                    # others keeps an entry int 0 when no weighted term
+                    # reaches it, as on the image side
                     src_cols = [src.binding_effect(s, b, u_fibre, kind) for s, b in fibre_axis]
+                    touching = [k for k, col in enumerate(src_cols) if any(col)]
+                    pushed = [la.combine(src_cols[k], marks, tgt_dim) for k in touching]
                     tgt_cols = [tgt.binding_effect(a, b, (u,), kind) for b in tgt.bindings[a]]
                     for vec, img in zip(basis, images):
-                        lhs = [0] * tgt_dim
-                        for coeff, col in zip(vec, src_cols):
-                            if not coeff:
-                                continue
-                            for val, lab in zip(col, u_tokens):
-                                if val:
-                                    for i, x in enumerate(mm[lab]):
-                                        lhs[i] += coeff * val * x
+                        lhs = la.combine([vec[k] for k in touching], pushed, tgt_dim)
+                        # zero weights are skipped, so an unweighted entry stays int 0
                         rhs = [0] * tgt_dim
                         for coeff, col in zip(img, tgt_cols):
                             if not coeff:
@@ -475,14 +466,13 @@ class NetMorphism:
         tgt_index = {lab: i for i, lab in enumerate(tgt_axis)}
         tdim = len(tgt_axis)
 
+        units = la.identity(dim)
         p_vectors, p_targets = [], []
         t_labels = []
         for i, (p, c) in enumerate(ambient):
             fp = self.space_map(p)
             if tgt.space.sort_of(fp) is Sort.PLACE:
-                unit = [0] * dim
-                unit[i] = 1
-                p_vectors.append(unit)
+                p_vectors.append(units[i])
                 target = [0] * tdim
                 for val, c2 in zip(self.mark_maps[fp][(p, c)], tgt.tokens[fp]):
                     target[tgt_index[(fp, c2)]] = val
@@ -502,11 +492,7 @@ class NetMorphism:
 
         # well-definedness: vanishing combinations must map into the relations
         for ker_vec in self._kernel(columns, dim) if columns else []:
-            image = [0] * tdim
-            for coeff, tvec in zip(ker_vec, targets):
-                if coeff:
-                    for i, x in enumerate(tvec):
-                        image[i] += coeff * x
+            image = la.combine(ker_vec, targets, tdim)
             if image not in s_module:
                 return (
                     f"transport over {a!r} is inconsistent: a vanishing combination "
@@ -517,20 +503,13 @@ class NetMorphism:
         out = {}
         solve = self._solver(columns, dim) if columns and t_labels else None
         for idx, lab in t_labels:
-            unit = [0] * dim
-            unit[idx] = 1
-            coords = solve(unit) if solve else None
+            coords = solve(units[idx]) if solve else None
             if coords is None:
                 return (
                     f"transport over {a!r} is underdetermined: token {lab} is not "
                     "generated by the place-fibre tokens and the region relations"
                 )
-            image = [0] * tdim
-            for coeff, tvec in zip(coords, targets):
-                if coeff:
-                    for i, x in enumerate(tvec):
-                        image[i] += coeff * x
-            placed = {lab2: val for lab2, val in zip(tgt_axis, image)}
+            placed = dict(zip(tgt_axis, la.combine(coords, targets, tdim)))
             out[lab] = tuple(placed.get(lab2, 0) for lab2 in full_axis)
         return out
 
@@ -570,9 +549,7 @@ class NetMorphism:
             else:
                 col = list(self._rewrites[fp][(p, c)])
             cols.append(col)
-        self._transport = [
-            [cols[j][i] for j in range(len(src_axis))] for i in range(len(tgt_axis))
-        ]
+        self._transport = la.transpose(cols, len(tgt_axis))
         return self._transport
 
     def map_marking(self, values):
@@ -617,47 +594,87 @@ class NetMorphism:
         src, tgt = self.source, self.target
         sm = self.space_map
 
-        def flow_component_full(a):
-            _, images = self.flow_maps[a]
-            dim = len(tgt.bindings[a])
-            return self._module(dim, [list(v) for v in images]).is_full()
+        # each component check runs at most once, and only when asked for;
+        # mark data is listed in fibre token order
+        @cache
+        def flow_full(a):
+            return self._module(len(tgt.bindings[a]), self.flow_maps[a][1]).is_full()
 
-        def mark_component_full(u):
-            dim = len(tgt.tokens[u])
-            return self._module(dim, [list(v) for v in self.mark_maps[u].values()]).is_full()
+        @cache
+        def flow_injective(a):
+            basis, images = self.flow_maps[a]
+            return not (basis and self._kernel(images, len(tgt.bindings[a])))
+
+        @cache
+        def mark_full(u):
+            return self._module(len(tgt.tokens[u]), list(self.mark_maps[u].values())).is_full()
+
+        @cache
+        def relations(u):
+            fibre = sm.fibre(u)
+            rel_cols = [src.binding_effect(t, b, fibre) for t, b in src.binding_axis(fibre)]
+            return self._module(len(src.token_axis(fibre)), rel_cols)
+
+        @cache
+        def mark_injective(u):
+            # injective on classes: the kernel of the mark data lies in the relations
+            kernel = self._kernel(list(self.mark_maps[u].values()), len(tgt.tokens[u]))
+            return all(list(k) in relations(u) for k in kernel)
+
+        def modification_status():
+            """Surjective discrete map whose components are signed isomorphisms."""
+            if not (sm.is_surjective() and sm.is_discrete()):
+                return False
+            inconclusive = False
+            for a in self.image_transitions():
+                if not (flow_full(a) and flow_injective(a)):
+                    return False
+                # inverse signedness: the preimage of each unit binding must
+                # be a non-negative fibre flow
+                basis, images = self.flow_maps[a]
+                dim = len(tgt.bindings[a])
+                fibre_dim = len(src.binding_axis(sm.fibre(a)))
+                solve = self._solver(images, dim)
+                for unit in la.identity(dim):
+                    coords = solve(unit)
+                    if coords is None or any(x < 0 for x in la.combine(coords, basis, fibre_dim)):
+                        return False
+            for u in self.image_places():
+                if not (mark_full(u) and mark_injective(u)):
+                    return False
+                # inverse signedness on classes: each target token needs a
+                # preimage class with a non-negative representative
+                dim = len(tgt.tokens[u])
+                solve = self._solver(list(self.mark_maps[u].values()), dim)
+                rel_basis = [list(b) for b in relations(u).basis]
+                for unit in la.identity(dim):
+                    x = solve(unit)
+                    if x is None:
+                        return False
+                    if self.ring == "Z":
+                        status = la.nonneg_representative_status(
+                            rel_basis, list(x), bound=search_bound
+                        )
+                    else:
+                        status = "yes" if all(v >= 0 for v in x) else "unknown"
+                    if status == "no":
+                        return False
+                    if status == "unknown":
+                        inconclusive = True
+            return "inconclusive" if inconclusive else True
 
         abstraction = (
             sm.is_surjective()
-            and all(flow_component_full(a) for a in self.image_transitions())
-            and all(mark_component_full(u) for u in self.image_places())
+            and all(flow_full(a) for a in self.image_transitions())
+            and all(mark_full(u) for u in self.image_places())
         )
-
-        def flow_component_injective(a):
-            basis, images = self.flow_maps[a]
-            if not basis:
-                return True
-            return not self._kernel([list(v) for v in images], len(tgt.bindings[a]))
-
-        def mark_component_injective(u):
-            fibre = sm.fibre(u)
-            fibre_tokens = src.token_axis(fibre)
-            mm = self.mark_maps[u]
-            cols = [list(mm[lab]) for lab in fibre_tokens]
-            kernel = self._kernel(cols, len(tgt.tokens[u]))
-            rel_cols = [
-                src.binding_effect(t, b, fibre) for t, b in src.binding_axis(fibre)
-            ]
-            rel = self._module(len(fibre_tokens), rel_cols)
-            return all(list(k) in rel for k in kernel)
-
         embedding = (
             sm.is_embedding()
-            and all(flow_component_injective(a) for a in self.image_transitions())
-            and all(mark_component_injective(u) for u in self.image_places())
+            and all(flow_injective(a) for a in self.image_transitions())
+            and all(mark_injective(u) for u in self.image_places())
         )
-
         discrete = sm.is_discrete()
-        modification = self._modification_status(search_bound)
+        modification = modification_status()
         singleton_t = all(len(sm.fibre(a)) == 1 for a in self.image_transitions())
         singleton_p = all(len(sm.fibre(u)) == 1 for u in self.image_places())
 
@@ -676,74 +693,6 @@ class NetMorphism:
             place_modification=refine(singleton_t),
             transition_modification=refine(singleton_p),
         )
-
-    def _modification_status(self, search_bound):
-        """Surjective discrete map whose components are signed isomorphisms."""
-        src, tgt = self.source, self.target
-        sm = self.space_map
-        if not (sm.is_surjective() and sm.is_discrete()):
-            return False
-        inconclusive = False
-        for a in self.image_transitions():
-            basis, images = self.flow_maps[a]
-            dim = len(tgt.bindings[a])
-            image_vecs = [list(v) for v in images]
-            if not self._module(dim, image_vecs).is_full():
-                return False
-            if basis and self._kernel(image_vecs, dim):
-                return False
-            # inverse signedness: the preimage of each unit binding must be
-            # a non-negative fibre flow
-            fibre_axis = src.binding_axis(sm.fibre(a))
-            solve = self._solver(image_vecs, dim)
-            for i in range(dim):
-                unit = [0] * dim
-                unit[i] = 1
-                coords = solve(unit)
-                if coords is None:
-                    return False
-                pre = [0] * len(fibre_axis)
-                for cval, vec in zip(coords, basis):
-                    if cval:
-                        for k, x in enumerate(vec):
-                            pre[k] += cval * x
-                if any(x < 0 for x in pre):
-                    return False
-        for u in self.image_places():
-            fibre = sm.fibre(u)
-            fibre_tokens = src.token_axis(fibre)
-            mm = self.mark_maps[u]
-            dim = len(tgt.tokens[u])
-            cols = [list(mm[lab]) for lab in fibre_tokens]
-            if not self._module(dim, cols).is_full():
-                return False
-            kernel = self._kernel(cols, len(fibre_tokens))
-            rel_cols = [
-                src.binding_effect(t, b, fibre) for t, b in src.binding_axis(fibre)
-            ]
-            rel = self._module(len(fibre_tokens), rel_cols)
-            if not all(list(k) in rel for k in kernel):
-                return False
-            # inverse signedness on classes: each target token needs a
-            # preimage class with a non-negative representative
-            solve = self._solver(cols, dim)
-            for i in range(dim):
-                unit = [0] * dim
-                unit[i] = 1
-                x = solve(unit)
-                if x is None:
-                    return False
-                if self.ring == "Z":
-                    status = la.nonneg_representative_status(
-                        [list(b) for b in rel.basis], list(x), bound=search_bound
-                    )
-                else:
-                    status = "yes" if all(v >= 0 for v in x) else "unknown"
-                if status == "no":
-                    return False
-                if status == "unknown":
-                    inconclusive = True
-        return "inconclusive" if inconclusive else True
 
     # -- composition ---------------------------------------------------------
 
@@ -780,7 +729,6 @@ class NetMorphism:
         t1 = self.marking_transport()
         t2 = other.marking_transport()
         src_axis = self.source.token_axis()
-        mid_axis = self.target.token_axis()
         out_axis = other.target.token_axis()
         mark_maps = {}
         for u in other.target.space.places:
@@ -790,11 +738,7 @@ class NetMorphism:
             table = {}
             for lab in fibre_tokens:
                 j = src_axis.index(lab)
-                mid_vec = [t1[i][j] for i in range(len(mid_axis))]
-                out_vec = [
-                    sum(t2[i][k] * mid_vec[k] for k in range(len(mid_axis)))
-                    for i in range(len(out_axis))
-                ]
+                out_vec = la.matvec(t2, [row[j] for row in t1])
                 img = []
                 for i, (q, _) in enumerate(out_axis):
                     if q == u:
@@ -852,24 +796,14 @@ def morphisms_equal(f, g):
 
 
 def identity_morphism(net, name=None):
-    flow_maps = {}
-    for t in net.space.transitions:
-        n = len(net.bindings[t])
-        units = []
-        for i in range(n):
-            unit = [0] * n
-            unit[i] = 1
-            units.append((unit, list(unit)))
-        flow_maps[t] = units
-    mark_maps = {}
-    for p in net.space.places:
-        n = len(net.tokens[p])
-        table = {}
-        for i, c in enumerate(net.tokens[p]):
-            unit = [0] * n
-            unit[i] = 1
-            table[(p, c)] = unit
-        mark_maps[p] = table
+    flow_maps = {
+        t: [(unit, unit) for unit in la.identity(len(net.bindings[t]))]
+        for t in net.space.transitions
+    }
+    mark_maps = {
+        p: {(p, c): unit for c, unit in zip(net.tokens[p], la.identity(len(net.tokens[p])))}
+        for p in net.space.places
+    }
     return NetMorphism(
         net,
         net,
@@ -1031,15 +965,10 @@ def from_winskel(w):
         name=f"{tgt.name}-merged",
     )
 
-    proj_flow = {}
-    for t in qspace.transitions:
-        n = len(tgt.bindings[t])
-        units = []
-        for i in range(n):
-            unit = [0] * n
-            unit[i] = 1
-            units.append((unit, list(unit)))
-        proj_flow[t] = units
+    proj_flow = {
+        t: [(unit, unit) for unit in la.identity(len(tgt.bindings[t]))]
+        for t in qspace.transitions
+    }
     proj_mark = {}
     for u in qspace.places:
         table = {}
@@ -1069,12 +998,7 @@ def from_winskel(w):
     fold_flow = {}
     for s in {node_map[t] for t in domain.space.transitions}:
         fibre_axis = domain.binding_axis(fold_space.fibre(s))
-        entries = []
-        for i in range(len(fibre_axis)):
-            unit = [0] * len(fibre_axis)
-            unit[i] = 1
-            entries.append((unit, [1]))
-        fold_flow[s] = entries
+        fold_flow[s] = [(unit, [1]) for unit in la.identity(len(fibre_axis))]
     fold_mark = {}
     for u in {node_map[x] for x in domain.space.places}:
         table = {}

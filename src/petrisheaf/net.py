@@ -240,9 +240,7 @@ class ColouredNet:
             raise NetError(f"marking classes need an open region, {list(region)} is not open")
         mat = self.incidence_matrix(region)
         dim = len(mat.row_labels)
-        relations = [
-            [mat.entries[i][j] for i in range(dim)] for j in range(len(mat.col_labels))
-        ]
+        relations = la.transpose(mat.entries, len(mat.col_labels))
         quotient = la.RINGS[ring].quotient(dim, relations)
         return ClassModule(self, region, mat, ring, quotient)
 
@@ -503,11 +501,6 @@ def _checked_cover(net, kind, region, covering, openness):
     return region, covering, failed
 
 
-def _transpose(m, cols):
-    """The transpose of ``m``, a matrix with ``cols`` columns."""
-    return [[row[j] for row in m] for j in range(cols)]
-
-
 def _projection(axis, big, small):
     """The 0/1 matrix of the coordinate projection from the ``axis`` sections
     of ``big`` onto those of its subregion ``small``."""
@@ -523,13 +516,8 @@ def _projection(axis, big, small):
 def _hook_matrix(hook, src, dst, axis):
     """Matrix of the map ``hook(vector, src, dst)`` on the ``axis`` sections:
     its columns are the images of the unit vectors of ``src``."""
-    n = len(axis(src))
-    images = []
-    for k in range(n):
-        unit = [0] * n
-        unit[k] = 1
-        images.append(hook(unit, src, dst))
-    return [[image[i] for image in images] for i in range(len(axis(dst)))]
+    images = [hook(unit, src, dst) for unit in la.identity(len(axis(src)))]
+    return la.transpose(images, len(axis(dst)))
 
 
 def _cech(space, region, covering, axis, restriction):
@@ -586,7 +574,7 @@ def verify_token_sheaf(net, region=None, covering=None, restrict=None):
     failures = []
     if ring.kernel_basis(r, n):
         failures.append("restriction to the cover is not injective")
-    if ring.module(total, _transpose(r, n)) != ring.kernel(d, total):
+    if ring.module(total, la.transpose(r, n)) != ring.kernel(d, total):
         failures.append("image of sections differs from the agreeing families")
     return AxiomReport("token-sheaf", region, tuple(covering), not failures, failures)
 
@@ -611,7 +599,7 @@ def verify_binding_cosheaf(net, region=None, covering=None, extend=None):
     else:
 
         def restriction(big, small):
-            return _transpose(_hook_matrix(extend, small, big, axis), len(axis(small)))
+            return la.transpose(_hook_matrix(extend, small, big, axis), len(axis(small)))
 
     stack, d, total = _cech(net.space, region, covering, axis, restriction)
     n = len(axis(region))
@@ -619,7 +607,7 @@ def verify_binding_cosheaf(net, region=None, covering=None, extend=None):
     failures = []
     if not ring.module(n, stack).is_full():
         failures.append("cover sections do not generate the region sections")
-    if ring.kernel(_transpose(stack, n), total) != ring.module(total, d):
+    if ring.kernel(la.transpose(stack, n), total) != ring.module(total, d):
         failures.append("kernel of the sum differs from the overlap relations")
     return AxiomReport("binding-cosheaf", region, tuple(covering), not failures, failures)
 
@@ -645,11 +633,8 @@ def verify_flow_gluing(net, region=None, covering=None, ring=None):
     bases = []
     done = 0
     for mod in local:
-        for i in range(len(mod.axis)):
-            row = [0] * coeffs
-            for k, b in enumerate(mod.basis):
-                row[done + k] = b[i]
-            bases.append(row)
+        for row in la.transpose(mod.basis, len(mod.axis)):
+            bases.append([0] * done + row + [0] * (coeffs - done - len(row)))
         done += len(mod.basis)
     glued = [la.matvec(stack, b) for b in net.flows(region, ring=ring.name).basis]
     agreeing = [la.matvec(bases, s) for s in ring.kernel_basis(la.matmul(d, bases), coeffs)]

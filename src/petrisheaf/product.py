@@ -147,9 +147,7 @@ def _projection(prod, pairs, first, second, side):
         ]
         axis = prod.binding_axis(fibre)
         entries = []
-        for i, (_node, tagged) in enumerate(axis):
-            unit = [0] * len(axis)
-            unit[i] = 1
+        for unit, (_node, tagged) in zip(la.identity(len(axis)), axis):
             tag_side, label = _side_of(tagged)
             entries.append((unit, {label: 1} if tag_side == side else {}))
         flow_maps[a] = entries
@@ -439,12 +437,8 @@ class DiagonalResult:
         base = self.iso.source
         flow_maps = {}
         for a in base.space.transitions:
-            entries = []
-            for i, b in enumerate(base.bindings[a]):
-                unit = [0] * len(base.bindings[a])
-                unit[i] = 1
-                entries.append((unit, {b: 1}))
-            flow_maps[a] = entries
+            bs = base.bindings[a]
+            flow_maps[a] = [(unit, {b: 1}) for unit, b in zip(la.identity(len(bs)), bs)]
         mark_maps = {
             u: {(pair_name(u, u), c): {c: 1} for c in base.tokens[u]}
             for u in base.space.places
@@ -503,9 +497,7 @@ def diagonal(net, name=None):
     emb_flows = {}
     for a in net.space.transitions:
         renamed, doubled = [], []
-        for i, b in enumerate(net.bindings[a]):
-            unit = [0] * len(net.bindings[a])
-            unit[i] = 1
+        for unit, b in zip(la.identity(len(net.bindings[a])), net.bindings[a]):
             renamed.append((unit, {b: 1}))
             doubled.append((unit, {_tag(1, b): 1, _tag(2, b): 1}))
         iso_flows[pair_name(a, a)] = renamed
@@ -666,21 +658,13 @@ def inverse_image(f, j, name=None):
         a = f.space_map(x)
         dim = len(f.target.bindings[a])
         fibre_axis = src.binding_axis(f.space_map.fibre(a))
-        pos = {lab: i for i, lab in enumerate(fibre_axis)}
-        cols = []
-        for b in src.bindings[x]:
-            ext = [0] * len(fibre_axis)
-            ext[pos[(x, b)]] = 1
-            cols.append([Fraction(v) for v in f.flow_image(a, ext)])
+        unit = dict(zip(fibre_axis, la.identity(len(fibre_axis))))
+        cols = [[Fraction(v) for v in f.flow_image(a, unit[(x, b)])] for b in src.bindings[x]]
         _, j_images = j.flow_maps[a]
         span = la.Subspace(dim, [list(v) for v in j_images])
-        matrix = [[cols[k][i] for k in range(len(cols))] for i in range(dim)]
-        pre = la.Q.preimage(matrix, span, cols=len(cols))
+        pre = la.Q.preimage(la.transpose(cols, dim), span, cols=len(cols))
         binding_bases[x] = _name_basis(src.bindings[x], _integer_points(pre))
-        flow_images[x] = {
-            bn: [sum(bv * cols[k][i] for k, bv in enumerate(bvec)) for i in range(dim)]
-            for bn, bvec in binding_bases[x]
-        }
+        flow_images[x] = {bn: la.combine(bvec, cols, dim) for bn, bvec in binding_bases[x]}
 
     token_bases = {}
     mark_images = {}
@@ -689,13 +673,9 @@ def inverse_image(f, j, name=None):
         dim = len(f.target.tokens[u])
         cols = [[Fraction(v) for v in f.mark_maps[u][(x, c)]] for c in src.tokens[x]]
         span = la.Subspace(dim, [list(j.mark_maps[u][(back[u], c)]) for c in sub.tokens[back[u]]])
-        matrix = [[cols[k][i] for k in range(len(cols))] for i in range(dim)]
-        pre = la.Q.preimage(matrix, span, cols=len(cols))
+        pre = la.Q.preimage(la.transpose(cols, dim), span, cols=len(cols))
         token_bases[x] = _name_basis(src.tokens[x], _integer_points(pre))
-        mark_images[x] = {
-            tn: [sum(tv * cols[k][i] for k, tv in enumerate(tvec)) for i in range(dim)]
-            for tn, tvec in token_bases[x]
-        }
+        mark_images[x] = {tn: la.combine(tvec, cols, dim) for tn, tvec in token_bases[x]}
 
     kept_transitions = [x for x in level_transitions if binding_bases[x]]
     kept_places = [x for x in level_places if token_bases[x]]
@@ -711,19 +691,14 @@ def inverse_image(f, j, name=None):
                 basis = token_bases[y]
                 for store, kind in ((w_minus, "minus"), (w_plus, "plus")):
                     cols = [src.binding_effect(x, b, (y,), kind) for b in src.bindings[x]]
-                    combo = [
-                        sum(bv * col[i] for bv, col in zip(bvec, cols))
-                        for i in range(len(src.tokens[y]))
-                    ]
+                    combo = la.combine(bvec, cols, len(src.tokens[y]))
                     if not any(combo):
                         continue
                     if not basis:
                         raise ProductError(
                             f"weights of {x!r} at {y!r} leave the refined token module"
                         )
-                    basis_matrix = [
-                        [vec[i] for _nm, vec in basis] for i in range(len(src.tokens[y]))
-                    ]
+                    basis_matrix = la.transpose([vec for _nm, vec in basis], len(src.tokens[y]))
                     coords = la.solve_columns(basis_matrix, combo, cols=len(basis))
                     if coords is None:
                         raise ProductError(
@@ -754,12 +729,8 @@ def inverse_image(f, j, name=None):
 
     incl_flows = {}
     for x in kept_transitions:
-        entries = []
-        for k, (_bn, bvec) in enumerate(binding_bases[x]):
-            unit = [0] * len(binding_bases[x])
-            unit[k] = 1
-            entries.append((unit, list(bvec)))
-        incl_flows[x] = entries
+        units = la.identity(len(binding_bases[x]))
+        incl_flows[x] = [(unit, bvec) for unit, (_bn, bvec) in zip(units, binding_bases[x])]
     incl_marks = {
         x: {(x, tn): list(tvec) for tn, tvec in token_bases[x]} for x in kept_places
     }
@@ -781,28 +752,20 @@ def inverse_image(f, j, name=None):
             continue
         a = j.space_map(z)
         j_basis, j_images = j.flow_maps[a]
-        jmat = [[v[i] for v in j_images] for i in range(len(f.target.bindings[a]))]
+        dim = len(f.target.bindings[a])
+        jmat = la.transpose(j_images, dim)
         axis = net.binding_axis(fibre)
         entries = []
-        for idx, (x, bn) in enumerate(axis):
+        for unit, (x, bn) in zip(la.identity(len(axis)), axis):
             psi = flow_images[x][bn]
             lam = la.rat_solve_columns(jmat, list(psi), cols=len(j_images))
             if lam is None:
                 raise ProductError(
                     f"flow data of {x!r} does not restrict onto the subnet"
                 )
-            if psi != [
-                sum(l * v[i] for l, v in zip(lam, j_images))
-                for i in range(len(f.target.bindings[a]))
-            ]:
+            if psi != la.combine(lam, j_images, dim):
                 commutes = False
-            beta = [
-                sum(l * b[i] for l, b in zip(lam, j_basis))
-                for i in range(len(sub.bindings[z]))
-            ]
-            unit = [0] * len(axis)
-            unit[idx] = 1
-            entries.append((unit, beta))
+            entries.append((unit, la.combine(lam, j_basis, len(sub.bindings[z]))))
         restr_flows[z] = entries
 
     restr_marks = {}
@@ -811,8 +774,9 @@ def inverse_image(f, j, name=None):
         if not members:
             continue
         u = j.space_map(z)
-        jcols = [list(j.mark_maps[u][(z, c)]) for c in sub.tokens[z]]
-        jmat = [[v[i] for v in jcols] for i in range(len(f.target.tokens[u]))]
+        jcols = [j.mark_maps[u][(z, c)] for c in sub.tokens[z]]
+        dim = len(f.target.tokens[u])
+        jmat = la.transpose(jcols, dim)
         table = {}
         for x in members:
             for tn, _tvec in token_bases[x]:
@@ -822,10 +786,7 @@ def inverse_image(f, j, name=None):
                     raise ProductError(
                         f"mark data of {x!r} does not restrict onto the subnet"
                     )
-                if psi != [
-                    sum(l * v[i] for l, v in zip(lam, jcols))
-                    for i in range(len(f.target.tokens[u]))
-                ]:
+                if psi != la.combine(lam, jcols, dim):
                     commutes = False
                 table[(x, tn)] = lam
         restr_marks[z] = table
@@ -885,10 +846,9 @@ def factor_cone(inverse, to_source, to_subnet, name=None):
         if x not in image:
             continue
         basis, images = to_source.flow_maps[x]
-        vmat = [
-            [vec[i] for _nm, vec in inverse.binding_bases[x]]
-            for i in range(len(to_source.target.bindings[x]))
-        ]
+        vmat = la.transpose(
+            [vec for _nm, vec in inverse.binding_bases[x]], len(to_source.target.bindings[x])
+        )
         entries = []
         for phi, psi in zip(basis, images):
             lam = la.rat_solve_columns(vmat, list(psi), cols=len(inverse.binding_bases[x]))
@@ -903,10 +863,9 @@ def factor_cone(inverse, to_source, to_subnet, name=None):
     for x in vnet.space.places:
         if x not in image:
             continue
-        vmat = [
-            [vec[i] for _nm, vec in inverse.token_bases[x]]
-            for i in range(len(to_source.target.tokens[x]))
-        ]
+        vmat = la.transpose(
+            [vec for _nm, vec in inverse.token_bases[x]], len(to_source.target.tokens[x])
+        )
         table = {}
         for lab, psi in to_source.mark_maps[x].items():
             lam = la.rat_solve_columns(vmat, list(psi), cols=len(inverse.token_bases[x]))

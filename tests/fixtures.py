@@ -139,6 +139,27 @@ def unfolding_morphism():
     )
 
 
+def squash_morphism():
+    """Folds the line ``p -t-> q`` onto the loop ``u -a-> u``: two one-token
+    places onto one one-token place, surjective and discrete."""
+    from petrisheaf.morphism import NetMorphism
+
+    line = place_transition_net(
+        "line", ["p", "q"], ["t"], consume={"t": {"p": 1}}, produce={"t": {"q": 1}}
+    )
+    loop = place_transition_net(
+        "loop", ["u"], ["a"], consume={"a": {"u": 1}}, produce={"a": {"u": 1}}
+    )
+    return NetMorphism(
+        line,
+        loop,
+        {"p": "u", "q": "u", "t": "a"},
+        flow_maps={"a": [((1,), (1,))]},
+        mark_maps={"u": {("p", "p"): (1,), ("q", "q"): (1,)}},
+        name="squash",
+    )
+
+
 def winskel_nets():
     """Single-loop source, two-place loop target."""
     src = place_transition_net(

@@ -26,6 +26,7 @@ from fixtures import (
     TAU1,
     TAU2,
     fold_morphism,
+    squash_morphism,
     unfolding_morphism,
     winskel_data,
     winskel_nets,
@@ -157,6 +158,19 @@ def test_check_morphism_prints_the_classification(workdir, capsys):
     assert code == 0
     assert "abstraction: yes; embedding: no; discrete: no" in out
     assert "incidence-compat: ok" in out
+
+
+def test_check_morphism_classifies_a_fold_of_two_places(tmp_path, capsys):
+    f = squash_morphism()
+    (tmp_path / "line.pnet").write_text(serialize_net(f.source))
+    (tmp_path / "loop.pnet").write_text(serialize_net(f.target))
+    (tmp_path / "squash.pmor").write_text(serialize_morphism(f, "line.pnet", "loop.pnet"))
+    code, out = run(capsys, "check-morphism", tmp_path / "squash.pmor")
+    assert code == 0
+    assert out.splitlines()[-2:] == [
+        "abstraction: yes; embedding: no; discrete: yes",
+        "modification: no; place-modification: no; transition-modification: no",
+    ]
 
 
 def test_check_morphism_json_shape(workdir, capsys):

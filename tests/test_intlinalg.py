@@ -627,3 +627,45 @@ def test_preimage_membership_by_brute_force(ring, case):
     pre = ring.preimage(m, target, cols)
     for x in product(range(-2, 3), repeat=cols):
         assert (list(x) in pre) == (la.matvec(m, x) in target)
+
+
+# ---------------------------------------------------------------------------
+# the dense-vector vocabulary
+
+
+def reference_combine(coeffs, vectors, dim):
+    """The combination loop the morphism and product code used to write out."""
+    out = [0] * dim
+    for c, v in zip(coeffs, vectors):
+        if c:
+            for i, x in enumerate(v):
+                out[i] += c * x
+    return out
+
+
+@given(rational_matrices(max_rows=6), st.data())
+@settings(max_examples=300)
+def test_combine_matches_the_reference_loop_in_value_and_type(case, data):
+    vectors, dim = case
+    coeffs = data.draw(st.lists(entries, min_size=len(vectors), max_size=len(vectors)))
+    got = la.combine(coeffs, vectors, dim)
+    want = reference_combine(coeffs, vectors, dim)
+    assert got == want
+    assert [type(x) for x in got] == [type(x) for x in want]
+
+
+@given(rational_matrices())
+@settings(max_examples=200)
+def test_transpose_matches_the_comprehension(case):
+    m, cols = case
+    assert la.transpose(m, cols) == [[m[i][j] for i in range(len(m))] for j in range(cols)]
+
+
+def test_shape_of_an_empty_matrix():
+    assert la.shape([]) == (0, 0)
+    assert la.shape([], 3) == (0, 3)
+    assert la.shape([[1, 2]]) == (1, 2)
+    assert la.hnf([]) == ([], [])
+    assert la.kernel_lattice([]).ambient_dim == 0
+    assert la.rref([]) == ([], [])
+    assert la.hilbert_basis([]) == []

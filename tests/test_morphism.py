@@ -17,6 +17,7 @@ from petrisheaf.product import diagonal
 
 from fixtures import (
     fold_morphism,
+    squash_morphism,
     unfolding_morphism,
     winskel_data,
     winskel_nets,
@@ -386,6 +387,21 @@ def test_unfolding_is_transition_modification():
     assert cls.place_modification is False
     assert cls.transition_modification is True
     assert m.map_marking([2]) == [2]
+
+
+def test_classify_folds_more_fibre_tokens_than_target_tokens():
+    # the mark data over u has two fibre tokens and one target token; the
+    # modification check once sized its kernel by the fibre and crashed
+    m = squash_morphism()
+    assert m.verify().ok
+    assert m.classify().as_dict() == {
+        "abstraction": True,
+        "embedding": False,
+        "discrete": True,
+        "modification": False,
+        "place-modification": False,
+        "transition-modification": False,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from petrisheaf import intlinalg as la
 from petrisheaf.formats import parse_net, serialize_net
 from petrisheaf.net import (
     ColouredNet,
     NetError,
     _hook_matrix,
     _projection,
-    _transpose,
     basic_covers,
     place_transition_net,
     verify_binding_cosheaf,
@@ -368,8 +368,6 @@ def test_flows_agree_with_adjacent_only_form_on_strict_nets(net):
         for t, b in axis:
             row.append(net.w(t, b, p, c) if net.space.adjacent(p, t) else 0)
         rows.append(row)
-    from petrisheaf import intlinalg as la
-
     assert la.kernel_lattice(rows, len(axis)) == net.flows(region).module
 
 
@@ -492,7 +490,7 @@ def test_index_projection_equals_the_hook_matrix(net):
                     extension = _hook_matrix(
                         net.extend_binding_section, small, region, net.binding_axis
                     )
-                    assert _projection(net.binding_axis, region, small) == _transpose(
+                    assert _projection(net.binding_axis, region, small) == la.transpose(
                         extension, len(net.binding_axis(small))
                     )
 
