@@ -62,7 +62,9 @@ def shape(m, cols=None):
 def transpose(m, cols):
     """The transpose of ``m``, a matrix with ``cols`` columns: the columns of
     a matrix whose rows are given, or the matrix whose columns are given."""
-    return [[row[j] for row in m] for j in range(cols)]
+    if not m:
+        return [[] for _ in range(cols)]
+    return [list(col) for col in zip(*m)]
 
 
 def combine(coeffs, vectors, dim):
