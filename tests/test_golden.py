@@ -97,6 +97,10 @@ CASES = {
     "diagonal-runY": ("diagonal", "runY.pnet"),
     "diagonal-runX": ("diagonal", "runX.pnet"),
     "diagonal-ring": ("diagonal", "ring.pnet"),
+    "fibre-product-idY-idY": ("fibre-product", "idY.pmor", "idY.pmor"),
+    # the unfold's fibre over a holds two transitions
+    "fibre-product-unfold-idY": ("fibre-product", "unfold.pmor", "idY.pmor"),
+    "fibre-product-fold-fold": ("fibre-product", "fold.pmor", "fold.pmor"),
 }
 
 
