@@ -13,6 +13,7 @@ output can be piped straight into a file and fed back in.
 """
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -760,7 +761,9 @@ def natural(text):
     return value
 
 
+@functools.cache
 def build_parser():
+    """The command line parser, built once per process and reused by ``main``."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
     common.add_argument(

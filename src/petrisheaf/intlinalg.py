@@ -230,11 +230,6 @@ def _hnf_solver(m, cols=None):
     return solve
 
 
-def solve_columns(m, v, cols=None):
-    """An integer ``x`` with ``m @ x = v``, or None."""
-    return Z.solve(m, v, cols)
-
-
 # ---------------------------------------------------------------------------
 # lattices (subgroups of Z^n)
 
@@ -264,11 +259,6 @@ class _Module:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimensions differ")
         return all(list(b) in other for b in self.basis)
-
-    def sum(self, other):
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimensions differ")
-        return type(self)(self.ambient_dim, list(self.basis) + list(other.basis))
 
 
 class Lattice(_Module):
@@ -688,11 +678,6 @@ def _echelon_solver(m, cols=None):
         return x
 
     return solve
-
-
-def rat_solve_columns(m, v, cols=None):
-    """Rational ``x`` with ``m @ x = v``, or None if inconsistent."""
-    return Q.solve(m, v, cols)
 
 
 class Subspace(_Module):

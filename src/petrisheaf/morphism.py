@@ -13,6 +13,11 @@ neighbourhoods, marking transport) is induced, and ``verify`` checks the
 induction is possible, in a fixed clause order, stopping at the first hard
 failure.  Clause identifiers are stable strings used by reports and the CLI.
 
+A sort-preserving (discrete) morphism is given by where it sends each
+binding and each token: its transition fibres hold no places, so the unit
+bindings are a flow basis.  ``NetMorphism.discrete`` builds one from those
+element images.
+
 The linear data goes through ``intlinalg``'s dense vocabulary: unit vectors
 are rows of ``identity``, matrices of given columns come from ``transpose``,
 and images are ``combine``-d from basis images.  ``combine`` sums from int
@@ -205,6 +210,30 @@ class NetMorphism:
         self._transport = None  # target token axis x source token axis
         self._scaled = None  # the transport scaled to sparse integer rows
         self._flow_solvers = {}  # image transition -> (fibre length, solve) of its basis
+
+    @classmethod
+    def discrete(cls, source, target, node_map, image, ring=None, name="f"):
+        """A sort-preserving morphism, given by where it sends each element.
+
+        ``image(x, e)`` is the image of binding or token ``e`` of node ``x``
+        over the elements of ``node_map[x]``, as a vector or a dict.  A
+        transition fibre holds transitions only, so its incidence has no
+        rows, every binding vector is a flow, and the unit bindings, in axis
+        order, are its flow basis.
+        """
+        space_map = SpaceMap(source.space, target.space, node_map)
+        for x, y in space_map.mapping.items():
+            if source.space.sort_of(x) is not target.space.sort_of(y):
+                raise MorphismError(f"node map sends {x!r} to {y!r}, a node of another sort")
+        flow_maps, mark_maps = {}, {}
+        for y, fibre in space_map.fibres().items():
+            if target.space.is_transition(y):
+                axis = source.binding_axis(fibre)
+                units = la.identity(len(axis))
+                flow_maps[y] = [(unit, image(x, b)) for unit, (x, b) in zip(units, axis)]
+            else:
+                mark_maps[y] = {(x, c): image(x, c) for x, c in source.token_axis(fibre)}
+        return cls(source, target, space_map, flow_maps, mark_maps, ring=ring, name=name)
 
     # -- ring helpers ------------------------------------------------------
 
@@ -796,20 +825,11 @@ def morphisms_equal(f, g):
 
 
 def identity_morphism(net, name=None):
-    flow_maps = {
-        t: [(unit, unit) for unit in la.identity(len(net.bindings[t]))]
-        for t in net.space.transitions
-    }
-    mark_maps = {
-        p: {(p, c): unit for c, unit in zip(net.tokens[p], la.identity(len(net.tokens[p])))}
-        for p in net.space.places
-    }
-    return NetMorphism(
+    return NetMorphism.discrete(
         net,
         net,
         {x: x for x in net.space.nodes},
-        flow_maps,
-        mark_maps,
+        lambda x, e: {e: 1},
         ring=net.ring,
         name=name or f"id_{net.name}",
     )
@@ -965,23 +985,11 @@ def from_winskel(w):
         name=f"{tgt.name}-merged",
     )
 
-    proj_flow = {
-        t: [(unit, unit) for unit in la.identity(len(tgt.bindings[t]))]
-        for t in qspace.transitions
-    }
-    proj_mark = {}
-    for u in qspace.places:
-        table = {}
-        for y in members[u]:
-            c = tgt.tokens[y][0]
-            table[(y, c)] = [1 if cc == token_name[y] else 0 for cc in merged.tokens[u]]
-        proj_mark[u] = table
-    projection = NetMorphism(
+    projection = NetMorphism.discrete(
         tgt,
         merged,
         {x: proj_map(x) for x in tgt.space.nodes},
-        proj_flow,
-        proj_mark,
+        lambda y, e: {token_name[y] if tgt.space.is_place(y) else e: 1},
         name=f"pi_{w.name}",
     )
 
@@ -993,22 +1001,12 @@ def from_winskel(w):
         node_map[x] = classes.pop()
     for t in domain.space.transitions:
         node_map[t] = w.eta[t]
-    fold_space = SpaceMap(domain.space, qspace, node_map)
 
-    fold_flow = {}
-    for s in {node_map[t] for t in domain.space.transitions}:
-        fibre_axis = domain.binding_axis(fold_space.fibre(s))
-        fold_flow[s] = [(unit, [1]) for unit in la.identity(len(fibre_axis))]
-    fold_mark = {}
-    for u in {node_map[x] for x in domain.space.places}:
-        table = {}
-        for x in fold_space.fibre(u):
-            if domain.space.sort_of(x) is not Sort.PLACE:
-                continue
-            c = domain.tokens[x][0]
-            table[(x, c)] = [
-                w.beta[x].get(owner[(u, cc)], 0) for cc in merged.tokens[u]
-            ]
-        fold_mark[u] = table
-    fold = NetMorphism(domain, merged, node_map, fold_flow, fold_mark, name=f"g_{w.name}")
+    def fold_image(x, e):
+        if domain.space.is_transition(x):
+            return [1]
+        u = node_map[x]
+        return [w.beta[x].get(owner[(u, cc)], 0) for cc in merged.tokens[u]]
+
+    fold = NetMorphism.discrete(domain, merged, node_map, fold_image, name=f"g_{w.name}")
     return WinskelResult(domain=domain, merged=merged, projection=projection, fold=fold)

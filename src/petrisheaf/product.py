@@ -138,34 +138,21 @@ def _projection(prod, pairs, first, second, side):
     """
     factor = first if side == 1 else second
     other = second if side == 1 else first
-    node_map = {n: xy[side - 1] for n, xy in pairs.items()}
-
-    flow_maps = {}
-    for a in factor.space.transitions:
-        fibre = [
-            n for n in prod.space.transitions if pairs[n][side - 1] == a
-        ]
-        axis = prod.binding_axis(fibre)
-        entries = []
-        for unit, (_node, tagged) in zip(la.identity(len(axis)), axis):
-            tag_side, label = _side_of(tagged)
-            entries.append((unit, {label: 1} if tag_side == side else {}))
-        flow_maps[a] = entries
-
     scale = Fraction(1, len(other.space.places))
-    mark_maps = {}
-    for u in factor.space.places:
-        table = {}
-        for n in prod.space.places:
-            if pairs[n][side - 1] != u:
-                continue
-            for tagged in prod.tokens[n]:
-                tag_side, label = _side_of(tagged)
-                table[(n, tagged)] = {label: scale} if tag_side == side else {}
-        mark_maps[u] = table
 
-    return NetMorphism(
-        prod, factor, node_map, flow_maps, mark_maps, ring="Q", name=f"proj{side}"
+    def image(n, tagged):
+        tag_side, label = _side_of(tagged)
+        if tag_side != side:
+            return {}
+        return {label: 1 if prod.space.is_transition(n) else scale}
+
+    return NetMorphism.discrete(
+        prod,
+        factor,
+        {n: xy[side - 1] for n, xy in pairs.items()},
+        image,
+        ring="Q",
+        name=f"proj{side}",
     )
 
 
@@ -326,32 +313,13 @@ def check_reachability_correspondence(
 # mediating morphisms and the diagonal
 
 
-def _component_image(src, to_factor, a, axis, phi):
-    """One factor's contribution to the pairing image of a fibre flow.
-
-    ``phi`` lives over the pairing fibre, a subset of ``to_factor``'s own
-    fibre over ``a``; it is extended by zero and must still be a flow
-    there, otherwise no pairing morphism exists.
-    """
-    big_axis = src.binding_axis(to_factor.space_map.fibre(a))
-    pos = {lab: i for i, lab in enumerate(big_axis)}
-    ext = [0] * len(big_axis)
-    for lab, v in zip(axis, phi):
-        ext[pos[lab]] = v
-    if not src.flows(to_factor.space_map.fibre(a), ring="Z").contains(ext):
-        raise ProductError(
-            f"no pairing: a fibre flow over {a!r} does not extend to the factor fibre"
-        )
-    return to_factor.flow_image(a, ext)
-
-
 def mediate(result, to_first, to_second, name=None):
     """The pairing morphism into the product induced by two morphisms.
 
     Both arguments must be discrete, verified, share their source net and
-    land in the two factors.  Flow data is the pairing of the factors' data
-    on the canonical flow basis of each fibre; mark data tags and
-    concatenates the factors' token images.
+    land in the two factors.  A binding goes to the tagged pairing of the
+    flow images of its unit on the two legs' fibres, a token to the tagged
+    pairing of its two mark images.
     """
     first, second = result.factors
     if to_first.source is not to_second.source:
@@ -372,45 +340,19 @@ def mediate(result, to_first, to_second, name=None):
         if n not in result.pairs:
             raise ProductError(f"images of {x!r} differ in sort, no product node")
         node_map[x] = n
-    image = set(node_map.values())
 
-    flow_maps = {}
-    for n in result.net.space.transitions:
-        if n not in image:
-            continue
-        a1, a2 = result.pairs[n]
-        fibre = tuple(x for x in src.space.nodes if node_map[x] == n)
-        axis = src.binding_axis(fibre)
-        entries = []
-        for phi in src.flows(fibre, ring="Z").basis:
-            img1 = _component_image(src, to_first, a1, axis, phi)
-            img2 = _component_image(src, to_second, a2, axis, phi)
-            vec = {_tag(1, b): v for b, v in zip(first.bindings[a1], img1) if v}
-            vec.update({_tag(2, b): v for b, v in zip(second.bindings[a2], img2) if v})
-            entries.append((list(phi), vec))
-        flow_maps[n] = entries
+    def leg_image(leg, x, e):
+        y = leg.space_map(x)
+        if src.space.is_place(x):
+            return leg.mark_maps[y][(x, e)]
+        axis = src.binding_axis(leg.space_map.fibre(y))
+        return leg.flow_image(y, la.identity(len(axis))[axis.index((x, e))])
 
-    mark_maps = {}
-    for n in result.net.space.places:
-        if n not in image:
-            continue
-        u1, u2 = result.pairs[n]
-        fibre = tuple(x for x in src.space.nodes if node_map[x] == n)
-        table = {}
-        for lab in src.token_axis(fibre):
-            v1 = to_first.mark_maps[u1][lab]
-            v2 = to_second.mark_maps[u2][lab]
-            vec = {_tag(1, c): v for c, v in zip(first.tokens[u1], v1) if v}
-            vec.update({_tag(2, c): v for c, v in zip(second.tokens[u2], v2) if v})
-            table[lab] = vec
-        mark_maps[n] = table
-
-    return NetMorphism(
+    return NetMorphism.discrete(
         src,
         result.net,
         node_map,
-        flow_maps,
-        mark_maps,
+        lambda x, e: (*leg_image(to_first, x, e), *leg_image(to_second, x, e)),
         ring="Q",
         name=name or f"<{to_first.name},{to_second.name}>",
     )
@@ -435,20 +377,11 @@ class DiagonalResult:
     def iso_inverse(self):
         """The renaming back from the diagonal subnet onto the base net."""
         base = self.iso.source
-        flow_maps = {}
-        for a in base.space.transitions:
-            bs = base.bindings[a]
-            flow_maps[a] = [(unit, {b: 1}) for unit, b in zip(la.identity(len(bs)), bs)]
-        mark_maps = {
-            u: {(pair_name(u, u), c): {c: 1} for c in base.tokens[u]}
-            for u in base.space.places
-        }
-        return NetMorphism(
+        return NetMorphism.discrete(
             self.net,
             base,
             {pair_name(x, x): x for x in base.space.nodes},
-            flow_maps,
-            mark_maps,
+            lambda n, e: {e: 1},
             ring=base.ring,
             name="delta-inv",
         )
@@ -493,40 +426,19 @@ def diagonal(net, name=None):
         name=f"diag({net.name})",
     )
 
-    iso_flows = {}
-    emb_flows = {}
-    for a in net.space.transitions:
-        renamed, doubled = [], []
-        for unit, b in zip(la.identity(len(net.bindings[a])), net.bindings[a]):
-            renamed.append((unit, {b: 1}))
-            doubled.append((unit, {_tag(1, b): 1, _tag(2, b): 1}))
-        iso_flows[pair_name(a, a)] = renamed
-        emb_flows[pair_name(a, a)] = doubled
-    iso_marks = {
-        pair_name(u, u): {(u, c): {c: 1} for c in net.tokens[u]}
-        for u in net.space.places
-    }
-    emb_marks = {
-        pair_name(u, u): {
-            (pair_name(u, u), c): {_tag(1, c): 1, _tag(2, c): 1} for c in net.tokens[u]
-        }
-        for u in net.space.places
-    }
-    iso = NetMorphism(
+    iso = NetMorphism.discrete(
         net,
         delta,
         {x: pair_name(x, x) for x in net.space.nodes},
-        iso_flows,
-        iso_marks,
+        lambda x, e: {e: 1},
         ring=net.ring,
         name="delta",
     )
-    emb = NetMorphism(
+    emb = NetMorphism.discrete(
         delta,
         result.net,
         {n: n for n in delta.space.nodes},
-        emb_flows,
-        emb_marks,
+        lambda n, e: {_tag(1, e): 1, _tag(2, e): 1},
         ring="Q",
         name="diag-include",
     )
@@ -684,27 +596,31 @@ def inverse_image(f, j, name=None):
     kept_set = set(kept_transitions) | set(kept_places)
     kept = [x for x in node_level if x in kept_set]
 
+    # each refined token module is factored once, for every weight rebased onto it
+    token_solvers = {
+        y: la.Z.solver(
+            la.transpose([vec for _nm, vec in token_bases[y]], len(src.tokens[y])),
+            len(token_bases[y]),
+        )
+        for y in level_places
+        if token_bases[y]
+    }
     w_minus, w_plus = {}, {}
     for x in kept_transitions:
         for bn, bvec in binding_bases[x]:
             for y in level_places:
-                basis = token_bases[y]
                 for store, kind in ((w_minus, "minus"), (w_plus, "plus")):
                     cols = [src.binding_effect(x, b, (y,), kind) for b in src.bindings[x]]
                     combo = la.combine(bvec, cols, len(src.tokens[y]))
                     if not any(combo):
                         continue
-                    if not basis:
-                        raise ProductError(
-                            f"weights of {x!r} at {y!r} leave the refined token module"
-                        )
-                    basis_matrix = la.transpose([vec for _nm, vec in basis], len(src.tokens[y]))
-                    coords = la.solve_columns(basis_matrix, combo, cols=len(basis))
+                    solve = token_solvers.get(y)
+                    coords = solve(combo) if solve else None
                     if coords is None:
                         raise ProductError(
                             f"weights of {x!r} at {y!r} leave the refined token module"
                         )
-                    for (tn, _vec), wgt in zip(basis, coords):
+                    for (tn, _vec), wgt in zip(token_bases[y], coords):
                         if wgt < 0:
                             raise ProductError(
                                 f"negative rebased weight on {x}.{bn} at {y}.{tn}"
@@ -727,19 +643,17 @@ def inverse_image(f, j, name=None):
         name=name or f"{src.name}|{sub.name}",
     )
 
-    incl_flows = {}
-    for x in kept_transitions:
-        units = la.identity(len(binding_bases[x]))
-        incl_flows[x] = [(unit, bvec) for unit, (_bn, bvec) in zip(units, binding_bases[x])]
-    incl_marks = {
-        x: {(x, tn): list(tvec) for tn, tvec in token_bases[x]} for x in kept_places
+    bases = {
+        (x, nm): vec
+        for table in (binding_bases, token_bases)
+        for x, basis in table.items()
+        for nm, vec in basis
     }
-    into_source = NetMorphism(
+    into_source = NetMorphism.discrete(
         net,
         src,
         {x: x for x in kept},
-        incl_flows,
-        incl_marks,
+        lambda x, e: bases[(x, e)],
         ring=src.ring,
         name=f"include-{net.name}",
     )
@@ -753,12 +667,12 @@ def inverse_image(f, j, name=None):
         a = j.space_map(z)
         j_basis, j_images = j.flow_maps[a]
         dim = len(f.target.bindings[a])
-        jmat = la.transpose(j_images, dim)
+        solve = la.Q.solver(la.transpose(j_images, dim), len(j_images))
         axis = net.binding_axis(fibre)
         entries = []
         for unit, (x, bn) in zip(la.identity(len(axis)), axis):
             psi = flow_images[x][bn]
-            lam = la.rat_solve_columns(jmat, list(psi), cols=len(j_images))
+            lam = solve(list(psi))
             if lam is None:
                 raise ProductError(
                     f"flow data of {x!r} does not restrict onto the subnet"
@@ -776,12 +690,12 @@ def inverse_image(f, j, name=None):
         u = j.space_map(z)
         jcols = [j.mark_maps[u][(z, c)] for c in sub.tokens[z]]
         dim = len(f.target.tokens[u])
-        jmat = la.transpose(jcols, dim)
+        solve = la.Q.solver(la.transpose(jcols, dim), len(jcols))
         table = {}
         for x in members:
             for tn, _tvec in token_bases[x]:
                 psi = mark_images[x][tn]
-                lam = la.rat_solve_columns(jmat, list(psi), cols=len(jcols))
+                lam = solve(list(psi))
                 if lam is None:
                     raise ProductError(
                         f"mark data of {x!r} does not restrict onto the subnet"
@@ -846,12 +760,12 @@ def factor_cone(inverse, to_source, to_subnet, name=None):
         if x not in image:
             continue
         basis, images = to_source.flow_maps[x]
-        vmat = la.transpose(
-            [vec for _nm, vec in inverse.binding_bases[x]], len(to_source.target.bindings[x])
-        )
+        refined = [vec for _nm, vec in inverse.binding_bases[x]]
+        dim = len(to_source.target.bindings[x])
+        solve = la.Q.solver(la.transpose(refined, dim), len(refined))
         entries = []
         for phi, psi in zip(basis, images):
-            lam = la.rat_solve_columns(vmat, list(psi), cols=len(inverse.binding_bases[x]))
+            lam = solve(list(psi))
             if lam is None:
                 raise ProductError(
                     f"cone flow data over {x!r} misses the refined binding module"
@@ -863,12 +777,12 @@ def factor_cone(inverse, to_source, to_subnet, name=None):
     for x in vnet.space.places:
         if x not in image:
             continue
-        vmat = la.transpose(
-            [vec for _nm, vec in inverse.token_bases[x]], len(to_source.target.tokens[x])
-        )
+        refined = [vec for _nm, vec in inverse.token_bases[x]]
+        dim = len(to_source.target.tokens[x])
+        solve = la.Q.solver(la.transpose(refined, dim), len(refined))
         table = {}
         for lab, psi in to_source.mark_maps[x].items():
-            lam = la.rat_solve_columns(vmat, list(psi), cols=len(inverse.token_bases[x]))
+            lam = solve(list(psi))
             if lam is None:
                 raise ProductError(
                     f"cone mark data over {x!r} misses the refined token module"

@@ -16,9 +16,11 @@ from petrisheaf.net import ColouredNet, place_transition_net
 from petrisheaf.product import diagonal
 
 from fixtures import (
+    FOLD_NODE_MAP,
     fold_morphism,
     squash_morphism,
     unfolding_morphism,
+    unfolding_net,
     winskel_data,
     winskel_nets,
     x_net,
@@ -337,6 +339,32 @@ def test_constructor_rejects_wrong_data_shape():
             flow_maps={"a": [((1, 0, 1, 0), (1, 0)), ((1, 1, 0, 1), (0, 1))]},
             mark_maps={"u": {("p3", "p3"): (1,)}},
         )
+
+
+def test_discrete_rejects_a_node_map_that_changes_sorts():
+    def image(x, e):
+        raise AssertionError("no element image is asked for")
+
+    # the fold sends the places p1, p2 onto the transition a
+    with pytest.raises(MorphismError, match="another sort"):
+        NetMorphism.discrete(x_net(), y_net(), FOLD_NODE_MAP, image)
+
+
+def test_discrete_pairs_unit_bindings_with_their_images():
+    unfold = unfolding_morphism()
+    # a dict or a vector over the image node's elements
+    images = {("beta1", "beta1"): {"b1": 1}, ("beta2", "beta2"): [0, 1], ("v", "v"): (1,)}
+    rebuilt = NetMorphism.discrete(
+        unfolding_net(),
+        y_net(),
+        dict(unfold.space_map.mapping),
+        lambda x, e: images[(x, e)],
+        name="unfold",
+    )
+    assert rebuilt.flow_maps == unfold.flow_maps
+    assert rebuilt.mark_maps == unfold.mark_maps
+    assert rebuilt.verify().ok
+    assert [type(x) for x in rebuilt.flow_maps["a"][1][0]] == [int, int]
 
 
 # ---------------------------------------------------------------------------

@@ -315,6 +315,62 @@ def test_mediate_rejects_different_sources():
         mediate(res, identity_morphism(y_net()), identity_morphism(y_net()))
 
 
+def tagged_pairing(labels, first, img1, second, img2):
+    """The product vector over ``labels`` whose ``1:`` entries copy ``img1``
+    (over the labels ``first``) and whose ``2:`` entries copy ``img2``."""
+    entries = {f"1:{lab}": v for lab, v in zip(first, img1)}
+    entries.update({f"2:{lab}": v for lab, v in zip(second, img2)})
+    assert set(entries) == set(labels)
+    return [entries[lab] for lab in labels]
+
+
+def leg_unit(leg, x, b):
+    """The unit binding ``(x, b)`` on the fibre of ``leg`` over ``x``'s image."""
+    axis = leg.source.binding_axis(leg.space_map.fibre(leg.space_map(x)))
+    return [1 if lab == (x, b) else 0 for lab in axis]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000))
+def test_mediate_pairs_the_element_images_of_its_legs(seed):
+    net = small_net(seed)
+    res = kronecker(net, net)
+    ident = identity_morphism(net)
+    first, second = res.factors
+    for med, g1, g2 in (
+        (mediate(res, ident, ident), ident, ident),
+        (mediate(res, res.left, res.right), res.left, res.right),
+    ):
+        src = g1.source
+        for n in med.image_transitions():
+            y1, y2 = res.pairs[n]
+            axis = src.binding_axis(med.space_map.fibre(n))
+            basis, images = med.flow_maps[n]
+            assert [list(v) for v in basis] == [leg_unit(med, x, b) for x, b in axis]
+            for (x, b), img in zip(axis, images):
+                want = tagged_pairing(
+                    res.net.bindings[n],
+                    first.bindings[y1],
+                    g1.flow_image(y1, leg_unit(g1, x, b)),
+                    second.bindings[y2],
+                    g2.flow_image(y2, leg_unit(g2, x, b)),
+                )
+                assert list(img) == want
+                assert all(type(v) is Fraction for v in img)
+        for n in med.image_places():
+            y1, y2 = res.pairs[n]
+            for lab, img in med.mark_maps[n].items():
+                want = tagged_pairing(
+                    res.net.tokens[n],
+                    first.tokens[y1],
+                    g1.mark_maps[y1][lab],
+                    second.tokens[y2],
+                    g2.mark_maps[y2][lab],
+                )
+                assert list(img) == want
+                assert all(type(v) is Fraction for v in img)
+
+
 def test_fibre_product_of_identities_rebuilds_the_net():
     y = y_net()
     fp = fibre_product(identity_morphism(y), identity_morphism(y))
