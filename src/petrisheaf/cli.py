@@ -32,7 +32,6 @@ from .behaviour import (
 from .formats import (
     FormatError,
     _format_combination,
-    _format_scalar,
     load_net,
     load_winskel,
     parse_morphism,
@@ -117,7 +116,7 @@ def _label(lab):
 
 def _fmt_marking(net, vector):
     parts = [
-        f"{p}.{c}={_format_scalar(v)}"
+        f"{p}.{c}={la._format_scalar(v)}"
         for (p, c), v in zip(net.token_axis(), vector)
         if v
     ]

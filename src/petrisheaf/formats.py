@@ -46,6 +46,7 @@ from __future__ import annotations
 from fractions import Fraction
 from pathlib import Path
 
+from .intlinalg import _format_scalar
 from .morphism import NetMorphism, WinskelMorphism
 from .net import ColouredNet
 from .topology import PetriSpace
@@ -111,15 +112,6 @@ def _scalar(text, lineno, raw):
         if head.isdigit():
             return Fraction(_integer(num, lineno, raw), _integer(den, lineno, raw))
     return None
-
-
-def _format_scalar(value):
-    if type(value) is int:
-        return str(value)
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
 
 
 def _parse_combination(expr, lineno, raw):

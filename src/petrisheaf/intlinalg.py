@@ -23,6 +23,11 @@ integers once and stay integers until ``rref`` divides each pivot row by its
 pivot.  ``Ring.solver(m, cols)`` factors ``m`` once (the HNF over Z, the
 echelon of ``[m | I]`` over Q) and returns a ``solve(v)`` to reuse for many
 right-hand sides; ``Ring.solve`` is one such solve.
+
+Two small helpers serve the other modules as well: ``_integer_row`` and
+``_integer_rows`` scale a rational row, or a table of rows, to integers over
+one denominator, and ``_format_scalar``/``_format_vector`` render scalars and
+vectors as the CLI prints them (``-7/3``, ``[2, -1/2]``).
 """
 
 from __future__ import annotations
@@ -103,6 +108,23 @@ def matvec(m, v):
 
 def is_zero_vector(v):
     return all(x == 0 for x in v)
+
+
+def _format_scalar(value):
+    """An int or a rational as ``7`` or ``-7/3``."""
+    if type(value) is int:
+        return str(value)
+    value = Fraction(value)
+    if value.denominator == 1:
+        return str(value.numerator)
+    return f"{value.numerator}/{value.denominator}"
+
+
+def _format_vector(values, denominator=1):
+    """``[2, -1/2]``: each entry, over ``denominator``, rendered as a scalar."""
+    if denominator != 1:
+        values = [Fraction(x, denominator) for x in values]
+    return "[" + ", ".join(map(_format_scalar, values)) + "]"
 
 
 def xgcd(a, b):
@@ -575,6 +597,13 @@ def _integer_row(row):
         return list(row), 1
     d = math.lcm(*(x.denominator for x in row))
     return [x.numerator * (d // x.denominator) for x in row], d
+
+
+def _integer_rows(rows):
+    """Rows scaled to integers by the lcm of all their denominators, one
+    denominator for the table: ``(int rows, lcm)``."""
+    d = math.lcm(*(x.denominator for row in rows for x in row if type(x) is not int))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
 
 
 def _echelon(m, cols):

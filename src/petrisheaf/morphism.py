@@ -18,11 +18,16 @@ binding and each token: its transition fibres hold no places, so the unit
 bindings are a flow basis.  ``NetMorphism.discrete`` builds one from those
 element images.
 
-The linear data goes through ``intlinalg``'s dense vocabulary: unit vectors
-are rows of ``identity``, matrices of given columns come from ``transpose``,
-and images are ``combine``-d from basis images.  ``combine`` sums from int
-zeros, so a vector in a report is a list of ints over Z and of Fractions
-wherever a rational coefficient entered.
+Verification runs on integer rows, fraction-free in the manner of Bareiss
+(*Math. Comp.* 22, 1968).  Once per morphism, the mark images over each image
+place ``u`` are scaled to integer rows over one denominator ``d_u``, and each
+flow (basis, image) pair to integers by one factor.  Over a unit flow basis,
+which every discrete morphism has, a fibre flow is its own coordinate vector,
+so its image is one integer combination.  The clauses read the sparse
+``net.effect`` pairs, compare integer vectors with the denominators
+cross-multiplied, and check linear conditions on positive integer multiples
+of rational vectors.  A failing clause reports the exact vectors, rendered
+by ``intlinalg._format_vector`` as the CLI renders scalars: ``[2, -1/2]``.
 """
 
 from __future__ import annotations
@@ -209,7 +214,8 @@ class NetMorphism:
         self._rewrites = None  # per image transition: fibre token -> target token vector
         self._transport = None  # target token axis x source token axis
         self._scaled = None  # the transport scaled to sparse integer rows
-        self._flow_solvers = {}  # image transition -> (fibre length, solve) of its basis
+        self._flow_rows = {}  # image transition -> its flow data on integer rows
+        self._mark_rows = {}  # image place -> its mark data on integer rows
 
     @classmethod
     def discrete(cls, source, target, node_map, image, ring=None, name="f"):
@@ -255,28 +261,74 @@ class NetMorphism:
     def image_places(self):
         return self._image_places
 
+    def _integer_flows(self, a):
+        """The flow data over ``a`` on integer rows, built once per morphism.
+
+        Returns ``(fibre_dim, pairs, image)``.  ``pairs`` holds each (basis,
+        image) pair scaled to integers by one factor ``s``, as ``(s, basis,
+        image)``.  ``image(w)`` takes an integer fibre flow and returns its
+        image as ``(ints, d)``, an integer row over the denominator ``d``.
+        Over the unit basis a flow is its own coordinate vector and the
+        images share one denominator; any other basis, the empty one
+        included, is factored once, in its scaled form, and each flow solved
+        over it.
+        """
+        rows = self._flow_rows.get(a)
+        if rows is None:
+            basis, images = self.flow_maps[a]
+            fibre_dim = len(self.source.binding_axis(self.space_map.fibre(a)))
+            dim = len(self.target.bindings[a])
+            pairs = []
+            for vec, img in zip(basis, images):
+                ints, s = la._integer_row(vec + img)
+                pairs.append((s, ints[:fibre_dim], ints[fibre_dim:]))
+            if [list(v) for v in basis] == la.identity(fibre_dim):
+                table, d = la._integer_rows(images)
+
+                def image(w):
+                    return la.combine(w, table, dim), d
+
+            else:
+                scaled_basis = la.transpose([vec for _, vec, _ in pairs], fibre_dim)
+                solve = la.RINGS[self.ring].solver(scaled_basis, len(pairs))
+                scaled_images = [img for _, _, img in pairs]
+
+                def image(w):
+                    coords = solve(w)
+                    if coords is None:
+                        raise MorphismError(
+                            f"vector is not in the span of the flow basis over {a!r}"
+                        )
+                    return la._integer_row(la.combine(coords, scaled_images, dim))
+
+            rows = self._flow_rows[a] = (fibre_dim, pairs, image)
+        return rows
+
+    def _integer_marks(self, u):
+        """The mark data over ``u`` on integer rows, built once per morphism:
+        ``(d, rows)``, with ``rows[lab] / d`` the mark image of fibre token
+        ``lab``, one denominator ``d`` for the place."""
+        rows = self._mark_rows.get(u)
+        if rows is None:
+            table = self.mark_maps[u]
+            ints, d = la._integer_rows(table.values())
+            rows = self._mark_rows[u] = (d, dict(zip(table, ints)))
+        return rows
+
     def flow_image(self, a, vector):
         """Image of a fibre flow over ``a`` as a binding vector of ``a``.
 
-        The basis over ``a`` is factored once per morphism and its solver
-        reused for every vector (``flow_maps`` never changes).
+        ``vector`` is scaled to integers and mapped through
+        ``_integer_flows``; the image holds ints when its denominator is 1,
+        else Fractions.
         """
-        basis, images = self.flow_maps[a]
-        if a not in self._flow_solvers:
-            dim = len(self.source.binding_axis(self.space_map.fibre(a)))
-            solve = self._solver(basis, dim) if basis else None
-            self._flow_solvers[a] = (dim, solve)
-        dim, solve = self._flow_solvers[a]
-        if len(vector) != dim:
+        fibre_dim, _, image = self._integer_flows(a)
+        if len(vector) != fibre_dim:
             raise MorphismError("fibre flow vector has the wrong length")
-        if not basis:
-            if any(vector):
-                raise MorphismError("nonzero flow over an empty basis")
-            return tuple(0 for _ in self.target.bindings[a])
-        coords = solve(list(vector))
-        if coords is None:
-            raise MorphismError(f"vector is not in the span of the flow basis over {a!r}")
-        return tuple(la.combine(coords, images, len(self.target.bindings[a])))
+        w, c = la._integer_row(vector)
+        ints, d = image(w)
+        d *= c
+        return tuple(ints) if d == 1 else tuple(Fraction(x, d) for x in ints)
 
     def induced_flow_family(self, region):
         """The induced flow map on a closed target region.
@@ -285,36 +337,52 @@ class NetMorphism:
         preimage and produces its component family over the region bindings,
         raising if some fibre restriction fails to be a flow.
         """
+        out_axis, integer_mapper = self._integer_family(region)
+
+        def mapper(vector):
+            ints, d = integer_mapper(vector)
+            return tuple(ints) if d == 1 else tuple(Fraction(x, d) for x in ints)
+
+        return out_axis, mapper
+
+    def _integer_family(self, region):
+        """``induced_flow_family`` on integers: the mapper scales the flow to
+        integers, maps each fibre restriction through ``_integer_flows`` and
+        returns the family as ``(ints, d)``, an integer row over ``d``."""
         region = self.target.space.ordered(region)
         if not self.target.space.is_closed(region):
             raise MorphismError("induced flow families live on closed regions")
-        pre = self.space_map.preimage(region)
-        pre_axis = self.source.binding_axis(pre)
+        src = self.source
+        pre_axis = src.binding_axis(self.space_map.preimage(region))
         pre_index = {lab: i for i, lab in enumerate(pre_axis)}
-        out_axis = self.target.binding_axis(region)
-        fibre_data = []
-        for a in self.target.space.transitions_in(region):
-            if a not in self.flow_maps:
-                continue
-            fibre = self.space_map.fibre(a)
-            fibre_axis = self.source.binding_axis(fibre)
-            flows = self.source.flows(fibre, ring=self.ring)
-            fibre_data.append((a, fibre_axis, flows))
+        transitions = self.target.space.transitions_in(region)
+        fibres = []
+        for a in transitions:
+            if a in self.flow_maps:
+                fibre = self.space_map.fibre(a)
+                index = [pre_index[lab] for lab in src.binding_axis(fibre)]
+                _, _, image = self._integer_flows(a)
+                fibres.append((a, index, src.flows(fibre, ring=self.ring), image))
+        zeros = {a: [0] * len(self.target.bindings[a]) for a in transitions}
 
         def mapper(vector):
             if len(vector) != len(pre_axis):
                 raise MorphismError("flow vector has the wrong length")
-            out = {}
-            for a, fibre_axis, flows in fibre_data:
-                restricted = [vector[pre_index[lab]] for lab in fibre_axis]
+            w, c = la._integer_row(vector)
+            images = {}
+            for a, index, flows, image in fibres:
+                restricted = [w[i] for i in index]
                 if not flows.contains(restricted):
                     raise NetError(f"restriction to the fibre over {a!r} is not a flow")
-                img = self.flow_image(a, restricted)
-                for b_name, val in zip(self.target.bindings[a], img):
-                    out[(a, b_name)] = val
-            return tuple(out.get(lab, 0) for lab in out_axis)
+                images[a] = image(restricted)
+            d = math.lcm(*(e for _, e in images.values()))
+            family = []
+            for a in transitions:
+                ints, e = images.get(a, (zeros[a], d))
+                family += [x * (d // e) for x in ints]
+            return family, d * c
 
-        return out_axis, mapper
+        return self.target.binding_axis(region), mapper
 
     # -- verification --------------------------------------------------------
 
@@ -340,6 +408,7 @@ class NetMorphism:
         passed(CLAUSE_CONTINUITY)
 
         src, tgt = self.source, self.target
+        src_tokens, tgt_tokens = src.token_axis(), tgt.token_axis()
 
         # 2. the supplied vectors form a basis of the fibre flows
         for a in self.image_transitions():
@@ -350,7 +419,7 @@ class NetMorphism:
                 if not flows.contains(list(vec)):
                     fail(
                         CLAUSE_FLOW_BASIS,
-                        f"vector {list(vec)} is not a flow of the fibre over {a!r}",
+                        f"vector {la._format_vector(vec)} is not a flow of the fibre over {a!r}",
                     )
                     return report
             if len(basis) != flows.rank:
@@ -365,19 +434,21 @@ class NetMorphism:
                 return report
         passed(CLAUSE_FLOW_BASIS)
 
-        # 3. induced flow maps on place closures stay flows
+        # 3. induced flow maps on place closures stay flows; the clause is
+        # linear, so each family is checked as a positive integer multiple
         for u in self.image_places():
             region = tgt.space.ordered(tgt.space.basic_closed(u))
             pre = self.space_map.preimage(region)
             try:
-                _, mapper = self.induced_flow_family(region)
+                _, mapper = self._integer_family(region)
                 target_flows = tgt.flows(region, ring=self.ring)
                 for phi in src.flows(pre, ring=self.ring).basis:
-                    family = mapper(list(phi))
-                    if not target_flows.contains(list(family)):
+                    family, _ = mapper(phi)
+                    if not target_flows.contains(family):
                         fail(
                             CLAUSE_FLOW_EXTENDS,
-                            f"image family of {list(phi)} violates the balance at {u!r}",
+                            f"image family of {la._format_vector(phi)} violates the balance "
+                            f"at {u!r}",
                         )
                         return report
             except (MorphismError, NetError) as exc:
@@ -387,16 +458,16 @@ class NetMorphism:
 
         # 4a. mark maps kill the fibre relations (the target is free over {u})
         for u in self.image_places():
-            fibre = self.space_map.fibre(u)
-            fibre_tokens = src.token_axis(fibre)
-            images = [self.mark_maps[u][lab] for lab in fibre_tokens]
-            tgt_dim = len(tgt.tokens[u])
-            for t, b in src.binding_axis(fibre):
-                out = la.combine(src.binding_effect(t, b, fibre), images, tgt_dim)
+            d, marks = self._integer_marks(u)
+            dim = len(tgt.tokens[u])
+            for t, b in src.binding_axis(self.space_map.fibre(u)):
+                pre, post = src.effect(t, b)
+                out = _push(src_tokens, (*post, *((i, -w) for i, w in pre)), marks, dim)
                 if any(out):
                     fail(
                         CLAUSE_MARK_DEFINED,
-                        f"binding {t}.{b} has nonzero image {out} in the tokens of {u!r}",
+                        f"binding {t}.{b} has nonzero image {la._format_vector(out, d)} "
+                        f"in the tokens of {u!r}",
                     )
                     return report
         passed(CLAUSE_MARK_DEFINED)
@@ -415,7 +486,8 @@ class NetMorphism:
         # 5. signedness of the supplied data
         signed_status, signed_detail = "ok", ""
         for u in self.image_places():
-            for lab, vec in self.mark_maps[u].items():
+            _, marks = self._integer_marks(u)
+            for lab, vec in marks.items():
                 if any(x < 0 for x in vec):
                     fail(CLAUSE_SIGNEDNESS, f"mark image of {lab} has a negative entry")
                     return report
@@ -431,48 +503,46 @@ class NetMorphism:
                 signed_status = "inconclusive"
                 signed_detail = f"hilbert basis over {a!r} exceeded the guard"
                 continue
+            _, _, image = self._integer_flows(a)
             for g in gens:
-                img = self.flow_image(a, list(g))
-                if any(x < 0 for x in img):
+                ints, d = image(list(g))
+                if any(x < 0 for x in ints):
                     fail(
                         CLAUSE_SIGNEDNESS,
-                        f"non-negative fibre flow {list(g)} maps to {list(img)}",
+                        f"non-negative fibre flow {la._format_vector(g)} maps to "
+                        f"{la._format_vector(ints, d)}",
                     )
                     return report
         report.clauses.append(ClauseResult(CLAUSE_SIGNEDNESS, signed_status, signed_detail))
 
-        # 6. incidence compatibility on every image (transition, place) pair
+        # 6. incidence compatibility on every image (transition, place) pair:
+        # over the pair scale s and the mark denominator d, the fibre side is
+        # s*d times the exact one and the image side s times
         for a in self.image_transitions():
             fibre_axis = src.binding_axis(self.space_map.fibre(a))
-            basis, images = self.flow_maps[a]
+            _, pairs, _ = self._integer_flows(a)
             for u in self.image_places():
-                u_fibre = self.space_map.fibre(u)
-                marks = [self.mark_maps[u][lab] for lab in src.token_axis(u_fibre)]
-                tgt_dim = len(tgt.tokens[u])
-                for kind, sign in (("minus", "-"), ("plus", "+")):
-                    # the fibre bindings that weigh on u's fibre, with their
-                    # weights pushed through the mark data; leaving out the
-                    # others keeps an entry int 0 when no weighted term
-                    # reaches it, as on the image side
-                    src_cols = [src.binding_effect(s, b, u_fibre, kind) for s, b in fibre_axis]
-                    touching = [k for k, col in enumerate(src_cols) if any(col)]
-                    pushed = [la.combine(src_cols[k], marks, tgt_dim) for k in touching]
-                    tgt_cols = [tgt.binding_effect(a, b, (u,), kind) for b in tgt.bindings[a]]
-                    for vec, img in zip(basis, images):
-                        lhs = la.combine([vec[k] for k in touching], pushed, tgt_dim)
-                        # zero weights are skipped, so an unweighted entry stays int 0
-                        rhs = [0] * tgt_dim
-                        for coeff, col in zip(img, tgt_cols):
-                            if not coeff:
-                                continue
-                            for i, w in enumerate(col):
-                                if w:
-                                    rhs[i] += coeff * w
-                        if lhs != rhs:
+                d, marks = self._integer_marks(u)
+                dim = len(tgt.tokens[u])
+                units = dict(zip(((u, c) for c in tgt.tokens[u]), la.identity(dim)))
+                for side, sign in ((0, "-"), (1, "+")):
+                    pushed = [
+                        _push(src_tokens, src.effect(t, b)[side], marks, dim)
+                        for t, b in fibre_axis
+                    ]
+                    weights = [
+                        _push(tgt_tokens, tgt.effect(a, b)[side], units, dim)
+                        for b in tgt.bindings[a]
+                    ]
+                    for s, vec, img in pairs:
+                        lhs = la.combine(vec, pushed, dim)
+                        rhs = la.combine(img, weights, dim)
+                        if lhs != [d * x for x in rhs]:
                             fail(
                                 CLAUSE_INCIDENCE,
                                 f"w{sign} mismatch over ({a!r}, {u!r}): fibre side "
-                                f"{lhs} vs image side {rhs}",
+                                f"{la._format_vector(lhs, s * d)} vs image side "
+                                f"{la._format_vector(rhs, s)}",
                             )
                             return report
         passed(CLAUSE_INCIDENCE)
@@ -484,55 +554,57 @@ class NetMorphism:
         Solves each such token as a combination of place-fibre tokens and
         region relations inside the transition neighbourhood; returns a dict
         token label -> vector over the full target token axis, or an error
-        string when the transport does not exist.
+        string when the transport does not exist.  The well-definedness
+        check maps integer multiples of the kernel vectors through the mark
+        images scaled to integers over one denominator.
         """
         src, tgt = self.source, self.target
-        region = self.space_map.preimage(tgt.space.basic_open(a))
+        neighbourhood = tgt.space.basic_open(a)
+        region = self.space_map.preimage(neighbourhood)
         ambient = src.token_axis(region)
         dim = len(ambient)
-        tgt_places = tgt.space.places_in(tgt.space.basic_open(a))
-        tgt_axis = [(u, c) for u in tgt_places for c in tgt.tokens[u]]
+        incidence = src.incidence_matrix(region)
+        tgt_axis = tgt.token_axis(neighbourhood)
         tgt_index = {lab: i for i, lab in enumerate(tgt_axis)}
         tdim = len(tgt_axis)
 
-        units = la.identity(dim)
-        p_vectors, p_targets = [], []
-        t_labels = []
+        p_rows, p_targets, t_labels = [], [], []
         for i, (p, c) in enumerate(ambient):
             fp = self.space_map(p)
             if tgt.space.sort_of(fp) is Sort.PLACE:
-                p_vectors.append(units[i])
                 target = [0] * tdim
                 for val, c2 in zip(self.mark_maps[fp][(p, c)], tgt.tokens[fp]):
                     target[tgt_index[(fp, c2)]] = val
+                p_rows.append(i)
                 p_targets.append(target)
             else:
                 t_labels.append((i, (p, c)))
-        r_vectors = [
-            src.binding_effect(s, b, region) for s, b in src.binding_axis(region)
+        p_ints, d = la._integer_rows(p_targets)
+        cols = len(p_rows) + len(incidence.col_labels)
+        matrix = [
+            [int(i == r) for r in p_rows] + list(row) for i, row in enumerate(incidence.entries)
         ]
-        columns = p_vectors + r_vectors
-        targets = p_targets + [[0] * tdim for _ in r_vectors]
+        targets = p_targets + [[0] * tdim for _ in incidence.col_labels]
 
-        relations = [
-            tgt.binding_effect(a, b, tgt.space.basic_open(a)) for b in tgt.bindings[a]
-        ]
-        s_module = self._module(tdim, relations)
+        relations = tgt.incidence_matrix(neighbourhood, (a,)).entries
+        s_module = self._module(tdim, la.transpose(relations, len(tgt.bindings[a])))
 
         # well-definedness: vanishing combinations must map into the relations
-        for ker_vec in self._kernel(columns, dim) if columns else []:
-            image = la.combine(ker_vec, targets, tdim)
+        ring = la.RINGS[self.ring]
+        for ker_vec in ring.kernel_basis(matrix, cols) if cols else []:
+            w, c = la._integer_row(ker_vec)
+            image = la.combine(w, p_ints, tdim)
             if image not in s_module:
                 return (
                     f"transport over {a!r} is inconsistent: a vanishing combination "
-                    f"maps to {image}, outside the relations"
+                    f"maps to {la._format_vector(image, c * d)}, outside the relations"
                 )
 
         full_axis = tgt.token_axis()
         out = {}
-        solve = self._solver(columns, dim) if columns and t_labels else None
+        solve = ring.solver(matrix, cols) if cols and t_labels else None
         for idx, lab in t_labels:
-            coords = solve(units[idx]) if solve else None
+            coords = solve([int(i == idx) for i in range(dim)]) if solve else None
             if coords is None:
                 return (
                     f"transport over {a!r} is underdetermined: token {lab} is not "
@@ -593,23 +665,14 @@ class NetMorphism:
         if self._scaled is None:
             scaled = []
             for row in self.marking_transport():
-                d = None
-                if any(type(x) is not int for x in row):
-                    d = math.lcm(*(x.denominator for x in row))
-                coeffs = [
-                    (j, x if d is None else x.numerator * (d // x.denominator))
-                    for j, x in enumerate(row)
-                    if x
-                ]
-                scaled.append((d, coeffs))
+                ints, d = la._integer_row(row)
+                typed = all(type(x) is int for x in row)
+                scaled.append((None if typed else d, [(j, x) for j, x in enumerate(ints) if x]))
             self._scaled = scaled
         if len(values) != len(self.source.token_axis()):
             raise MorphismError("marking vector has the wrong length")
         whole = all(isinstance(x, int) for x in values)
-        scale = 1
-        if not whole:
-            scale = math.lcm(*(x.denominator for x in values))
-            values = [x.numerator * (scale // x.denominator) for x in values]
+        values, scale = la._integer_row(values)
         out = []
         for d, coeffs in self._scaled:
             s = sum(c * values[j] for j, c in coeffs)
@@ -791,6 +854,18 @@ class NetMorphism:
 
     def __repr__(self):
         return f"NetMorphism({self.name!r}: {self.source.name!r} -> {self.target.name!r})"
+
+
+def _push(axis, pairs, rows, dim):
+    """``sum(w * rows[axis[i]])`` over the (axis position, weight) ``pairs``
+    whose label has a row in ``rows``: sparse weights pushed through a table."""
+    out = [0] * dim
+    for i, w in pairs:
+        row = rows.get(axis[i])
+        if row is not None:
+            for j, x in enumerate(row):
+                out[j] += w * x
+    return out
 
 
 def morphisms_equal(f, g):

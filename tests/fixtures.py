@@ -84,6 +84,20 @@ def y_net():
     )
 
 
+def bad_weight_target(ring="Z"):
+    """The target with b2 weighing 3 instead of 2: the fold's data then fail
+    incidence-compat."""
+    return ColouredNet(
+        y_space(),
+        bindings={"a": ("b1", "b2")},
+        tokens={"u": ("c",)},
+        w_minus={("a", "b1", "u", "c"): 2, ("a", "b2", "u", "c"): 3},
+        w_plus={("a", "b1", "u", "c"): 2, ("a", "b2", "u", "c"): 3},
+        ring=ring,
+        name="runY-bad",
+    )
+
+
 # flows of the source net, over the full binding axis t1..t6
 TAU1 = (1, 0, 1, 0, 0, 0)
 TAU2 = (1, 1, 0, 1, 0, 0)

@@ -11,7 +11,6 @@ import pytest
 from petrisheaf import intlinalg as la
 from petrisheaf.cli import _json_value, main, random_strict_net
 from petrisheaf.formats import (
-    _format_scalar,
     parse_morphism,
     parse_net,
     serialize_morphism,
@@ -413,7 +412,7 @@ def test_scalar_renderings(value, payload, text):
     got = _json_value(value)
     assert got == payload
     assert type(got) is type(payload)
-    assert _format_scalar(value) == text
+    assert la._format_scalar(value) == text
 
 
 def test_map_behaviour_transports_a_saturated_run(workdir, capsys):

@@ -2,8 +2,9 @@
 
 Every case runs ``petrisheaf.cli.main`` on documents built from
 ``fixtures.py`` (the same documents as the ``workdir`` fixture of
-``test_cli.py``, a ``ring q`` copy of ``runX.pnet``, a net with torsion
-classes and a three-place ring) and compares the exit code and stdout with ``tests/golden/``.  The
+``test_cli.py``, a ``ring q`` copy of ``runX.pnet``, a ``ring q`` target that
+the fold's data fail on, a net with torsion classes and a three-place ring)
+and compares the exit code and stdout with ``tests/golden/``.  The
 temporary directory is written as ``<DIR>``.  The expected files are only
 rewritten on purpose, when an output change is intended:
 
@@ -22,7 +23,7 @@ from petrisheaf.formats import serialize_morphism, serialize_net, serialize_wins
 from petrisheaf.morphism import identity_morphism
 from petrisheaf.net import place_transition_net
 
-from fixtures import fold_morphism, unfolding_morphism, winskel_data, winskel_nets
+from fixtures import bad_weight_target, fold_morphism, unfolding_morphism, winskel_data, winskel_nets
 
 GOLDEN = Path(__file__).parent / "golden"
 DOCUMENT_SUFFIXES = (".pnet", ".pmor", ".pwin")
@@ -64,6 +65,8 @@ CASES = {
     "check-morphism-fold-guard-1": ("check-morphism", "fold.pmor", "--hilbert-guard", "1"),
     "check-morphism-unfold": ("check-morphism", "unfold.pmor"),
     "check-morphism-idY": ("check-morphism", "idY.pmor"),
+    # over Q, a failing clause renders its vectors as scalars: [2], not Fraction(2, 1)
+    "check-morphism-fold-badw-q": ("check-morphism", "fold-badw.pmor"),
     "compose-unfold-idY": ("compose", "unfold.pmor", "idY.pmor"),
     "compose-fold-idY": ("compose", "fold.pmor", "idY.pmor"),
     "compose-mismatch": ("compose", "unfold.pmor", "fold.pmor"),
@@ -116,6 +119,13 @@ def build_documents(directory):
         serialize_net(unfold.source, marking={("v", "v"): 2})
     )
     (directory / "fold.pmor").write_text(serialize_morphism(fold, "runX.pnet", "runY.pnet"))
+    # the fold's data onto a ring q target whose b2 weighs 3
+    (directory / "runYbadq.pnet").write_text(serialize_net(bad_weight_target(ring="Q")))
+    (directory / "fold-badw.pmor").write_text(
+        serialize_morphism(fold, "runX.pnet", "runYbadq.pnet").replace(
+            "morphism fold\n", "morphism fold-badw\n"
+        )
+    )
     (directory / "unfold.pmor").write_text(
         serialize_morphism(unfold, "unfoldY.pnet", "runY.pnet")
     )
