@@ -24,6 +24,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import intlinalg as la
 from .topology import Sort
 
 
@@ -326,7 +327,8 @@ def map_sequence(morphism, events):
         image = morphism.flow_image(node, parikh)
         if any(x < 0 or x != int(x) for x in image):
             raise BehaviourError(
-                f"image of the run over {node!r} is not a binding multiset: {list(image)}"
+                f"image of the run over {node!r} is not a binding multiset: "
+                f"{la._format_vector(image)}"
             )
         out.append((node, tuple(int(x) for x in image)))
     return out
@@ -402,7 +404,8 @@ def check_behaviour_mapping(morphism, marking, events):
     if current != expected:
         return MappingReport(
             "failed",
-            f"post-markings differ: fired {list(current)}, transported {list(expected)}",
+            f"post-markings differ: fired {la._format_vector(current)}, "
+            f"transported {la._format_vector(expected)}",
             tuple(image_events),
             post,
             current,
@@ -424,7 +427,10 @@ def verify_petri_morphism(morphism, marking_x, marking_y, witness=None):
     my = marking_vector(morphism.target, marking_y)
     got = tuple(morphism.map_marking(list(mx)))
     if got != my:
-        return False, f"marking transports to {list(got)}, expected {list(my)}"
+        return False, (
+            f"marking transports to {la._format_vector(got)}, "
+            f"expected {la._format_vector(my)}"
+        )
     if witness is not None:
         mapped = check_behaviour_mapping(morphism, mx, witness)
         if not mapped.ok:
@@ -500,15 +506,11 @@ def check_modification_invariance(morphism, marking, depth=6, max_states=5_000):
             len(reach_y),
         )
 
+    # a modification is discrete: every binding has an element image
     event_image = {}
     for t in src.space.transitions:
-        a = morphism.space_map(t)
-        if tgt.space.sort_of(a) is Sort.PLACE:
-            continue
-        axis = src.binding_axis(morphism.space_map.fibre(a))
         for b in src.bindings[t]:
-            unit = [1 if lab == (t, b) else 0 for lab in axis]
-            image = morphism.flow_image(a, unit)
+            image = morphism.element_image(t, b)
             if any(x < 0 or x != int(x) for x in image):
                 return InvarianceReport(
                     "failed",
@@ -516,13 +518,9 @@ def check_modification_invariance(morphism, marking, depth=6, max_states=5_000):
                     len(reach_x),
                     len(reach_y),
                 )
-            event_image[(t, b)] = (a, tuple(int(x) for x in image))
+            event_image[(t, b)] = (morphism.space_map(t), tuple(int(x) for x in image))
     units = _unit_events(tgt)
     for m, (t, b), m2 in reach_x.edges:
-        if (t, b) not in event_image:
-            return InvarianceReport(
-                "failed", f"event {t}.{b} sits over a place", len(reach_x), len(reach_y)
-            )
         a, vec = event_image[(t, b)]
         stepped = _fire_units(tgt, units, image_of[m], a, vec)
         if stepped is None:

@@ -544,7 +544,7 @@ def cmd_fibre_product(args, out):
             out.put("status", "failed")
             out.put("detail", f"{m.name}: {bad.clause}")
             return FAILURE
-        if not m.classify(hilbert_guard=args.hilbert_guard).discrete:
+        if not m.space_map.is_discrete():
             raise CliError(
                 f"fibre products need discrete morphisms, {m.name} is not discrete"
             )

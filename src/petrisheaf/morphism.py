@@ -16,7 +16,7 @@ failure.  Clause identifiers are stable strings used by reports and the CLI.
 A sort-preserving (discrete) morphism is given by where it sends each
 binding and each token: its transition fibres hold no places, so the unit
 bindings are a flow basis.  ``NetMorphism.discrete`` builds one from those
-element images.
+element images and ``NetMorphism.element_image`` reads them back.
 
 Verification runs on integer rows, fraction-free in the manner of Bareiss
 (*Math. Comp.* 22, 1968).  Once per morphism, the mark images over each image
@@ -240,6 +240,19 @@ class NetMorphism:
             else:
                 mark_maps[y] = {(x, c): image(x, c) for x, c in source.token_axis(fibre)}
         return cls(source, target, space_map, flow_maps, mark_maps, ring=ring, name=name)
+
+    def element_image(self, x, e):
+        """The image of binding or token ``e`` of node ``x`` over the elements
+        of its image node, which must share the sort of ``x``: the flow image
+        of the unit binding, or the mark image of the token.  The read-side
+        twin of ``discrete``."""
+        y = self.space_map(x)
+        if self.source.space.sort_of(x) is not self.target.space.sort_of(y):
+            raise MorphismError(f"{x!r} and its image {y!r} differ in sort")
+        if self.target.space.is_place(y):
+            return self.mark_maps[y][(x, e)]
+        axis = self.source.binding_axis(self.space_map.fibre(y))
+        return self.flow_image(y, la.identity(len(axis))[axis.index((x, e))])
 
     # -- ring helpers ------------------------------------------------------
 

@@ -11,12 +11,15 @@ the rationals because the projections need fractional mark images.
 
 On top of the product live the projection morphisms, the mediating
 morphism of a compatible pair, the diagonal embedding, inverse images
-along embeddings, and fibre products (pullbacks) built from all of these.
+along discrete embeddings, and fibre products (pullbacks) built from all of
+these.  Every morphism here is discrete (sort-preserving), so each is built
+with ``NetMorphism.discrete`` and read with ``NetMorphism.element_image``,
+one binding or token at a time; one loop per node covers places and
+transitions alike.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,6 +45,20 @@ def _tag(side, label):
 def _side_of(tagged):
     side, _, label = tagged.partition(":")
     return int(side), label
+
+
+def _elements(net, x):
+    """The bindings of a transition or the tokens of a place."""
+    return net.bindings[x] if net.space.is_transition(x) else net.tokens[x]
+
+
+def _require_discrete(g, what):
+    """Refuse a morphism that is not discrete or fails verification."""
+    if not g.space_map.is_discrete():
+        raise ProductError(
+            f"{what} needs discrete (sort-preserving) morphisms, {g.name!r} is not"
+        )
+    g.require_verified()
 
 
 @dataclass(frozen=True)
@@ -317,9 +334,8 @@ def mediate(result, to_first, to_second, name=None):
     """The pairing morphism into the product induced by two morphisms.
 
     Both arguments must be discrete, verified, share their source net and
-    land in the two factors.  A binding goes to the tagged pairing of the
-    flow images of its unit on the two legs' fibres, a token to the tagged
-    pairing of its two mark images.
+    land in the two factors.  A binding or token goes to the tagged pairing
+    of its two element images.
     """
     first, second = result.factors
     if to_first.source is not to_second.source:
@@ -327,11 +343,7 @@ def mediate(result, to_first, to_second, name=None):
     for g, factor, side in ((to_first, first, 1), (to_second, second, 2)):
         if g.target is not factor and g.target.space.nodes != factor.space.nodes:
             raise ProductError(f"{g.name!r} does not land in factor {side}")
-        if not g.space_map.is_discrete():
-            raise ProductError(
-                f"mediate needs discrete (sort-preserving) morphisms, {g.name!r} is not"
-            )
-        g.require_verified()
+        _require_discrete(g, "mediate")
 
     src = to_first.source
     node_map = {}
@@ -340,19 +352,11 @@ def mediate(result, to_first, to_second, name=None):
         if n not in result.pairs:
             raise ProductError(f"images of {x!r} differ in sort, no product node")
         node_map[x] = n
-
-    def leg_image(leg, x, e):
-        y = leg.space_map(x)
-        if src.space.is_place(x):
-            return leg.mark_maps[y][(x, e)]
-        axis = src.binding_axis(leg.space_map.fibre(y))
-        return leg.flow_image(y, la.identity(len(axis))[axis.index((x, e))])
-
     return NetMorphism.discrete(
         src,
         result.net,
         node_map,
-        lambda x, e: (*leg_image(to_first, x, e), *leg_image(to_second, x, e)),
+        lambda x, e: (*to_first.element_image(x, e), *to_second.element_image(x, e)),
         ring="Q",
         name=name or f"<{to_first.name},{to_second.name}>",
     )
@@ -450,29 +454,28 @@ def diagonal(net, name=None):
 def factors_through_diagonal(diag, morphism):
     """True when a morphism into the square lands inside the diagonal.
 
-    Node images must be diagonal nodes, every flow image must lie in the
-    rational span of the embedded binding diagonal and every mark image in
-    the span of the embedded token diagonal.
+    The morphism must be discrete.  Node images must be diagonal nodes, and
+    the image of each binding and token must lie in the rational span of
+    the embedded element images of its image node.
     """
     if morphism.target.space.nodes != diag.product.net.space.nodes:
         raise ProductError("the morphism does not land in the squared net")
-    if not set(morphism.space_map.mapping.values()) <= set(diag.net.space.nodes):
+    image = morphism.space_map.image()
+    if not set(image) <= set(diag.net.space.nodes):
         return False
-    for a in morphism.image_transitions():
-        span = la.Subspace(
-            len(diag.product.net.bindings[a]),
-            [list(v) for v in diag.embedding.flow_maps[a][1]],
+    emb = diag.embedding
+    spans = {
+        y: la.Subspace(
+            len(_elements(emb.target, y)),
+            [emb.element_image(y, e) for e in _elements(diag.net, y)],
         )
-        if any(list(img) not in span for img in morphism.flow_maps[a][1]):
-            return False
-    for u in morphism.image_places():
-        span = la.Subspace(
-            len(diag.product.net.tokens[u]),
-            [list(v) for v in diag.embedding.mark_maps[u].values()],
-        )
-        if any(list(img) not in span for img in morphism.mark_maps[u].values()):
-            return False
-    return True
+        for y in image
+    }
+    return all(
+        list(morphism.element_image(x, e)) in spans[morphism.space_map(x)]
+        for x in morphism.source.space.nodes
+        for e in _elements(morphism.source, x)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -487,10 +490,7 @@ def _integer_points(subspace):
     if subspace.rank == n:
         return la.Lattice(n, la.identity(n))
     rows = [list(b) for b in subspace.basis]
-    constraints = []
-    for c in la.rat_kernel_basis(rows, n):
-        den = math.lcm(*(Fraction(v).denominator for v in c))
-        constraints.append([int(Fraction(v) * den) for v in c])
+    constraints = [la._integer_row(c)[0] for c in la.rat_kernel_basis(rows, n)]
     return la.kernel_lattice(constraints, n)
 
 
@@ -521,15 +521,16 @@ class InverseImageResult:
     ``into_source`` includes the subnet into the source of the pulled-back
     map; ``to_subnet`` restricts that map onto the embedded subnet; the two
     composites into the common target agree exactly when
-    ``square_commutes`` holds.  ``binding_bases``/``token_bases`` give each
-    refined axis as a vector over the original axes.
+    ``square_commutes`` holds.  ``bases`` gives, for every node over the
+    embedded subnet, its refined axis as ``(name, vector)`` pairs over the
+    original bindings or tokens; a node whose refined module vanishes has
+    the empty basis and is dropped from the subnet.
     """
 
     net: ColouredNet
     into_source: NetMorphism
     to_subnet: NetMorphism
-    binding_bases: dict
-    token_bases: dict
+    bases: dict
     square_commutes: bool
 
 
@@ -537,77 +538,65 @@ def inverse_image(f, j, name=None):
     """Pull the subnet picked out by an embedding back along a map.
 
     ``f`` must be discrete (sort-preserving) and verified, ``j`` a verified
-    topological embedding into the same target.  The result keeps the nodes
-    whose ``f``-image lies in the image of ``j``, and refines each binding
-    and token module to the integer vectors that ``f`` sends into the
-    embedded submodule; the canonical basis of each refined module becomes
-    the new axis, and nodes whose refined module vanishes carry no elements
-    and are dropped.  Weights are rewritten over the new bases; a rewritten
-    weight that is negative, fractional, or outside the refined token
-    modules has no net counterpart and raises.  The result also carries the
-    inclusion into the source and the restriction onto the subnet, and
-    checks that the square over the target commutes.
+    discrete topological embedding into the same target.  The result keeps
+    the nodes whose ``f``-image lies in the image of ``j``, and refines each
+    binding and token module to the integer vectors that ``f`` sends into
+    the span of the embedded node's element images; the canonical basis of
+    each refined module becomes the new axis, and nodes whose refined module
+    vanishes carry no elements and are dropped.  Weights are rewritten over
+    the new bases; a rewritten weight that is negative, fractional, or
+    outside the refined token modules has no net counterpart and raises.
+    The result also carries the inclusion into the source and the
+    restriction onto the subnet, and checks that the square over the target
+    commutes.
     """
-    f.require_verified()
+    _require_discrete(f, "inverse image")
+    if not (j.space_map.is_embedding() and j.space_map.is_discrete()):
+        raise ProductError("inverse image needs a discrete topological embedding")
     j.require_verified()
     if f.target is not j.target and f.target.space.nodes != j.target.space.nodes:
         raise ProductError("inverse image needs a common target net")
-    if not f.space_map.is_discrete():
-        raise ProductError("inverse image needs a discrete map")
-    if not j.space_map.is_embedding():
-        raise ProductError("inverse image needs a topological embedding")
 
     src = f.source
     sub = j.source
     back = {j.space_map(z): z for z in sub.space.nodes}
+    # per embedded node: its dimension, and the span of its element images
+    # with a solver over them, factored once
+    embedded = {}
+    for y, z in back.items():
+        dim = len(_elements(f.target, y))
+        jcols = [j.element_image(z, e) for e in _elements(sub, z)]
+        solve = la.Q.solver(la.transpose(jcols, dim), len(jcols))
+        embedded[y] = (dim, la.Subspace(dim, jcols), solve)
     node_level = [x for x in src.space.nodes if f.space_map(x) in back]
-    level_places = [x for x in node_level if src.space.is_place(x)]
-    level_transitions = [x for x in node_level if src.space.is_transition(x)]
 
-    binding_bases = {}
-    flow_images = {}
-    for x in level_transitions:
-        a = f.space_map(x)
-        dim = len(f.target.bindings[a])
-        fibre_axis = src.binding_axis(f.space_map.fibre(a))
-        unit = dict(zip(fibre_axis, la.identity(len(fibre_axis))))
-        cols = [[Fraction(v) for v in f.flow_image(a, unit[(x, b)])] for b in src.bindings[x]]
-        _, j_images = j.flow_maps[a]
-        span = la.Subspace(dim, [list(v) for v in j_images])
+    bases = {}
+    columns = {}
+    for x in node_level:
+        dim, span, _ = embedded[f.space_map(x)]
+        cols = [[Fraction(v) for v in f.element_image(x, e)] for e in _elements(src, x)]
         pre = la.Q.preimage(la.transpose(cols, dim), span, cols=len(cols))
-        binding_bases[x] = _name_basis(src.bindings[x], _integer_points(pre))
-        flow_images[x] = {bn: la.combine(bvec, cols, dim) for bn, bvec in binding_bases[x]}
+        bases[x] = _name_basis(_elements(src, x), _integer_points(pre))
+        columns[x] = cols
 
-    token_bases = {}
-    mark_images = {}
-    for x in level_places:
-        u = f.space_map(x)
-        dim = len(f.target.tokens[u])
-        cols = [[Fraction(v) for v in f.mark_maps[u][(x, c)]] for c in src.tokens[x]]
-        span = la.Subspace(dim, [list(j.mark_maps[u][(back[u], c)]) for c in sub.tokens[back[u]]])
-        pre = la.Q.preimage(la.transpose(cols, dim), span, cols=len(cols))
-        token_bases[x] = _name_basis(src.tokens[x], _integer_points(pre))
-        mark_images[x] = {tn: la.combine(tvec, cols, dim) for tn, tvec in token_bases[x]}
-
-    kept_transitions = [x for x in level_transitions if binding_bases[x]]
-    kept_places = [x for x in level_places if token_bases[x]]
+    kept = [x for x in node_level if bases[x]]
+    kept_places = [x for x in kept if src.space.is_place(x)]
+    kept_transitions = [x for x in kept if src.space.is_transition(x)]
     if not kept_places or not kept_transitions:
         raise ProductError("inverse image keeps no place or no transition")
-    kept_set = set(kept_transitions) | set(kept_places)
-    kept = [x for x in node_level if x in kept_set]
+    kept_set = set(kept)
+    level_places = [x for x in node_level if src.space.is_place(x)]
 
     # each refined token module is factored once, for every weight rebased onto it
     token_solvers = {
         y: la.Z.solver(
-            la.transpose([vec for _nm, vec in token_bases[y]], len(src.tokens[y])),
-            len(token_bases[y]),
+            la.transpose([vec for _nm, vec in bases[y]], len(src.tokens[y])), len(bases[y])
         )
-        for y in level_places
-        if token_bases[y]
+        for y in kept_places
     }
     w_minus, w_plus = {}, {}
     for x in kept_transitions:
-        for bn, bvec in binding_bases[x]:
+        for bn, bvec in bases[x]:
             for y in level_places:
                 for store, kind in ((w_minus, "minus"), (w_plus, "plus")):
                     cols = [src.binding_effect(x, b, (y,), kind) for b in src.bindings[x]]
@@ -620,7 +609,7 @@ def inverse_image(f, j, name=None):
                         raise ProductError(
                             f"weights of {x!r} at {y!r} leave the refined token module"
                         )
-                    for (tn, _vec), wgt in zip(token_bases[y], coords):
+                    for (tn, _vec), wgt in zip(bases[y], coords):
                         if wgt < 0:
                             raise ProductError(
                                 f"negative rebased weight on {x}.{bn} at {y}.{tn}"
@@ -632,89 +621,45 @@ def inverse_image(f, j, name=None):
         [(x, src.space.sort_of(x)) for x in kept],
         [(p, t) for (p, t) in src.space.adjacency if p in kept_set and t in kept_set],
     )
+    names = {x: tuple(nm for nm, _ in bases[x]) for x in kept}
     net = ColouredNet(
         space,
-        {x: tuple(nm for nm, _ in binding_bases[x]) for x in kept_transitions},
-        {x: tuple(nm for nm, _ in token_bases[x]) for x in kept_places},
+        {x: names[x] for x in kept_transitions},
+        {x: names[x] for x in kept_places},
         w_minus,
         w_plus,
         strict=False,
         ring=src.ring,
         name=name or f"{src.name}|{sub.name}",
     )
-
-    bases = {
-        (x, nm): vec
-        for table in (binding_bases, token_bases)
-        for x, basis in table.items()
-        for nm, vec in basis
-    }
+    vectors = {(x, nm): vec for x in kept for nm, vec in bases[x]}
     into_source = NetMorphism.discrete(
         net,
         src,
         {x: x for x in kept},
-        lambda x, e: bases[(x, e)],
+        lambda x, e: vectors[(x, e)],
         ring=src.ring,
         name=f"include-{net.name}",
     )
 
-    restr_flows = {}
-    for z in sub.space.transitions:
-        fibre = tuple(x for x in kept_transitions if back[f.space_map(x)] == z)
-        if not fibre:
-            continue
-        a = j.space_map(z)
-        j_basis, j_images = j.flow_maps[a]
-        dim = len(f.target.bindings[a])
-        solve = la.Q.solver(la.transpose(j_images, dim), len(j_images))
-        axis = net.binding_axis(fibre)
-        entries = []
-        for unit, (x, bn) in zip(la.identity(len(axis)), axis):
-            psi = flow_images[x][bn]
-            lam = solve(list(psi))
-            if lam is None:
-                raise ProductError(
-                    f"flow data of {x!r} does not restrict onto the subnet"
-                )
-            entries.append((unit, la.combine(lam, j_basis, len(sub.bindings[z]))))
-        restr_flows[z] = entries
+    # each refined vector's image lies in the embedded span, so the solve
+    # against the embedded element images is exact
+    def restrict(x, e):
+        dim, _, solve = embedded[f.space_map(x)]
+        return solve(la.combine(vectors[(x, e)], columns[x], dim))
 
-    restr_marks = {}
-    for z in sub.space.places:
-        members = [x for x in kept_places if back[f.space_map(x)] == z]
-        if not members:
-            continue
-        u = j.space_map(z)
-        jcols = [j.mark_maps[u][(z, c)] for c in sub.tokens[z]]
-        dim = len(f.target.tokens[u])
-        solve = la.Q.solver(la.transpose(jcols, dim), len(jcols))
-        table = {}
-        for x in members:
-            for tn, _tvec in token_bases[x]:
-                psi = mark_images[x][tn]
-                lam = solve(list(psi))
-                if lam is None:
-                    raise ProductError(
-                        f"mark data of {x!r} does not restrict onto the subnet"
-                    )
-                table[(x, tn)] = lam
-        restr_marks[z] = table
-
-    to_subnet = NetMorphism(
+    to_subnet = NetMorphism.discrete(
         net,
         sub,
         {x: back[f.space_map(x)] for x in kept},
-        restr_flows,
-        restr_marks,
+        restrict,
         ring="Q",
         name=f"restrict-{net.name}",
     )
     # each restriction is an exact solution, so the data agree by
     # construction and the square commutes when the nodes do
     commutes = all(f.space_map(x) == j.space_map(back[f.space_map(x)]) for x in kept)
-    return InverseImageResult(
-        net, into_source, to_subnet, binding_bases, token_bases, commutes
-    )
+    return InverseImageResult(net, into_source, to_subnet, bases, commutes)
 
 
 def factor_cone(inverse, to_source, to_subnet, name=None):
@@ -724,7 +669,8 @@ def factor_cone(inverse, to_source, to_subnet, name=None):
     from a common net into the source and the subnet of the square; when
     the underlying square relation holds their pairing factors uniquely
     through the pulled-back subnet, and the factorization is returned after
-    checking both triangle identities.
+    checking both triangle identities.  Each element image of
+    ``to_source`` is solved through the refined basis of its image node.
     """
     apex = to_source.source
     if to_subnet.source is not apex and to_subnet.source.space.nodes != apex.space.nodes:
@@ -734,59 +680,32 @@ def factor_cone(inverse, to_source, to_subnet, name=None):
     if to_subnet.target.space.nodes != inverse.to_subnet.target.space.nodes:
         raise ProductError("the second cone leg must land in the subnet")
     for g in (to_source, to_subnet):
-        if not g.space_map.is_discrete():
-            raise ProductError(
-                f"cone legs must be discrete (sort-preserving), {g.name!r} is not"
-            )
-        g.require_verified()
+        _require_discrete(g, "cone factorization")
 
-    vnet = inverse.net
-    vnodes = set(vnet.space.nodes)
+    vnodes = set(inverse.net.space.nodes)
     node_map = {}
     for w in apex.space.nodes:
         x = to_source.space_map(w)
         if x not in vnodes:
             raise ProductError(f"cone image {x!r} is not in the inverse image")
         node_map[w] = x
-    image = set(node_map.values())
 
-    flow_maps = {}
-    for x in vnet.space.transitions:
-        if x not in image:
-            continue
-        basis, images = to_source.flow_maps[x]
-        refined = [vec for _nm, vec in inverse.binding_bases[x]]
-        dim = len(to_source.target.bindings[x])
-        solve = la.Q.solver(la.transpose(refined, dim), len(refined))
-        entries = []
-        for phi, psi in zip(basis, images):
-            lam = solve(list(psi))
-            if lam is None:
-                raise ProductError(
-                    f"cone flow data over {x!r} misses the refined binding module"
-                )
-            entries.append((list(phi), lam))
-        flow_maps[x] = entries
+    # one solver per image node, over its refined basis
+    solvers = {}
+    for x in set(node_map.values()):
+        refined = [vec for _nm, vec in inverse.bases[x]]
+        dim = len(_elements(to_source.target, x))
+        solvers[x] = la.Q.solver(la.transpose(refined, dim), len(refined))
 
-    mark_maps = {}
-    for x in vnet.space.places:
-        if x not in image:
-            continue
-        refined = [vec for _nm, vec in inverse.token_bases[x]]
-        dim = len(to_source.target.tokens[x])
-        solve = la.Q.solver(la.transpose(refined, dim), len(refined))
-        table = {}
-        for lab, psi in to_source.mark_maps[x].items():
-            lam = solve(list(psi))
-            if lam is None:
-                raise ProductError(
-                    f"cone mark data over {x!r} misses the refined token module"
-                )
-            table[lab] = lam
-        mark_maps[x] = table
+    def image(w, e):
+        x = node_map[w]
+        lam = solvers[x](list(to_source.element_image(w, e)))
+        if lam is None:
+            raise ProductError(f"cone data over {x!r} misses its refined module")
+        return lam
 
-    factored = NetMorphism(
-        apex, vnet, node_map, flow_maps, mark_maps, ring="Q", name=name or "cone-factor"
+    factored = NetMorphism.discrete(
+        apex, inverse.net, node_map, image, ring="Q", name=name or "cone-factor"
     )
     if not morphisms_equal(factored.then(inverse.into_source), to_source):
         raise ProductError("cone does not factor through the inverse image")
@@ -830,11 +749,7 @@ def fibre_product(to_target_first, to_target_second, name=None, cones=()):
     if g1.target is not g2.target and g1.target.space.nodes != g2.target.space.nodes:
         raise ProductError("fibre product needs a common target")
     for g in (g1, g2):
-        if not g.space_map.is_discrete():
-            raise ProductError(
-                f"fibre product needs discrete (sort-preserving) morphisms, {g.name!r} is not"
-            )
-        g.require_verified()
+        _require_discrete(g, "fibre product")
     prod = kronecker(g1.source, g2.source)
     prod.left.verify()
     prod.right.verify()

@@ -2,8 +2,10 @@
 
 Every case runs ``petrisheaf.cli.main`` on documents built from
 ``fixtures.py`` (the same documents as the ``workdir`` fixture of
-``test_cli.py``, a ``ring q`` copy of ``runX.pnet``, a ``ring q`` target that
-the fold's data fail on, a net with torsion classes and a three-place ring)
+``test_cli.py``, ``ring q`` copies of ``runX.pnet`` and ``runY.pnet``, a
+``ring q`` target that the fold's data fail on, a morphism that halves
+``runY`` into its ``ring q`` copy, a net with torsion classes and a
+three-place ring)
 and compares the exit code and stdout with ``tests/golden/``.  The
 temporary directory is written as ``<DIR>``.  The expected files are only
 rewritten on purpose, when an output change is intended:
@@ -90,6 +92,10 @@ CASES = {
     "map-behaviour-fold-unsaturated": (
         "map-behaviour", "fold.pmor", "--marking", "p1.p1=1 p2.p2=1", "--sequence", "t1"
     ),
+    # the refused image renders as the CLI renders scalars: [1/2, 0], not Fraction(1, 2)
+    "map-behaviour-half": (
+        "map-behaviour", "half.pmor", "--marking", "u.c=2", "--sequence", "a.b1"
+    ),
     "check-product-reach-runY-unfoldY": (
         "check-product-reach", "runY.pnet", "unfoldY.pnet", "--depth", "4"
     ),
@@ -114,7 +120,23 @@ def build_documents(directory):
     (directory / "runX.pnet").write_text(run_x)
     header, rest = run_x.split("\n", 1)
     (directory / "runXq.pnet").write_text(f"{header}\nring q\n{rest}")
-    (directory / "runY.pnet").write_text(serialize_net(fold.target, marking={("u", "c"): 2}))
+    run_y = serialize_net(fold.target, marking={("u", "c"): 2})
+    (directory / "runY.pnet").write_text(run_y)
+    header, rest = run_y.split("\n", 1)
+    (directory / "runYq.pnet").write_text(f"{header}\nring q\n{rest}")
+    # a verified morphism halving every flow and mark of runY
+    (directory / "half.pmor").write_text(
+        "morphism half\n"
+        "source runY.pnet\n"
+        "target runYq.pnet\n"
+        "node u -> u\n"
+        "node a -> a\n"
+        "flowbasis a: v1 = 1*a.b1\n"
+        "flowmap a: v1 -> 1/2*b1\n"
+        "flowbasis a: v2 = 1*a.b2\n"
+        "flowmap a: v2 -> 1/2*b2\n"
+        "markmap u: u.c -> 1/2*c\n"
+    )
     (directory / "unfoldY.pnet").write_text(
         serialize_net(unfold.source, marking={("v", "v"): 2})
     )

@@ -354,6 +354,19 @@ def test_discrete_pairs_unit_bindings_with_their_images():
     assert [type(x) for x in rebuilt.flow_maps["a"][1][0]] == [int, int]
 
 
+def test_element_image_reads_back_what_discrete_builds():
+    unfold = unfolding_morphism()
+    assert unfold.element_image("beta1", "beta1") == (1, 0)
+    assert unfold.element_image("beta2", "beta2") == (0, 1)
+    assert unfold.element_image("v", "v") == (1,)
+
+
+def test_element_image_refuses_a_node_of_another_sort():
+    # the fold sends the place p1 onto the transition a
+    with pytest.raises(MorphismError, match="differ in sort"):
+        fold_morphism().element_image("p1", "p1")
+
+
 # ---------------------------------------------------------------------------
 # identity and composition
 

@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 from petrisheaf.behaviour import fire, marking_vector, reachable
 from petrisheaf.cli import random_strict_net
-from petrisheaf.morphism import MorphismError, NetMorphism, identity_morphism, morphisms_equal
+from petrisheaf.morphism import (
+    MorphismError,
+    NetMorphism,
+    from_winskel,
+    identity_morphism,
+    morphisms_equal,
+)
 from petrisheaf.net import ColouredNet, place_transition_net
 from petrisheaf.product import (
     ProductError,
@@ -28,7 +34,7 @@ from petrisheaf.product import (
 )
 from petrisheaf.topology import PetriSpace
 
-from fixtures import fold_morphism, unfolding_morphism, x_net, y_net
+from fixtures import fold_morphism, unfolding_morphism, winskel_data, x_net, y_net
 from test_net import strict_nets
 
 
@@ -385,11 +391,11 @@ def test_fibre_product_of_identities_rebuilds_the_net():
     assert [list(r) for r in plus.entries] == [[2, 2]]
     assert net.flows().rank == y.flows().rank
     assert net.marking_classes(net.space.nodes).rank == y.marking_classes(y.space.nodes).rank
-    assert fp.inverse.binding_bases["(a,a)"] == (
+    assert fp.inverse.bases["(a,a)"] == (
         ("g1", (1, 0, 1, 0)),
         ("g2", (0, 1, 0, 1)),
     )
-    assert fp.inverse.token_bases["(u,u)"] == (("g1", (1, 1)),)
+    assert fp.inverse.bases["(u,u)"] == (("g1", (1, 1)),)
     assert fp.inverse.square_commutes
     for leg in (fp.left, fp.right, fp.basis):
         assert leg.verify().ok
@@ -410,8 +416,8 @@ def test_fibre_product_of_unfoldings_keeps_synchronized_pairs():
     assert net.incidence_matrix(kind="minus").as_lists() == [[2, 2]]
     assert net.incidence_matrix(kind="plus").as_lists() == [[2, 2]]
     # mixed transition pairs carry no synchronized bindings and are dropped
-    assert fp.inverse.binding_bases["(beta1,beta2)"] == ()
-    assert fp.inverse.binding_bases["(beta2,beta1)"] == ()
+    assert fp.inverse.bases["(beta1,beta2)"] == ()
+    assert fp.inverse.bases["(beta2,beta1)"] == ()
     assert fp.inverse.square_commutes
     for leg in (fp.left, fp.right, fp.basis):
         assert leg.verify().ok
@@ -442,6 +448,52 @@ def test_cone_factors_through_the_fibre_product():
     assert u.verify().ok
     assert morphisms_equal(u.then(fp.left), ident)
     assert morphisms_equal(u.then(fp.right), ident)
+
+
+def discrete_morphisms(net):
+    """The verified ones among the discrete morphisms around a net: its
+    identity, the projections of its square, the pairing of two identities,
+    and composites of these."""
+    ident = identity_morphism(net)
+    square = kronecker(net, net)
+    out = [ident, square.left, square.right, ident.then(ident), square.left.then(ident)]
+    pairing = mediate(square, ident, ident)
+    if pairing.verify().ok:
+        out += [pairing, pairing.then(square.left), pairing.then(square.right)]
+    return [g for g in out if g.verify().ok]
+
+
+def test_discrete_morphisms_are_rebuilt_from_their_element_images():
+    winskel = from_winskel(winskel_data())
+    morphisms = [winskel.fold, winskel.projection, unfolding_morphism()]
+    for seed in range(60):
+        morphisms += discrete_morphisms(random_strict_net(random.Random(seed), 3, 3))
+    assert len(morphisms) > 300
+    for g in morphisms:
+        assert g.space_map.is_discrete()
+        rebuilt = NetMorphism.discrete(
+            g.source, g.target, g.space_map.mapping, g.element_image, ring=g.ring
+        )
+        assert morphisms_equal(rebuilt, g), g.name
+
+
+def test_the_cartesian_square_commutes_on_data():
+    # square_commutes compares node maps; the data of the two composites
+    # into the target's square agree as well
+    built = 0
+    for seed in range(120):
+        ident = identity_morphism(random_strict_net(random.Random(seed), 3, 3))
+        try:
+            fp = fibre_product(ident, ident)
+        except ProductError:
+            continue
+        built += 1
+        inv = fp.inverse
+        assert inv.square_commutes
+        assert morphisms_equal(
+            inv.into_source.then(fp.mediating), inv.to_subnet.then(fp.diagonal.embedding)
+        ), seed
+    assert built == 46
 
 
 def test_inverse_image_of_the_whole_target_is_the_source():
