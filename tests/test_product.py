@@ -460,6 +460,9 @@ def discrete_morphisms(net):
     pairing = mediate(square, ident, ident)
     if pairing.verify().ok:
         out += [pairing, pairing.then(square.left), pairing.then(square.right)]
+    # morphisms_equal needs verified morphisms; the pairing's composite with
+    # a projection can fail incidence-compat (the projections' 1/|P| mark
+    # scale), a product defect outside this round-trip property
     return [g for g in out if g.verify().ok]
 
 
