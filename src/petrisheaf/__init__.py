@@ -5,7 +5,7 @@ Modules:
 * ``topology``: finite spaces whose opens are place-bordered node sets, and
   the continuous maps between them
 * ``intlinalg``: exact integer and rational linear algebra (Hermite and
-  Smith forms, lattices, quotient modules, Hilbert bases)
+  Smith forms, lattices, invariant factors, Hilbert bases)
 * ``net``: coloured nets, flows of closed regions, marking classes of open
   regions, gluing axiom verifiers
 * ``morphism``: net morphisms given by canonical-basis data, verification

@@ -10,19 +10,20 @@ Conventions:
 * column Hermite normal form: ``hnf(m)`` returns ``(h, u)`` with
   ``h = m @ u`` and ``u`` unimodular,
 * Smith normal form: ``snf(m)`` returns ``(s, u, v)`` with ``s = u @ m @ v``,
-* kernels are lattices of column vectors, canonicalised via HNF,
+* kernels are modules of column vectors with canonical bases,
 * a matrix with zero rows still needs a column count, hence the ``cols``
   argument on the functions that cannot infer it.
 
 Code that works over a net's coefficient ring goes through ``RINGS[name]``,
 the ``Ring`` instance ``Z`` or ``Q``: each builds its module type (``Lattice``
-or ``Subspace``), kernels, solutions, quotients (``QuotientModule``, with
-invariant factors over Z only) and preimages.  ``Z`` runs on the HNF.  ``Q``
-runs on one fraction-free integer echelon (``_echelon``): rows are scaled to
-integers once and stay integers until ``rref`` divides each pivot row by its
-pivot.  ``Ring.solver(m, cols)`` factors ``m`` once (the HNF over Z, the
-echelon of ``[m | I]`` over Q) and returns a ``solve(v)`` to reuse for many
-right-hand sides; ``Ring.solve`` is one such solve.
+or ``Subspace``), kernels, solvers and preimages; ``Ring.solver(m, cols)``
+factors ``m`` once and returns a ``solve(v)`` for many right-hand sides.
+``Z`` runs on the column HNF, which one routine, ``Lattice._read_hnf``,
+reads into a lattice basis, a kernel rank and a solve by coordinates.
+``Q`` runs on one fraction-free integer echelon (``_echelon``): rows stay
+integers, kernels are read off it, and ``rref`` divides each pivot row by
+its pivot.  ``invariant_factors`` reads the Smith diagonal of a lattice
+basis.
 
 Two small helpers serve the other modules as well: ``_integer_row`` and
 ``_integer_rows`` scale a rational row, or a table of rows, to integers over
@@ -217,37 +218,21 @@ def hnf(m, cols=None):
 def _hnf_solver(m, cols=None):
     """``solve(v)``: an integer ``x`` with ``m @ x = v``, or None.
 
-    The column HNF is taken once; each ``solve`` back-substitutes through
-    it.  Any solution returned is exact, and None is a proof that ``v`` is
-    outside the column lattice.
+    The column HNF ``h = m @ u`` is taken once; ``x`` is the coordinates of
+    ``v`` over the lattice of ``h`` combined with the matching columns of
+    ``u``.  Any solution returned is exact, and None is a proof that ``v``
+    is outside the column lattice.
     """
     rows, cols = shape(m, cols)
     h, u = hnf(m, cols)
-    steps = []  # (pivot row, column of h), in column order
-    for col in transpose(h, cols):
-        p = next((i for i, x in enumerate(col) if x), None)
-        if p is None:
-            break
-        steps.append((p, col))
-    pad = [0] * (cols - len(steps))
+    image = Lattice._of_hnf(rows, transpose(h, cols))
+    u_columns = transpose(u, cols)[: image.rank]
 
     def solve(v):
         if len(v) != rows:
             raise ValueError("dimension mismatch")
-        rem = list(v)
-        y = []
-        for p, col in steps:
-            q, r = divmod(rem[p], col[p])
-            if r:
-                return None
-            if q:
-                for i in range(p, rows):
-                    rem[i] -= q * col[i]
-            y.append(q)
-        if not is_zero_vector(rem):
-            return None
-        y += pad
-        return matvec(u, y)
+        y = image.coordinates(v)
+        return None if y is None else combine(y, u_columns, cols)
 
     return solve
 
@@ -277,11 +262,6 @@ class _Module:
     def __hash__(self):
         return hash((self.ambient_dim, self.basis))
 
-    def __le__(self, other):
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimensions differ")
-        return all(list(b) in other for b in self.basis)
-
 
 class Lattice(_Module):
     """A subgroup of Z^n, stored by its canonical column-HNF basis.
@@ -298,16 +278,25 @@ class Lattice(_Module):
         for v in vectors:
             if len(v) != ambient_dim:
                 raise ValueError("generator has wrong length")
+        h = hnf(transpose(vectors, ambient_dim), cols=len(vectors))[0] if vectors else []
+        self._read_hnf(ambient_dim, transpose(h, len(vectors)))
+
+    @classmethod
+    def _of_hnf(cls, ambient_dim, columns):
+        """The lattice spanned by ``columns``, which must already be in column
+        HNF (the columns of ``hnf(...)[0]``); no second HNF is taken."""
+        lattice = cls.__new__(cls)
+        lattice._read_hnf(ambient_dim, columns)
+        return lattice
+
+    def _read_hnf(self, ambient_dim, columns):
         self.ambient_dim = ambient_dim
-        if not vectors:
-            self.basis = ()
-            self.pivots = ()
-            return
-        h, _ = hnf(transpose(vectors, ambient_dim), cols=len(vectors))
         basis = []
         pivots = []
-        for col in transpose(h, len(vectors)):
-            p = next((i for i in range(ambient_dim) if col[i]), None)
+        p = -1
+        for col in columns:
+            # pivot rows strictly increase, so each search starts past the last
+            p = next(filter(col.__getitem__, range(p + 1, ambient_dim)), None)
             if p is None:
                 break
             basis.append(tuple(col))
@@ -360,18 +349,18 @@ class Lattice(_Module):
 
 
 def kernel_lattice(m, cols=None):
-    """``{x in Z^cols : m @ x = 0}`` as a canonical Lattice."""
+    """``{x in Z^cols : m @ x = 0}``: the columns of ``u`` past the rank of
+    ``h = m @ u`` (with no rows, the identity, already an HNF)."""
     rows, cols = shape(m, cols)
     if rows == 0:
-        return Lattice(cols, identity(cols))
+        return Lattice._of_hnf(cols, identity(cols))
     h, u = hnf(m, cols)
-    return Lattice(
-        cols, [uc for hc, uc in zip(transpose(h, cols), transpose(u, cols)) if not any(hc)]
-    )
+    rank = Lattice._of_hnf(rows, transpose(h, cols)).rank
+    return Lattice(cols, transpose(u, cols)[rank:])
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form and quotient modules
+# Smith normal form and invariant factors
 
 
 def snf(m, cols=None):
@@ -474,53 +463,14 @@ def snf(m, cols=None):
     return s, u, v
 
 
-class QuotientModule:
-    """Z^n or Q^n modulo a relation Lattice or Subspace (or generators of
-    a Lattice), with canonical representatives.  Only a lattice quotient
-    has torsion, so invariant factors are computed for lattices only."""
-
-    __slots__ = ("ambient_dim", "relations", "invariant_factors")
-
-    def __init__(self, ambient_dim, relation_vectors=()):
-        if isinstance(relation_vectors, _Module):
-            self.relations = relation_vectors
-        else:
-            self.relations = Lattice(ambient_dim, relation_vectors)
-        if self.relations.ambient_dim != ambient_dim:
-            raise ValueError("relations live in the wrong space")
-        self.ambient_dim = ambient_dim
-        if isinstance(self.relations, Lattice) and self.relations.rank:
-            s, _, _ = snf(
-                transpose(self.relations.basis, ambient_dim), cols=self.relations.rank
-            )
-            diag = [s[i][i] for i in range(min(ambient_dim, self.relations.rank))]
-            self.invariant_factors = tuple(d for d in diag if d)
-        else:
-            self.invariant_factors = ()
-
-    @property
-    def rank(self):
-        # free rank of the quotient
-        return self.ambient_dim - self.relations.rank
-
-    @property
-    def torsion(self):
-        return tuple(d for d in self.invariant_factors if d != 1)
-
-    def reduce(self, v):
-        return self.relations.reduce(v)
-
-    def class_equal(self, v, w):
-        return self.reduce(v) == self.reduce(w)
-
-    def is_zero_class(self, v):
-        return list(v) in self.relations
-
-    def __repr__(self):
-        return (
-            f"QuotientModule(dim={self.ambient_dim}, rank={self.rank}, "
-            f"torsion={self.torsion!r})"
-        )
+def invariant_factors(module):
+    """Invariant factors of the ambient module modulo ``module``: for a
+    Lattice the Smith diagonal of its (independent) basis columns; a quotient
+    of Q^n is free, so a Subspace has none."""
+    if not isinstance(module, Lattice) or not module.rank:
+        return ()
+    s, _, _ = snf(transpose(module.basis, module.ambient_dim), cols=module.rank)
+    return tuple(s[i][i] for i in range(module.rank))
 
 
 # ---------------------------------------------------------------------------
@@ -659,18 +609,19 @@ def rref(m, cols=None):
 
 
 def rat_kernel_basis(m, cols=None):
-    """Basis of the rational nullspace, one vector per free column."""
-    rows, cols = shape(m, cols)
-    if rows == 0:
-        return [[Fraction(int(i == j)) for i in range(cols)] for j in range(cols)]
-    r, pivots = rref(m, cols)
-    free = [j for j in range(cols) if j not in pivots]
+    """Basis of the rational nullspace, one Fraction vector per free column
+    ``f``: 1 at ``f`` and ``-row[f] / row[p]`` at each echelon pivot ``p``."""
+    _, cols = shape(m, cols)
+    e, pivots = _echelon(m, cols)
+    is_pivot = set(pivots)
     basis = []
-    for f in free:
-        vec = [Fraction(0)] * cols
+    for f in range(cols):
+        if f in is_pivot:
+            continue
+        vec = [_ZERO] * cols
         vec[f] = Fraction(1)
-        for row_idx, p in enumerate(pivots):
-            vec[p] = -r[row_idx][f]
+        for row, p in zip(e, pivots):
+            vec[p] = Fraction(-row[f], row[p])
         basis.append(vec)
     return basis
 
@@ -781,10 +732,10 @@ class Ring:
     """Coefficients ``Z`` (column HNF, Lattice) or ``Q`` (integer echelon,
     Subspace).
 
-    ``module(dim, vectors)``, ``kernel(m, cols)``, ``kernel_basis(m, cols)``,
-    ``solver(m, cols)`` (factors ``m`` once and returns ``solve(v)``: an
-    ``x`` with ``m @ x = v``, or None; a ``v`` whose length is not the row
-    count raises ValueError) and ``solve(m, v, cols)``, one solve.
+    ``module(dim, vectors)``, ``kernel(m, cols)``, ``kernel_basis(m, cols)``
+    and ``solver(m, cols)``, which factors ``m`` once and returns
+    ``solve(v)``: an ``x`` with ``m @ x = v``, or None; a ``v`` whose length
+    is not the row count raises ValueError.
     """
 
     def __init__(self, name, module, kernel, kernel_basis, solver):
@@ -793,12 +744,6 @@ class Ring:
         self.kernel = kernel
         self.kernel_basis = kernel_basis
         self.solver = solver
-
-    def solve(self, m, v, cols=None):
-        return self.solver(m, cols)(v)
-
-    def quotient(self, ambient_dim, relation_vectors=()):
-        return QuotientModule(ambient_dim, self.module(ambient_dim, relation_vectors))
 
     def preimage(self, m, target, cols=None):
         """``{x : m @ x in target}`` as a module of this ring.

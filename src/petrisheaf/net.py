@@ -239,10 +239,10 @@ class ColouredNet:
         if not self.space.is_open(region):
             raise NetError(f"marking classes need an open region, {list(region)} is not open")
         mat = self.incidence_matrix(region)
-        dim = len(mat.row_labels)
-        relations = la.transpose(mat.entries, len(mat.col_labels))
-        quotient = la.RINGS[ring].quotient(dim, relations)
-        return ClassModule(self, region, mat, ring, quotient)
+        relations = la.RINGS[ring].module(
+            len(mat.row_labels), la.transpose(mat.entries, len(mat.col_labels))
+        )
+        return ClassModule(self, region, mat, ring, relations)
 
     # -- restriction / extension -----------------------------------------
 
@@ -377,16 +377,18 @@ class FlowModule:
 
 
 class ClassModule:
-    """Marking classes of an open region (cokernel of the incidence)."""
+    """Marking classes of an open region: token vectors modulo
+    ``relations``, the module spanned by the incidence columns."""
 
-    __slots__ = ("net", "region", "matrix", "ring", "quotient")
+    __slots__ = ("net", "region", "matrix", "ring", "relations", "invariant_factors")
 
-    def __init__(self, net, region, matrix, ring, quotient):
+    def __init__(self, net, region, matrix, ring, relations):
         self.net = net
         self.region = region
         self.matrix = matrix
         self.ring = ring
-        self.quotient = quotient
+        self.relations = relations
+        self.invariant_factors = la.invariant_factors(relations)
 
     @property
     def axis(self):
@@ -394,26 +396,23 @@ class ClassModule:
 
     @property
     def rank(self):
-        return self.quotient.rank
-
-    @property
-    def invariant_factors(self):
-        return self.quotient.invariant_factors
+        # free rank of the quotient
+        return self.relations.ambient_dim - self.relations.rank
 
     @property
     def torsion(self):
-        return self.quotient.torsion
+        return tuple(d for d in self.invariant_factors if d != 1)
 
     def class_of(self, vector):
         if len(vector) != len(self.axis):
             raise NetError("token vector has the wrong length")
-        return self.quotient.reduce(list(vector))
+        return self.relations.reduce(list(vector))
 
     def class_equal(self, v, w):
         return self.class_of(v) == self.class_of(w)
 
     def is_zero_class(self, v):
-        return self.quotient.is_zero_class(list(v))
+        return list(v) in self.relations
 
     def __repr__(self):
         return f"ClassModule(region={list(self.region)!r}, rank={self.rank})"

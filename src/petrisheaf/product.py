@@ -519,12 +519,13 @@ class InverseImageResult:
     """A pulled-back subnet with its Cartesian square of morphisms.
 
     ``into_source`` includes the subnet into the source of the pulled-back
-    map; ``to_subnet`` restricts that map onto the embedded subnet; the two
-    composites into the common target agree exactly when
-    ``square_commutes`` holds.  ``bases`` gives, for every node over the
-    embedded subnet, its refined axis as ``(name, vector)`` pairs over the
-    original bindings or tokens; a node whose refined module vanishes has
-    the empty basis and is dropped from the subnet.
+    map; ``to_subnet`` restricts that map onto the embedded subnet;
+    ``square_commutes`` holds when the two composites into the common
+    target are equal, node map and data (``morphisms_equal``).  ``bases``
+    gives, for every node over the embedded subnet, its refined axis as
+    ``(name, vector)`` pairs over the original bindings or tokens; a node
+    whose refined module vanishes has the empty basis and is dropped from
+    the subnet.
     """
 
     net: ColouredNet
@@ -547,8 +548,8 @@ def inverse_image(f, j, name=None):
     the new bases; a rewritten weight that is negative, fractional, or
     outside the refined token modules has no net counterpart and raises.
     The result also carries the inclusion into the source and the
-    restriction onto the subnet, and checks that the square over the target
-    commutes.
+    restriction onto the subnet, and checks on the data that the square over
+    the target commutes.
     """
     _require_discrete(f, "inverse image")
     if not (j.space_map.is_embedding() and j.space_map.is_discrete()):
@@ -656,9 +657,7 @@ def inverse_image(f, j, name=None):
         ring="Q",
         name=f"restrict-{net.name}",
     )
-    # each restriction is an exact solution, so the data agree by
-    # construction and the square commutes when the nodes do
-    commutes = all(f.space_map(x) == j.space_map(back[f.space_map(x)]) for x in kept)
+    commutes = morphisms_equal(into_source.then(f), to_subnet.then(j))
     return InverseImageResult(net, into_source, to_subnet, bases, commutes)
 
 

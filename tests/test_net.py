@@ -1,6 +1,8 @@
 """Coloured nets: incidence, flows, marking classes, sheaf axioms."""
 
+import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,7 @@ from fixtures import (
     x_net,
     y_net,
 )
+from test_intlinalg import det_fraction, rat_rank
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +372,40 @@ def test_flows_agree_with_adjacent_only_form_on_strict_nets(net):
             row.append(net.w(t, b, p, c) if net.space.adjacent(p, t) else 0)
         rows.append(row)
     assert la.kernel_lattice(rows, len(axis)) == net.flows(region).module
+
+
+def determinantal_divisors(m, rows, cols):
+    """``d_k``, the gcd of all k x k minors of ``m``, for k = 1 .. min(rows, cols)."""
+    out = []
+    for k in range(1, min(rows, cols) + 1):
+        d = 0
+        for rs in combinations(range(rows), k):
+            for cs in combinations(range(cols), k):
+                d = math.gcd(d, det_fraction([[m[i][j] for j in cs] for i in rs]))
+        out.append(d)
+    return out
+
+
+@given(strict_nets())
+@settings(max_examples=40, deadline=None)
+def test_marking_classes_against_minors_and_the_rational_rank(net):
+    # over Z the product of the first k invariant factors is the gcd of the
+    # k x k minors of the incidence, and minors past its rank vanish
+    for region in [net.space.nodes, *basic_regions(net.space, "open")]:
+        mat = net.incidence_matrix(region)
+        m, rows, cols = mat.as_lists(), len(mat.row_labels), len(mat.col_labels)
+        rank = rat_rank(m, cols)
+        classes = net.marking_classes(region, ring="Z")
+        assert classes.rank == rows - rank
+        factors = classes.invariant_factors
+        assert len(factors) == rank
+        divisors = determinantal_divisors(m, rows, cols)
+        for k in range(1, len(divisors) + 1):
+            assert divisors[k - 1] == (math.prod(factors[:k]) if k <= rank else 0)
+        assert all(classes.is_zero_class(col) for col in la.transpose(m, cols))
+        over_q = net.marking_classes(region, ring="Q")
+        assert over_q.rank == rows - rank
+        assert over_q.invariant_factors == ()
 
 
 # ---------------------------------------------------------------------------

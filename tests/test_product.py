@@ -481,8 +481,8 @@ def test_discrete_morphisms_are_rebuilt_from_their_element_images():
 
 
 def test_the_cartesian_square_commutes_on_data():
-    # square_commutes compares node maps; the data of the two composites
-    # into the target's square agree as well
+    # square_commutes compares the two composites on data, as the
+    # morphisms_equal below does for the square over the target's diagonal
     built = 0
     for seed in range(120):
         ident = identity_morphism(random_strict_net(random.Random(seed), 3, 3))
