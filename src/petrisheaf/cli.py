@@ -5,7 +5,8 @@ One subcommand per analysis or construction; every subcommand reads
 or, with ``--json``, a sorted-key JSON object (byte-deterministic for
 fixed inputs and seed).  Exit codes: 0 success, 1 a checked property
 failed, 2 usage or parse problem, 3 inconclusive (a guard or state budget
-cut the computation short).
+cut the computation short), 4 internal error (an unexpected exception,
+reported on one line).
 
 Commands that emit a net or morphism print a valid document on stdout;
 provenance and verification notes ride along as ``#`` comments, so the
@@ -62,6 +63,7 @@ OK = 0
 FAILURE = 1
 USAGE = 2
 INCONCLUSIVE = 3
+INTERNAL = 4
 
 _STATUS_CODE = {"ok": OK, "failed": FAILURE, "inconclusive": INCONCLUSIVE}
 
@@ -908,6 +910,10 @@ def main(argv=None):
     except la.ResourceLimitExceeded as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return INCONCLUSIVE
+    except Exception as exc:
+        # a crash is no verdict: exit 1 would claim a checked property failed
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL
     if args.json:
         print(json.dumps(out.payload, indent=2, sort_keys=True))
     else:

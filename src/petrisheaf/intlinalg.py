@@ -18,8 +18,10 @@ Code that works over a net's coefficient ring goes through ``RINGS[name]``,
 the ``Ring`` instance ``Z`` or ``Q``: each builds its module type (``Lattice``
 or ``Subspace``), kernels, solvers and preimages; ``Ring.solver(m, cols)``
 factors ``m`` once and returns a ``solve(v)`` for many right-hand sides.
-``Z`` runs on the column HNF, which one routine, ``Lattice._read_hnf``,
-reads into a lattice basis, a kernel rank and a solve by coordinates.
+``Z`` runs on the column HNF, the one integer elimination routine:
+``Lattice._read_hnf`` reads it into a lattice basis, a kernel rank and a
+solve by coordinates, and ``snf`` alternates it with the HNF of the
+transpose.
 ``Q`` runs on one fraction-free integer echelon (``_echelon``): rows stay
 integers, kernels are read off it, and ``rref`` divides each pivot row by
 its pivot.  ``invariant_factors`` reads the Smith diagonal of a lattice
@@ -364,103 +366,34 @@ def kernel_lattice(m, cols=None):
 
 
 def snf(m, cols=None):
-    """Smith normal form.
+    """Smith normal form, read off column Hermite forms of the matrix and of
+    its transpose taken in turn (Kannan and Bachem, SIAM J. Comput. 8, 1979).
 
     Returns ``(s, u, v)`` with ``s = u @ m @ v``, both transforms
     unimodular, ``s`` diagonal with non-negative entries and each diagonal
     entry dividing the next.
     """
     rows, cols = shape(m, cols)
-    s = [list(row) for row in m]
-    u = identity(rows)
-    v = identity(cols)
-
-    def row_combine(i0, i1):
-        # zero s[i1][k] using rows i0 (pivot) and i1; keep row i0 intact
-        # whenever the pivot already divides, so the sweep terminates
-        a, b = s[i0][k], s[i1][k]
-        if b % a == 0:
-            q = b // a
-            for mat in (s, u):
-                r0, r1 = mat[i0], mat[i1]
-                for j in range(len(r0)):
-                    r1[j] -= q * r0[j]
-            return
-        g, x, y = xgcd(a, b)
-        aa, bb = a // g, b // g
-        for mat in (s, u):
-            r0, r1 = mat[i0], mat[i1]
-            for j in range(len(r0)):
-                w0, w1 = r0[j], r1[j]
-                r0[j] = x * w0 + y * w1
-                r1[j] = aa * w1 - bb * w0
-
-    def col_combine(j0, j1):
-        a, b = s[k][j0], s[k][j1]
-        if b % a == 0:
-            q = b // a
-            for mat in (s, v):
-                for row in mat:
-                    row[j1] -= q * row[j0]
-            return
-        g, x, y = xgcd(a, b)
-        aa, bb = a // g, b // g
-        for mat in (s, v):
-            for row in mat:
-                w0, w1 = row[j0], row[j1]
-                row[j0] = x * w0 + y * w1
-                row[j1] = aa * w1 - bb * w0
-
-    n = min(rows, cols)
-    for k in range(n):
-        while True:
-            # choose a pivot of least magnitude for gentler growth
-            best = None
-            for i in range(k, rows):
-                for j in range(k, cols):
-                    if s[i][j] and (best is None or abs(s[i][j]) < abs(s[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
-                break
-            bi, bj = best
-            if bi != k:
-                s[k], s[bi] = s[bi], s[k]
-                u[k], u[bi] = u[bi], u[k]
-            if bj != k:
-                _col_swap(s, k, bj)
-                _col_swap(v, k, bj)
-            for i in range(k + 1, rows):
-                if s[i][k]:
-                    row_combine(k, i)
-            for j in range(k + 1, cols):
-                if s[k][j]:
-                    col_combine(k, j)
-            if any(s[i][k] for i in range(k + 1, rows)) or any(
-                s[k][j] for j in range(k + 1, cols)
-            ):
-                continue
-            if s[k][k] < 0:
-                for j in range(cols):
-                    s[k][j] = -s[k][j]
-                for j in range(rows):
-                    u[k][j] = -u[k][j]
-            # enforce divisibility of the remaining block
-            offender = None
-            d = s[k][k]
-            for i in range(k + 1, rows):
-                for j in range(k + 1, cols):
-                    if s[i][j] % d:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            for j in range(cols):
-                s[k][j] += s[offender][j]
-            for j in range(rows):
-                u[k][j] += u[offender][j]
-    return s, u, v
+    s, u, v = m, identity(rows), identity(cols)
+    # Why this ends: each HNF leaves the gcd of the first row (column) not
+    # yet clear at its lead, so that entry can only shrink, and a cleared
+    # row or column stays cleared.  Adding row k + 1 to row k turns
+    # (a_k, a_k+1) into (gcd, lcm), a lexicographic decrease; a column added
+    # instead is undone, as the column HNF reduces entries left of a pivot.
+    while True:
+        s, w = hnf(s, cols)
+        v = matmul(v, w)
+        t, x = hnf(transpose(s, cols), rows)
+        u = matmul(transpose(x, rows), u)
+        s = transpose(t, rows)
+        if any(s[i][j] for i in range(rows) for j in range(cols) if i != j):
+            continue
+        diag = [s[i][i] for i in range(min(rows, cols))]
+        k = next((k for k, d in enumerate(diag[1:]) if diag[k] and d % diag[k]), None)
+        if k is None:
+            return s, u, v
+        s[k] = [a + b for a, b in zip(s[k], s[k + 1])]
+        u[k] = [a + b for a, b in zip(u[k], u[k + 1])]
 
 
 def invariant_factors(module):

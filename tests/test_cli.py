@@ -1,5 +1,7 @@
 """Command line surface: spec'd outputs, exit codes, JSON determinism."""
 
+import contextlib
+import io
 import json
 import random
 import subprocess
@@ -7,7 +9,10 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from petrisheaf import cli
 from petrisheaf import intlinalg as la
 from petrisheaf.cli import _json_value, main, random_strict_net
 from petrisheaf.formats import (
@@ -33,6 +38,7 @@ from fixtures import (
     y_net,
 )
 from test_behaviour import two_place_ring
+from test_golden import build_documents
 
 
 @pytest.fixture()
@@ -540,3 +546,106 @@ def test_overlong_integers_exit_2_naming_the_line(tmp_path, capsys, command, las
     assert code == 2
     assert "too long" in err
     assert "(line 5, column" in err
+
+
+def test_an_unexpected_exception_exits_4_with_one_line(workdir, capsys, monkeypatch):
+    def crash(path, args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_read_net", crash)
+    code = main(["flows", str(workdir / "runX.pnet")])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: boom\n"
+
+
+# ---------------------------------------------------------------------------
+# mutation fuzz: a broken document gives a verdict or one error line
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("fuzz")
+    build_documents(directory)
+    return directory
+
+
+FUZZ_BASES = [
+    "runX.pnet", "runY.pnet", "grow.pnet", "twice.pnet", "ring.pnet",
+    "fold.pmor", "unfold.pmor", "idY.pmor", "half.pmor", "loop.pwin",
+]
+ODD_TOKENS = ["0", "-1", "1/2", "2/0", "x", "->", "=", "*", ".", "+", "-", "9" * 30, ""]
+RUNS = {
+    "fold.pmor": ("--marking", "p1.p1=1 p2.p2=1", "--sequence", "t1,t3"),
+    "half.pmor": ("--marking", "u.c=2", "--sequence", "a.b1"),
+    "idY.pmor": ("--marking", "u.c=2", "--sequence", "a.b1"),
+    "unfold.pmor": ("--sequence", "a"),
+}
+# (kind, line, other line, token, other token, replacement), each index
+# taken modulo the size of what it indexes
+MUTATIONS = st.tuples(
+    st.sampled_from(["delete", "duplicate", "swap lines", "replace token", "swap tokens"]),
+    *[st.integers(0, 999)] * 5,
+)
+
+
+def mutate(text, mutations, cut):
+    lines = text.splitlines()
+    pool = ODD_TOKENS + text.split()
+    for kind, i, j, a, b, r in mutations:
+        if not lines:
+            break
+        i, j = i % len(lines), j % len(lines)
+        tokens = lines[i].split(" ")
+        a, b = a % len(tokens), b % len(tokens)
+        if kind == "delete":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(j, lines[i])
+        elif kind == "swap lines":
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "replace token":
+            tokens[a] = pool[r % len(pool)]
+            lines[i] = " ".join(tokens)
+        else:
+            tokens[a], tokens[b] = tokens[b], tokens[a]
+            lines[i] = " ".join(tokens)
+    text = "\n".join(lines) + "\n"
+    return text if cut is None else text[: cut % (len(text) + 1)]
+
+
+def fuzz_commands(base, mutant, directory):
+    if base.endswith(".pnet"):
+        return [
+            ("show", mutant), ("flows", mutant), ("classes", mutant),
+            ("reach", mutant, "--max-states", "50"),
+        ]
+    if base.endswith(".pmor"):
+        identity = str(directory / "idY.pmor")
+        return [
+            ("check-morphism", mutant, "--hilbert-guard", "200"),
+            ("compose", mutant, identity),
+            ("fibre-product", mutant, identity),
+            ("map-behaviour", mutant, *RUNS[base]),
+        ]
+    return [("winskel", mutant)]
+
+
+@given(
+    base=st.sampled_from(FUZZ_BASES),
+    mutations=st.lists(MUTATIONS, min_size=1, max_size=3),
+    cut=st.none() | st.integers(0, 9999),
+)
+@settings(max_examples=300, deadline=None)
+def test_mutated_documents_give_a_verdict_or_one_error_line(documents, base, mutations, cut):
+    mutant = documents / ("mutant" + base[base.index("."):])
+    mutant.write_text(mutate((documents / base).read_text(), mutations, cut))
+    for argv in fuzz_commands(base, str(mutant), documents):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+        assert code in (0, 1, 2, 3), (argv, err.getvalue())
+        if code == 2:
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1, err.getvalue()

@@ -4,7 +4,7 @@ Every case runs ``petrisheaf.cli.main`` on documents built from
 ``fixtures.py`` (the same documents as the ``workdir`` fixture of
 ``test_cli.py``, ``ring q`` copies of ``runX.pnet`` and ``runY.pnet``, a
 ``ring q`` target that the fold's data fail on, a morphism that halves
-``runY`` into its ``ring q`` copy, a net with torsion classes and a
+``runY`` into its ``ring q`` copy, two nets with torsion classes and a
 three-place ring)
 and compares the exit code and stdout with ``tests/golden/``.  The
 temporary directory is written as ``<DIR>``.  The expected files are only
@@ -58,6 +58,8 @@ CASES = {
     "classes-twice-z": ("classes", "twice.pnet", "--ring", "z"),
     "classes-twice-q": ("classes", "twice.pnet", "--ring", "q"),
     "classes-ring-n": ("classes", "runX.pnet", "--ring", "n"),
+    # incidence diag(2, 3): the Smith form needs its divisibility step, 1 6
+    "classes-torsion-z": ("classes", "torsion.pnet", "--ring", "z"),
     "axioms-runX": ("axioms", "runX.pnet"),
     "axioms-runXq": ("axioms", "runXq.pnet"),
     "axioms-runY": ("axioms", "runY.pnet"),
@@ -165,6 +167,16 @@ def build_documents(directory):
         produce={"go": {"r": 2}, "back": {"l": 2}},
     )
     (directory / "twice.pnet").write_text(serialize_net(twice, marking={("l", "l"): 2}))
+    # two producers of weights 2 and 3: classes Z/6, invariant factors 1 6
+    (directory / "torsion.pnet").write_text(
+        "net torsion\n"
+        "place p tokens c\n"
+        "place q tokens c\n"
+        "transition s bindings g\n"
+        "transition t bindings g\n"
+        "arc + s.g p.c 2\n"
+        "arc + t.g q.c 3\n"
+    )
     # three places in a cycle holding two tokens: six markings, radius 4
     ring = place_transition_net(
         "ring", ["r0", "r1", "r2"], ["s0", "s1", "s2"],

@@ -42,15 +42,20 @@ def is_column_hnf(h, rows, cols):
     return True
 
 
-matrices = st.integers(1, 5).flatmap(
-    lambda r: st.integers(1, 5).flatmap(
-        lambda c: st.lists(
-            st.lists(st.integers(-6, 6), min_size=c, max_size=c),
-            min_size=r,
-            max_size=r,
+def integer_matrices(size, bound):
+    """Matrices of 1 to ``size`` rows and columns, entries within ``bound``."""
+    return st.integers(1, size).flatmap(
+        lambda r: st.integers(1, size).flatmap(
+            lambda c: st.lists(
+                st.lists(st.integers(-bound, bound), min_size=c, max_size=c),
+                min_size=r,
+                max_size=r,
+            )
         )
     )
-)
+
+
+matrices = integer_matrices(5, 6)
 
 
 def vec_add(a, b):
@@ -324,6 +329,48 @@ def test_snf_properties(m):
             assert b % a == 0
         else:
             assert b == 0
+
+
+def smith_form(m, cols):
+    """``snf(m)``, checked: ``s = u @ m @ v``, unimodular transforms, ``s``
+    diagonal with a divisibility chain of non-negative entries."""
+    rows = len(m)
+    s, u, v = la.snf(m, cols)
+    assert (len(s), len(u), len(v)) == (rows, rows, cols)
+    assert mat_equal(s, la.matmul(la.matmul(u, m), v))
+    assert abs(det_fraction(u)) == 1
+    assert abs(det_fraction(v)) == 1
+    assert all(s[i][j] == 0 for i in range(rows) for j in range(cols) if i != j)
+    diag = [s[i][i] for i in range(min(rows, cols))]
+    for a, b in zip(diag, diag[1:]):
+        assert a >= 0
+        assert b % a == 0 if a else b == 0
+    return s
+
+
+@pytest.mark.parametrize(
+    "m, cols, diagonal",
+    [
+        ([[2, 0], [0, 3]], 2, [1, 6]),
+        ([[4, 0], [0, 6]], 2, [2, 12]),
+        ([[6, 4], [4, 6]], 2, [2, 10]),
+        ([[-3]], 1, [3]),
+        ([[0, 0], [0, 0]], 2, [0, 0]),
+        ([], 3, []),
+        ([[], []], 0, []),
+    ],
+    ids=["2-3", "4-6", "6-4-4-6", "negative", "zero", "no-rows", "no-columns"],
+)
+def test_snf_edge_cases(m, cols, diagonal):
+    # diag(2, 3) needs the divisibility step: its Smith form is diag(1, 6)
+    s = smith_form(m, cols)
+    assert s == [[diagonal[i] if i == j else 0 for j in range(cols)] for i in range(len(m))]
+
+
+@given(integer_matrices(9, 1000))
+@settings(max_examples=40, deadline=None)
+def test_snf_properties_on_large_coefficients(m):
+    smith_form(m, len(m[0]))
 
 
 def test_quotient_module():
