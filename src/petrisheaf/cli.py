@@ -1,9 +1,12 @@
 """Command line front end over the library.
 
-One subcommand per analysis or construction; every subcommand reads
-``.pnet`` / ``.pmor`` / ``.pwin`` documents and reports either human text
-or, with ``--json``, a sorted-key JSON object (byte-deterministic for
-fixed inputs and seed).  Exit codes: 0 success, 1 a checked property
+One subcommand per analysis or construction, each declaring only the
+options it reads.  Every subcommand reads ``.pnet`` / ``.pmor`` / ``.pwin``
+documents through ``formats``, which opens, decodes and parses each file
+and resolves the nets a morphism or Winskel document names; ``--marking``
+values follow the documents' scalar grammar.  A subcommand reports either
+human text or, with ``--json``, a sorted-key JSON object (byte-deterministic
+for fixed inputs and seed).  Exit codes: 0 success, 1 a checked property
 failed, 2 usage or parse problem, 3 inconclusive (a guard or state budget
 cut the computation short), 4 internal error (an unexpected exception,
 reported on one line).
@@ -19,7 +22,6 @@ import json
 import random
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from . import intlinalg as la
 from .behaviour import (
@@ -33,10 +35,11 @@ from .behaviour import (
 from .formats import (
     FormatError,
     _format_combination,
+    _load_linked,
+    _scalar,
     load_net,
     load_winskel,
     parse_morphism,
-    parse_net,
     serialize_morphism,
     serialize_net,
 )
@@ -87,6 +90,18 @@ class Report:
     def put(self, key, value):
         self.payload[key] = value
 
+    def fail(self, text, detail):
+        """Say ``text``, report status ``failed`` with ``detail``: exit 1."""
+        self.say(text)
+        self.put("status", "failed")
+        self.put("detail", detail)
+        return FAILURE
+
+    def document(self, text):
+        """A document as the human lines and as the ``document`` key."""
+        self.lines.extend(text.splitlines())
+        self.put("document", text)
+
 
 # ---------------------------------------------------------------------------
 # small formatting and input helpers
@@ -133,31 +148,10 @@ def _marking_payload(net, vector):
     }
 
 
-def _number(text):
-    try:
-        f = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        return None
-    return int(f) if f.denominator == 1 else f
-
-
-def _read_net(path, args):
-    doc = parse_net(Path(path).read_text())
-    if getattr(args, "strict", False):
-        doc.strict = True
-    elif getattr(args, "relaxed", False):
-        doc.strict = False
-    return doc.to_net(), (dict(doc.marking) or None)
-
-
 def _read_morphism(path):
-    path = Path(path)
-    doc = parse_morphism(path.read_text())
-    if doc.source is None or doc.target is None:
-        raise FormatError("morphism document needs source and target lines")
-    source_net, source_marking = load_net(path.parent / doc.source)
-    target_net, _ = load_net(path.parent / doc.target)
-    return doc.to_morphism(source_net, target_net), doc, source_marking
+    """(morphism, its document, the source net's marking-or-None)."""
+    doc, source_net, target_net, marking = _load_linked(path, parse_morphism)
+    return doc.to_morphism(source_net, target_net), doc, marking
 
 
 def _parse_marking(net, text):
@@ -165,7 +159,7 @@ def _parse_marking(net, text):
     for part in text.replace(",", " ").split():
         ref, eq, num = part.partition("=")
         place, dot, colour = ref.partition(".")
-        value = _number(num) if eq else None
+        value = _scalar(num, None, part) if eq else None
         if not dot or value is None:
             raise CliError(f"marking entries look like P.C=N, got {part!r}")
         values[(place, colour)] = values.get((place, colour), 0) + value
@@ -204,7 +198,9 @@ def _region_text(net, region):
 
 
 def _resolve_region(args, net):
-    spec = getattr(args, "region", None) or "all"
+    spec = args.region or "all"
+    if args.via and not spec.startswith("fibre:"):
+        raise CliError("--via resolves --region fibre:Y only")
     if spec == "all":
         return None
     if spec == "places":
@@ -220,7 +216,7 @@ def _resolve_region(args, net):
             net.space.sort_of(x)  # unknown names raise
         return names
     if sep and kind == "fibre":
-        if not getattr(args, "via", None):
+        if not args.via:
             raise CliError("region fibre:NODE needs --via MORPHISM.pmor")
         f, _doc, _marking = _read_morphism(args.via)
         if f.source.space.nodes != net.space.nodes:
@@ -232,7 +228,7 @@ def _resolve_region(args, net):
 
 
 def _ring_of(args):
-    return {None: None, "z": "Z", "q": "Q", "n": "N"}[getattr(args, "ring", None)]
+    return {None: None, "z": "Z", "q": "Q", "n": "N"}[args.ring]
 
 
 def _combine(*statuses):
@@ -308,7 +304,7 @@ def random_strict_net(rng, max_places=4, max_transitions=4):
 
 
 def cmd_show(args, out):
-    net, marking = _read_net(args.net, args)
+    net, marking = load_net(args.net)
     space = net.space
     mode = "strict" if net.strict else "relaxed"
     out.say(f"net {net.name} [{mode}, ring {net.ring}]")
@@ -356,7 +352,7 @@ def cmd_show(args, out):
 
 
 def cmd_flows(args, out):
-    net, _ = _read_net(args.net, args)
+    net, _ = load_net(args.net)
     region = _resolve_region(args, net)
     ring = _ring_of(args)
     module = net.flows(region, ring="Z" if ring == "N" else ring)
@@ -386,7 +382,7 @@ def cmd_flows(args, out):
 
 
 def cmd_classes(args, out):
-    net, _ = _read_net(args.net, args)
+    net, _ = load_net(args.net)
     ring = _ring_of(args)
     if ring == "N":
         raise CliError("marking classes are computed over z or q, not n")
@@ -414,7 +410,7 @@ def cmd_classes(args, out):
 
 
 def cmd_axioms(args, out):
-    net, _ = _read_net(args.net, args)
+    net, _ = load_net(args.net)
     counts, failures = axiom_sweep(net)
     out.say(f"net {net.name}: {len(net.space.nodes)} nodes")
     for kind in ("token-sheaf", "binding-cosheaf", "flow-gluing"):
@@ -487,23 +483,17 @@ def cmd_compose(args, out):
     try:
         composite = f.then(g)
     except MorphismError as exc:
-        out.say(f"composition failed: {exc}")
-        out.put("status", "failed")
-        out.put("detail", str(exc))
-        return FAILURE
+        return out.fail(f"composition failed: {exc}", str(exc))
     report = composite.verify(hilbert_guard=args.hilbert_guard)
-    text = serialize_morphism(composite, f_doc.source, g_doc.target)
-    for line in text.splitlines():
-        out.say(line)
+    out.document(serialize_morphism(composite, f_doc.source, g_doc.target))
     out.put("name", composite.name)
     out.put("status", report.status)
-    out.put("document", text)
     return _STATUS_CODE[report.status]
 
 
 def cmd_product(args, out):
-    first, first_marking = _read_net(args.first, args)
-    second, second_marking = _read_net(args.second, args)
+    first, first_marking = load_net(args.first)
+    second, second_marking = load_net(args.second)
     result = kronecker(first, second)
     comments = [
         f"product of {first.name} and {second.name}",
@@ -523,13 +513,10 @@ def cmd_product(args, out):
         out.put("marking", _marking_payload(result.net, vector))
     else:
         out.put("marking", None)
-    text = serialize_net(result.net, marking=marking, comments=comments)
-    for line in text.splitlines():
-        out.say(line)
+    out.document(serialize_net(result.net, marking=marking, comments=comments))
     out.put("name", result.net.name)
     out.put("places", len(result.net.space.places))
     out.put("transitions", len(result.net.space.transitions))
-    out.put("document", text)
     return OK
 
 
@@ -542,10 +529,10 @@ def cmd_fibre_product(args, out):
         report = m.verify(hilbert_guard=args.hilbert_guard)
         if report.status == "failed":
             bad = report.first_failure
-            out.say(f"{which} morphism {m.name} fails {bad.clause}: {bad.detail}")
-            out.put("status", "failed")
-            out.put("detail", f"{m.name}: {bad.clause}")
-            return FAILURE
+            return out.fail(
+                f"{which} morphism {m.name} fails {bad.clause}: {bad.detail}",
+                f"{m.name}: {bad.clause}",
+            )
         if not m.space_map.is_discrete():
             raise CliError(
                 f"fibre products need discrete morphisms, {m.name} is not discrete"
@@ -553,10 +540,7 @@ def cmd_fibre_product(args, out):
     try:
         fp = fibre_product(f, g)
     except (ProductError, MorphismError) as exc:
-        out.say(f"no fibre product: {exc}")
-        out.put("status", "failed")
-        out.put("detail", str(exc))
-        return FAILURE
+        return out.fail(f"no fibre product: {exc}", str(exc))
     left_report = fp.left.verify(hilbert_guard=args.hilbert_guard)
     right_report = fp.right.verify(hilbert_guard=args.hilbert_guard)
     comments = [
@@ -564,20 +548,17 @@ def cmd_fibre_product(args, out):
         f"left leg onto {f.source.name}: {left_report.status}",
         f"right leg onto {g.source.name}: {right_report.status}",
     ]
-    text = serialize_net(fp.net, comments=comments)
-    for line in text.splitlines():
-        out.say(line)
+    out.document(serialize_net(fp.net, comments=comments))
     out.put("name", fp.net.name)
     out.put("status", "ok")
     out.put("left_status", left_report.status)
     out.put("right_status", right_report.status)
     out.put("square_commutes", fp.inverse.square_commutes)
-    out.put("document", text)
     return _combine(left_report.status, right_report.status)
 
 
 def cmd_diagonal(args, out):
-    net, _ = _read_net(args.net, args)
+    net, _ = load_net(args.net)
     result = diagonal(net)
     iso_report = result.iso.verify(hilbert_guard=args.hilbert_guard)
     emb_report = result.embedding.verify(hilbert_guard=args.hilbert_guard)
@@ -589,19 +570,16 @@ def cmd_diagonal(args, out):
     failure = emb_report.first_failure or iso_report.first_failure
     if failure:
         comments.append(f"failing clause: {failure.clause}")
-    text = serialize_net(result.net, comments=comments)
-    for line in text.splitlines():
-        out.say(line)
+    out.document(serialize_net(result.net, comments=comments))
     out.put("net", net.name)
     out.put("iso_status", iso_report.status)
     out.put("embedding_status", emb_report.status)
     out.put("failing_clause", failure.clause if failure else None)
-    out.put("document", text)
     return _combine(iso_report.status, emb_report.status)
 
 
 def cmd_simulate(args, out):
-    net, file_marking = _read_net(args.net, args)
+    net, file_marking = load_net(args.net)
     current = _marking_arg(net, args.marking, file_marking)
     events = _parse_sequence(net, args.sequence)
     out.say(f"start: {_fmt_marking(net, current)}")
@@ -611,11 +589,8 @@ def cmd_simulate(args, out):
             current = fire(net, current, t, b)
         except BehaviourError:
             detail = f"step {i} ({t}.{b}) is not enabled"
-            out.say(detail)
-            out.put("status", "failed")
-            out.put("detail", detail)
             out.put("trace", trace)
-            return FAILURE
+            return out.fail(detail, detail)
         out.say(f"step {i} ({t}.{b}): {_fmt_marking(net, current)}")
         trace.append(_marking_payload(net, current))
     out.say(f"final: {_fmt_marking(net, current)}")
@@ -626,7 +601,7 @@ def cmd_simulate(args, out):
 
 
 def cmd_reach(args, out):
-    net, file_marking = _read_net(args.net, args)
+    net, file_marking = load_net(args.net)
     start = _marking_arg(net, args.marking, file_marking)
     result = reachable(net, start, depth=args.depth, max_states=args.max_states)
     count = len(result.markings)
@@ -658,10 +633,7 @@ def cmd_map_behaviour(args, out):
     try:
         report = check_behaviour_mapping(f, start, events)
     except (BehaviourError, MorphismError) as exc:
-        out.say(f"mapping failed: {exc}")
-        out.put("status", "failed")
-        out.put("detail", str(exc))
-        return FAILURE
+        return out.fail(f"mapping failed: {exc}", str(exc))
     image = [
         f"{a}[{_format_combination(f.target.bindings[a], vec)}]" for a, vec in report.image_events
     ]
@@ -683,10 +655,7 @@ def cmd_winskel(args, out):
     try:
         result = from_winskel(w)
     except WinskelError as exc:
-        out.say(f"conversion failed: {exc}")
-        out.put("status", "failed")
-        out.put("detail", str(exc))
-        return FAILURE
+        return out.fail(f"conversion failed: {exc}", str(exc))
     projection_report = result.projection.verify(hilbert_guard=args.hilbert_guard)
     fold_report = result.fold.verify(hilbert_guard=args.hilbert_guard)
     domain_closed = w.source.space.is_closed(result.domain.space.nodes)
@@ -729,8 +698,8 @@ def cmd_winskel(args, out):
 
 
 def cmd_check_product_reach(args, out):
-    first, first_marking = _read_net(args.first, args)
-    second, second_marking = _read_net(args.second, args)
+    first, first_marking = load_net(args.first)
+    second, second_marking = load_net(args.second)
     v1 = _marking_arg(first, args.marking1, first_marking, what="--marking1")
     v2 = _marking_arg(second, args.marking2, second_marking, what="--marking2")
     result = kronecker(first, second)
@@ -764,30 +733,36 @@ def natural(text):
 
 @functools.cache
 def build_parser():
-    """The command line parser, built once per process and reused by ``main``."""
-    common = argparse.ArgumentParser(add_help=False)
+    """The command line parser, built once per process and reused by ``main``.
+
+    Each subcommand declares ``--json`` and exactly the options its handler
+    reads; any other option exits 2."""
+
+    def parent(*parents):
+        return argparse.ArgumentParser(add_help=False, parents=parents)
+
+    common = parent()
     common.add_argument("--json", action="store_true", help="emit a JSON report")
-    common.add_argument(
-        "--ring", choices=("n", "z", "q"), help="coefficient ring override"
-    )
-    mode = common.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--strict", action="store_true", help="read net files in strict mode"
-    )
-    mode.add_argument(
-        "--relaxed", action="store_true", help="read net files in relaxed mode"
-    )
-    common.add_argument(
-        "--seed", type=int, default=0, help="seed for randomized sweeps"
-    )
-    common.add_argument(
+    guarded = parent()
+    guarded.add_argument(
         "--hilbert-guard",
-        dest="hilbert_guard",
         type=natural,
         default=10_000,
         metavar="K",
         help="growth guard for Hilbert basis completion",
     )
+    regions = parent()
+    regions.add_argument("--ring", choices=("n", "z", "q"), help="coefficient ring override")
+    regions.add_argument(
+        "--region",
+        metavar="R",
+        help="all | places | transitions | nodes:A,B | fibre:Y (with --via)",
+    )
+    regions.add_argument("--via", metavar="MOR", help="morphism file resolving fibre: regions")
+    marked = parent()
+    marked.add_argument("--marking", metavar="M", help="start marking, entries P.C=N")
+    run = parent(marked)
+    run.add_argument("--sequence", metavar="S", required=True, help="events T or T.B")
 
     parser = argparse.ArgumentParser(
         prog="petrisheaf",
@@ -795,29 +770,18 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def add(name, handler, help_text):
-        p = sub.add_parser(name, parents=[common], help=help_text)
+    def add(name, handler, help_text, positionals, *parents):
+        p = sub.add_parser(name, parents=[common, *parents], help=help_text)
         p.set_defaults(handler=handler)
+        for positional in positionals.split():
+            p.add_argument(positional)
         return p
 
-    p = add("show", cmd_show, "net summary: sorts, topology, canonical basis")
-    p.add_argument("net")
+    add("show", cmd_show, "net summary: sorts, topology, canonical basis", "net")
+    add("flows", cmd_flows, "flow module of a closed region", "net", regions, guarded)
+    add("classes", cmd_classes, "marking classes of an open region", "net", regions)
 
-    for name, handler, help_text in (
-        ("flows", cmd_flows, "flow module of a closed region"),
-        ("classes", cmd_classes, "marking classes of an open region"),
-    ):
-        p = add(name, handler, help_text)
-        p.add_argument("net")
-        p.add_argument(
-            "--region",
-            metavar="R",
-            help="all | places | transitions | nodes:A,B | fibre:Y (with --via)",
-        )
-        p.add_argument("--via", metavar="MOR", help="morphism file resolving fibre: regions")
-
-    p = add("axioms", cmd_axioms, "sheaf/cosheaf exactness on all basic coverings")
-    p.add_argument("net")
+    p = add("axioms", cmd_axioms, "sheaf/cosheaf exactness on all basic coverings", "net")
     p.add_argument(
         "--random",
         type=natural,
@@ -825,60 +789,39 @@ def build_parser():
         metavar="K",
         help="also sweep K seeded random strict nets",
     )
+    p.add_argument("--seed", type=int, default=0, help="seed of the random nets")
 
-    p = add("check-morphism", cmd_check_morphism, "verify and classify a morphism")
-    p.add_argument("morphism")
+    add("check-morphism", cmd_check_morphism, "verify and classify a morphism", "morphism", guarded)
+    add("compose", cmd_compose, "compose two morphisms, first then second", "first second", guarded)
 
-    p = add("compose", cmd_compose, "compose two morphisms, first then second")
-    p.add_argument("first")
-    p.add_argument("second")
-
-    p = add("product", cmd_product, "binary product net with tagged axes")
-    p.add_argument("first")
-    p.add_argument("second")
+    p = add("product", cmd_product, "binary product net with tagged axes", "first second")
     p.add_argument(
         "--marked",
         action="store_true",
         help="pair the factor file markings into a product marking",
     )
 
-    p = add("fibre-product", cmd_fibre_product, "pullback of two discrete morphisms")
-    p.add_argument("first")
-    p.add_argument("second")
+    add(
+        "fibre-product", cmd_fibre_product, "pullback of two discrete morphisms",
+        "first second", guarded,
+    )
+    add("diagonal", cmd_diagonal, "diagonal subnet of the square product", "net", guarded)
+    add("simulate", cmd_simulate, "fire a sequence of events step by step", "net", run)
+    reach = add("reach", cmd_reach, "breadth-first reachable markings", "net", marked)
+    add("map-behaviour", cmd_map_behaviour, "transport a saturated run forward", "morphism", run)
+    add("winskel", cmd_winskel, "convert multirelation data to net morphisms", "file", guarded)
 
-    p = add("diagonal", cmd_diagonal, "diagonal subnet of the square product")
-    p.add_argument("net")
-
-    p = add("simulate", cmd_simulate, "fire a sequence of events step by step")
-    p.add_argument("net")
-    p.add_argument("--marking", metavar="M", help="start marking, entries P.C=N")
-    p.add_argument("--sequence", metavar="S", required=True, help="events T or T.B")
-
-    p = add("reach", cmd_reach, "breadth-first reachable markings")
-    p.add_argument("net")
-    p.add_argument("--marking", metavar="M", help="start marking, entries P.C=N")
-    p.add_argument("--depth", type=natural, default=None, metavar="D")
-    p.add_argument("--max-states", dest="max_states", type=natural, default=10_000)
-
-    p = add("map-behaviour", cmd_map_behaviour, "transport a saturated run forward")
-    p.add_argument("morphism")
-    p.add_argument("--marking", metavar="M", help="source marking, entries P.C=N")
-    p.add_argument("--sequence", metavar="S", required=True, help="events T or T.B")
-
-    p = add("winskel", cmd_winskel, "convert multirelation data to net morphisms")
-    p.add_argument("file")
-
-    p = add(
+    pair = add(
         "check-product-reach",
         cmd_check_product_reach,
         "product reachability against the factor explorations",
+        "first second",
     )
-    p.add_argument("first")
-    p.add_argument("second")
-    p.add_argument("--marking1", metavar="M", help="first factor marking")
-    p.add_argument("--marking2", metavar="M", help="second factor marking")
-    p.add_argument("--depth", type=natural, default=5, metavar="D")
-    p.add_argument("--max-states", dest="max_states", type=natural, default=10_000)
+    pair.add_argument("--marking1", metavar="M", help="first factor marking")
+    pair.add_argument("--marking2", metavar="M", help="second factor marking")
+    for p, depth in ((reach, None), (pair, 5)):
+        p.add_argument("--depth", type=natural, default=depth, metavar="D")
+        p.add_argument("--max-states", type=natural, default=10_000)
 
     return parser
 

@@ -38,7 +38,9 @@ unmapped transitions:
 Identifiers cannot contain whitespace, ``.`` or ``#``; coefficients are
 integers or fractions like ``1/4``; ``0`` stands for the empty
 combination.  Parse errors report the line and the column of the offending
-token.
+token.  The ``load_*`` readers are the package's only file readers: they
+decode each file as UTF-8 and resolve ``source``/``target`` next to the
+document that names them.
 """
 
 from __future__ import annotations
@@ -307,10 +309,32 @@ def serialize_net(net, marking=None, comments=()):
     return "\n".join(lines) + "\n"
 
 
+def _read(path):
+    """The text of the document at ``path``; bytes that are not UTF-8 are a
+    format error naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text (byte {exc.start})") from None
+
+
 def load_net(path):
     """Read a ``.pnet`` file into (net, marking-or-None)."""
-    doc = parse_net(Path(path).read_text())
+    doc = parse_net(_read(path))
     return doc.to_net(), (dict(doc.marking) or None)
+
+
+def _load_linked(path, parse):
+    """Parse the ``.pmor``/``.pwin`` file at ``path`` and load the nets its
+    ``source``/``target`` lines name, next to it: (document, source net,
+    target net, source marking-or-None)."""
+    path = Path(path)
+    doc = parse(_read(path))
+    if doc.source is None or doc.target is None:
+        raise FormatError(f"{path} needs source and target lines")
+    source_net, marking = load_net(path.parent / doc.source)
+    target_net, _ = load_net(path.parent / doc.target)
+    return doc, source_net, target_net, marking
 
 
 # ---------------------------------------------------------------------------
@@ -509,12 +533,7 @@ def serialize_morphism(morphism, source_ref, target_ref):
 
 def load_morphism(path):
     """Read a ``.pmor`` file, resolving net references next to it."""
-    path = Path(path)
-    doc = parse_morphism(path.read_text())
-    if doc.source is None or doc.target is None:
-        raise FormatError("morphism document needs source and target lines")
-    source_net, _ = load_net(path.parent / doc.source)
-    target_net, _ = load_net(path.parent / doc.target)
+    doc, source_net, target_net, _ = _load_linked(path, parse_morphism)
     return doc.to_morphism(source_net, target_net)
 
 
@@ -603,10 +622,5 @@ def serialize_winskel(winskel, source_ref, target_ref):
 
 def load_winskel(path):
     """Read a ``.pwin`` file, resolving net references next to it."""
-    path = Path(path)
-    doc = parse_winskel(path.read_text())
-    if doc.source is None or doc.target is None:
-        raise FormatError("winskel document needs source and target lines")
-    source_net, _ = load_net(path.parent / doc.source)
-    target_net, _ = load_net(path.parent / doc.target)
+    doc, source_net, target_net, _ = _load_linked(path, parse_winskel)
     return doc.to_winskel(source_net, target_net)

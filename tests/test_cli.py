@@ -1,5 +1,6 @@
 """Command line surface: spec'd outputs, exit codes, JSON determinism."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -549,15 +550,122 @@ def test_overlong_integers_exit_2_naming_the_line(tmp_path, capsys, command, las
 
 
 def test_an_unexpected_exception_exits_4_with_one_line(workdir, capsys, monkeypatch):
-    def crash(path, args):
+    def crash(path):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "_read_net", crash)
+    monkeypatch.setattr(cli, "load_net", crash)
     code = main(["flows", str(workdir / "runX.pnet")])
     captured = capsys.readouterr()
     assert code == 4
     assert captured.out == ""
     assert captured.err == "internal error: RuntimeError: boom\n"
+
+
+# ---------------------------------------------------------------------------
+# front-end contract: each subcommand takes the options it reads, documents
+# and numbers are read by formats
+
+
+OPTIONS = {
+    "show": set(),
+    "flows": {"--ring", "--region", "--via", "--hilbert-guard"},
+    "classes": {"--ring", "--region", "--via"},
+    "axioms": {"--random", "--seed"},
+    "check-morphism": {"--hilbert-guard"},
+    "compose": {"--hilbert-guard"},
+    "product": {"--marked"},
+    "fibre-product": {"--hilbert-guard"},
+    "diagonal": {"--hilbert-guard"},
+    "simulate": {"--marking", "--sequence"},
+    "reach": {"--marking", "--depth", "--max-states"},
+    "map-behaviour": {"--marking", "--sequence"},
+    "winskel": {"--hilbert-guard"},
+    "check-product-reach": {"--marking1", "--marking2", "--depth", "--max-states"},
+}
+
+
+def test_each_subcommand_declares_the_options_it_reads():
+    (commands,) = [
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    declared = {
+        name: {
+            flag
+            for action in parser._actions
+            for flag in action.option_strings
+            if flag not in ("-h", "--help")
+        }
+        for name, parser in commands.choices.items()
+    }
+    assert declared == {name: extra | {"--json"} for name, extra in OPTIONS.items()}
+    assert sum(map(len, declared.values())) == 40
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda d: ("reach", d / "runY.pnet", "--seed", "3"),
+        lambda d: ("show", d / "runY.pnet", "--ring", "q"),
+        lambda d: ("map-behaviour", d / "fold.pmor", "--hilbert-guard", "1", "--sequence", "t1"),
+        lambda d: ("flows", d / "runX.pnet", "--strict"),
+        lambda d: ("show", d / "runY.pnet", "--relaxed"),
+    ],
+    ids=["reach-seed", "show-ring", "map-behaviour-guard", "flows-strict", "show-relaxed"],
+)
+def test_undeclared_options_exit_2(workdir, capsys, case):
+    code = main([str(a) for a in case(workdir)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+
+
+@pytest.mark.parametrize("value", ["1e5000", "1e2", "1.5", "1_0"])
+def test_marking_values_follow_the_document_grammar(workdir, capsys, value):
+    code = main(["reach", str(workdir / "runY.pnet"), "--marking", f"u.c={value}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_fractional_marking_values_stay_valid(tmp_path, capsys):
+    path = tmp_path / "ring2.pnet"
+    path.write_text(serialize_net(two_place_ring()))
+    code, out = run(capsys, "reach", path, "--marking", "r0.r0=1/2,r0.r0=1", "--json")
+    assert code == 0
+    assert json.loads(out)["markings"] == [
+        {"r0.r0": "1/2", "r1.r1": 1}, {"r0.r0": "3/2"}
+    ]
+
+
+def test_via_without_a_fibre_region_exits_2(workdir, capsys):
+    code = main(["flows", str(workdir / "runX.pnet"), "--via", str(workdir / "fold.pmor")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "--via" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda d: ("show", d / "bin.pnet"),
+        lambda d: ("check-morphism", d / "bin.pmor"),
+        lambda d: ("winskel", d / "bin.pwin"),
+    ],
+    ids=["pnet", "pmor-source", "pwin-target"],
+)
+def test_documents_that_are_not_utf8_exit_2(workdir, capsys, argv):
+    (workdir / "bin.pnet").write_bytes(b"net bin\nplace p tokens c\xff\n")
+    (workdir / "bin.pmor").write_bytes(b"morphism m\nsource bin.pnet\ntarget runY.pnet\n")
+    (workdir / "bin.pwin").write_bytes(b"winskel w\nsource wsrc.pnet\ntarget bin.pnet\n")
+    code = main([str(a) for a in argv(workdir)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "bin.pnet is not UTF-8 text" in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Document formats: net, morphism and winskel files parse and round-trip."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from petrisheaf.cli import random_strict_net
 from petrisheaf.formats import (
     FormatError,
     load_morphism,
@@ -16,7 +19,7 @@ from petrisheaf.formats import (
     serialize_net,
     serialize_winskel,
 )
-from petrisheaf.morphism import morphisms_equal
+from petrisheaf.morphism import WinskelMorphism, identity_morphism, morphisms_equal
 from petrisheaf.product import kronecker
 
 from fixtures import (
@@ -271,3 +274,59 @@ def test_strict_nets_round_trip(net):
 def test_products_round_trip(first, data):
     second = data.draw(strict_nets(max_places=2, max_transitions=2))
     assert_round_trip(kronecker(first, second).net)
+
+
+# ---------------------------------------------------------------------------
+# generated morphisms and Winskel data round-trip through .pmor and .pwin
+
+
+def over_q(net):
+    return parse_net(serialize_net(net).replace("\n", "\nring q\n", 1)).to_net()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.booleans())
+def test_generated_morphisms_round_trip(seed, rational):
+    rng = random.Random(seed)
+    first = random_strict_net(rng, 3, 3)
+    second = random_strict_net(rng, 2, 2)
+    if rational:
+        first, second = over_q(first), over_q(second)
+    prod = kronecker(first, second)
+    cube = kronecker(prod.net, first)
+    for f in (
+        identity_morphism(first),
+        prod.left,
+        prod.right,
+        identity_morphism(prod.net).then(prod.left),
+        cube.left.then(prod.right),
+    ):
+        text = serialize_morphism(f, "src.pnet", "tgt.pnet")
+        again = parse_morphism(text).to_morphism(f.source, f.target)
+        assert morphisms_equal(again, f)
+        assert serialize_morphism(again, "src.pnet", "tgt.pnet") == text
+
+
+@st.composite
+def winskel_morphisms(draw):
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    source = random_strict_net(rng, 3, 3)
+    target = random_strict_net(rng, 3, 3)
+    places, transitions = target.space.places, target.space.transitions
+    beta = {
+        p: draw(st.dictionaries(st.sampled_from(places), st.integers(1, 3), min_size=1))
+        for p in draw(st.lists(st.sampled_from(source.space.places), unique=True))
+    }
+    eta = draw(
+        st.dictionaries(st.sampled_from(source.space.transitions), st.sampled_from(transitions))
+    )
+    return WinskelMorphism(source, target, beta=beta, eta=eta, name="w")
+
+
+@settings(max_examples=40, deadline=None)
+@given(winskel_morphisms())
+def test_generated_winskel_data_round_trips(w):
+    text = serialize_winskel(w, "src.pnet", "tgt.pnet")
+    again = parse_winskel(text).to_winskel(w.source, w.target)
+    assert (again.beta, again.eta) == (w.beta, w.eta)
+    assert serialize_winskel(again, "src.pnet", "tgt.pnet") == text
