@@ -19,6 +19,7 @@ output can be piped straight into a file and fed back in.
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -857,11 +858,17 @@ def main(argv=None):
         # a crash is no verdict: exit 1 would claim a checked property failed
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return INTERNAL
-    if args.json:
-        print(json.dumps(out.payload, indent=2, sort_keys=True))
-    else:
-        for line in out.lines:
-            print(line)
+    try:
+        if args.json:
+            print(json.dumps(out.payload, indent=2, sort_keys=True))
+        else:
+            for line in out.lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early: that is no verdict, and the flush
+        # at exit must not meet the closed pipe again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -103,15 +103,21 @@ def _integer(text, lineno, raw):
         ) from None
 
 
+def _digits(text):
+    """Is ``text`` one or more ASCII digits?  (``str.isdigit`` also takes
+    other scripts' digits and superscripts.)"""
+    return text.isascii() and text.isdigit()
+
+
 def _scalar(text, lineno, raw):
     """Integer or fraction literal, else None."""
     body = text[1:] if text[:1] in "+-" else text
-    if body.isdigit():
+    if _digits(body):
         return _integer(text, lineno, raw)
     num, slash, den = text.partition("/")
-    if slash and den.isdigit() and _integer(den, lineno, raw):
+    if slash and _digits(den) and _integer(den, lineno, raw):
         head = num[1:] if num[:1] in "+-" else num
-        if head.isdigit():
+        if _digits(head):
             return Fraction(_integer(num, lineno, raw), _integer(den, lineno, raw))
     return None
 
@@ -234,7 +240,7 @@ def parse_net(text):
                 raise FormatError(f"undeclared binding {tokens[2]!r}", lineno, _column(raw, tokens[2]))
             if c not in doc.tokens.get(p, ()):
                 raise FormatError(f"undeclared token {tokens[3]!r}", lineno, _column(raw, tokens[3]))
-            if not tokens[4].isdigit():
+            if not _digits(tokens[4]):
                 raise FormatError(
                     "arc weights are non-negative integers", lineno, _column(raw, tokens[4])
                 )
@@ -262,7 +268,7 @@ def parse_net(text):
             p, c = _split_ref(tokens[1], "marking token", lineno, raw)
             if c not in doc.tokens.get(p, ()):
                 raise FormatError(f"undeclared token {tokens[1]!r}", lineno, _column(raw, tokens[1]))
-            if not tokens[2].isdigit():
+            if not _digits(tokens[2]):
                 raise FormatError("marking counts are naturals", lineno, _column(raw, tokens[2]))
             if (p, c) in doc.marking:
                 raise FormatError(f"duplicate marking line for {tokens[1]}", lineno, _column(raw, head))

@@ -21,26 +21,29 @@ constructions and serialisers list the nonzero arcs in axis order
 (``arcs``); ``w_minus``/``w_plus``/``w``, ``binding_effect`` and
 ``incidence_matrix`` read blocks of the incidence through ``_block``.
 
-The three gluing verifiers share one Čech builder, ``_cech``: given the
-section axis and the restriction matrices, it stacks the restrictions from
-a region to its cover and the signed differences on pairwise overlaps;
-each verifier then only states its exactness condition over the ring.  By
-default every restriction is an index projection (``_projection``, built
-from label positions; the transposed zero-extension of bindings is the
-same projection).  A caller-supplied ``restrict``/``extend`` hook is turned
-into a matrix by ``_hook_matrix``, one unit vector at a time; with the
-honest hooks it gives the same matrices and serves as their reference.
+The token sheaf and the binding cosheaf with their honest maps are
+decided by the cover alone (the lemma is in ``verify_token_sheaf`` and
+``verify_binding_cosheaf``).  A caller-supplied ``restrict``/``extend``
+hook is turned into a matrix by ``_hook_matrix``, one unit vector at a
+time, and checked through the Čech builder ``_cech``: it stacks the
+restrictions from a region to its cover and the signed differences on
+pairwise overlaps, and the verifier states its exactness condition over
+the ring.  Flow gluing is no such lemma (it fails on relaxed nets), so it
+is checked exactly, on index maps: ``_positions`` gives the positions of a
+subregion's labels in a region's axis, the glued flows are read at the
+cover positions, and the agreement on overlaps is written on the local
+basis coefficients.
 
 A net is not changed after construction, so it memoises its token and
-binding axes per region and its flow modules per region and ring.  A call
+binding axes per region, its flow modules per region and ring, and the
+index maps of ``_positions`` per axis and (region, subregion).  A call
 that raises stores nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from . import intlinalg as la
 from .topology import PetriSpace, Sort
@@ -93,8 +96,9 @@ class ColouredNet:
         self.name = name
         self.strict = bool(strict)
         self.ring = ring
-        # axes keyed by (kind, region), flow modules by ("flows", region, ring);
-        # a region is a frozenset, or None for the whole net
+        # axes keyed by (kind, region), flow modules by ("flows", region, ring),
+        # index maps by ("positions", kind, region, subregion); a region is a
+        # frozenset, or None for the whole net
         self._memo = {}
 
         def check_axes(given, nodes, what):
@@ -500,16 +504,16 @@ def _checked_cover(net, kind, region, covering, openness):
     return region, covering, failed
 
 
-def _projection(axis, big, small):
-    """The 0/1 matrix of the coordinate projection from the ``axis`` sections
-    of ``big`` onto those of its subregion ``small``."""
-    pos = {lab: k for k, lab in enumerate(axis(big))}
-    rows = []
-    for lab in axis(small):
-        row = [0] * len(pos)
-        row[pos[lab]] = 1
-        rows.append(row)
-    return rows
+def _positions(net, axis, big, small):
+    """The positions of the labels of ``small`` inside the ``axis``
+    ("tokens" or "bindings") of its superset ``big``, memoised on the net."""
+    key = ("positions", axis, frozenset(big), frozenset(small))
+    positions = net._memo.get(key)
+    if positions is None:
+        labels = net.token_axis if axis == "tokens" else net.binding_axis
+        index = {lab: k for k, lab in enumerate(labels(big))}
+        positions = net._memo[key] = tuple(index[lab] for lab in labels(small))
+    return positions
 
 
 def _hook_matrix(hook, src, dst, axis):
@@ -552,20 +556,26 @@ def verify_token_sheaf(net, region=None, covering=None, restrict=None):
 
     sections(U) -> prod sections(U_i) must be injective with image exactly
     the families that agree on pairwise intersections.  ``restrict``
-    replaces the restriction map (a test hook; the default is the honest
-    coordinate projection).
+    replaces the restriction map (a test hook).
+
+    With no hook the cover decides it.  The sections over a region are
+    functions on its token labels, and the labels of ``U_i & U_j`` are the
+    common labels of ``U_i`` and ``U_j``.  A cover that ``_checked_cover``
+    accepts covers every label of ``U``.  So a section is determined by its
+    restrictions, and a family that agrees on overlaps gives each label one
+    value, which is a section of ``U``.  This holds over Z and Q, on strict
+    and relaxed nets alike.
     """
     region, covering, failed = _checked_cover(net, "token-sheaf", region, covering, "open")
     if failed is not None:
         return failed
+    if restrict is None:
+        return AxiomReport("token-sheaf", region, tuple(covering), True)
 
     axis = net.token_axis
-    if restrict is None:
-        restriction = partial(_projection, axis)
-    else:
 
-        def restriction(big, small):
-            return _hook_matrix(restrict, big, small, axis)
+    def restriction(big, small):
+        return _hook_matrix(restrict, big, small, axis)
 
     r, d, total = _cech(net.space, region, covering, axis, restriction)
     n = len(axis(region))
@@ -582,23 +592,28 @@ def verify_binding_cosheaf(net, region=None, covering=None, extend=None):
     """Coequaliser exactness of the binding cosheaf on a closed covering.
 
     prod sections(A_i) -> sections(A) must be surjective with kernel exactly
-    the signed overlap images.  ``extend`` is the test hook; the default is
-    honest extension by zero.
+    the signed overlap images.  ``extend`` replaces extension by zero (a
+    test hook).
+
+    With no hook the cover decides it, dually to ``verify_token_sheaf``.
+    Every binding label of ``A`` lies in some ``A_i``, so the sum of the
+    extensions by zero is surjective.  A family sums to zero exactly when,
+    at each label, its values on the ``k`` elements holding that label sum
+    to zero; the pairwise differences ``e_i - e_j`` generate the sum-zero
+    vectors of Z^k, and each is the image of that label in ``A_i & A_j``.
     """
     region, covering, failed = _checked_cover(net, "binding-cosheaf", region, covering, "closed")
     if failed is not None:
         return failed
+    if extend is None:
+        return AxiomReport("binding-cosheaf", region, tuple(covering), True)
 
     axis = net.binding_axis
-    # fed the transposed extensions, the stack is the sum of extensions
-    # transposed and the difference rows are the overlap relations; the
-    # transposed extension by zero is the projection
-    if extend is None:
-        restriction = partial(_projection, axis)
-    else:
 
-        def restriction(big, small):
-            return la.transpose(_hook_matrix(extend, small, big, axis), len(axis(small)))
+    # fed the transposed extensions, the stack is the sum of extensions
+    # transposed and the difference rows are the overlap relations
+    def restriction(big, small):
+        return la.transpose(_hook_matrix(extend, small, big, axis), len(axis(small)))
 
     stack, d, total = _cech(net.space, region, covering, axis, restriction)
     n = len(axis(region))
@@ -617,26 +632,40 @@ def verify_flow_gluing(net, region=None, covering=None, ring=None):
     Families of flows on the cover that agree on overlaps must come from a
     unique flow on the region.  Meaningful for strict nets (on relaxed nets
     the restriction maps need not stay inside the flow modules).
+
+    Restrictions are read through index maps (``_positions``): a region
+    flow glues to its entries at the cover positions, and an agreeing
+    family is a combination of the local flow bases whose coefficients
+    meet one condition per overlap label.
     """
     ring = la.RINGS[ring or net.ring]
     region, covering, failed = _checked_cover(net, "flow-gluing", region, covering, "closed")
     if failed is not None:
         return failed
 
-    axis = net.binding_axis
-    stack, d, total = _cech(net.space, region, covering, axis, partial(_projection, axis))
-    local = [net.flows(c, ring=ring.name) for c in covering]
-    # the local flow bases as one block-diagonal matrix: cover coordinates
-    # by basis coefficients
-    coeffs = sum(len(mod.basis) for mod in local)
-    bases = []
-    done = 0
-    for mod in local:
-        for row in la.transpose(mod.basis, len(mod.axis)):
-            bases.append([0] * done + row + [0] * (coeffs - done - len(row)))
-        done += len(mod.basis)
-    glued = [la.matvec(stack, b) for b in net.flows(region, ring=ring.name).basis]
-    agreeing = [la.matvec(bases, s) for s in ring.kernel_basis(la.matmul(d, bases), coeffs)]
+    positions = [_positions(net, "bindings", region, c) for c in covering]
+    total = sum(map(len, positions))
+    region_flows = net.flows(region, ring=ring.name).basis
+    glued = [[b[k] for at in positions for k in at] for b in region_flows]
+    bases = [net.flows(c, ring=ring.name).basis for c in covering]
+    starts = list(accumulate(map(len, bases), initial=0))
+    # at each overlap label: local basis i at that label minus local basis j at it
+    conditions = []
+    for (i, ci), (j, cj) in combinations(enumerate(covering), 2):
+        overlap = set(ci) & set(cj)
+        at_i = _positions(net, "bindings", ci, overlap)
+        at_j = _positions(net, "bindings", cj, overlap)
+        for ki, kj in zip(at_i, at_j):
+            row = [0] * starts[-1]
+            row[starts[i] : starts[i + 1]] = [v[ki] for v in bases[i]]
+            row[starts[j] : starts[j + 1]] = [-v[kj] for v in bases[j]]
+            conditions.append(row)
+    agreeing = []
+    for s in ring.kernel_basis(conditions, starts[-1]):
+        family = []
+        for k, at in enumerate(positions):
+            family += la.combine(s[starts[k] : starts[k + 1]], bases[k], len(at))
+        agreeing.append(family)
     failures = []
     if ring.module(total, glued) != ring.module(total, agreeing):
         failures.append("glued flows differ from the agreeing families")

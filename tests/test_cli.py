@@ -629,6 +629,57 @@ def test_marking_values_follow_the_document_grammar(workdir, capsys, value):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+# the README ring; 3000 jobs give 3,001 reachable markings, more text than a
+# pipe buffers
+README_RING = """net ring
+place busy tokens job
+place idle tokens job
+transition finish bindings go
+transition start bindings go
+arc - finish.go busy.job 1
+arc + finish.go idle.job 1
+arc - start.go idle.job 1
+arc + start.go busy.job {weight}
+marking busy.job {jobs}
+"""
+
+
+def test_a_closed_stdout_is_not_a_failed_property(tmp_path):
+    path = tmp_path / "big.pnet"
+    path.write_text(README_RING.format(weight=1, jobs=3000))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "petrisheaf.cli", "reach", str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    assert proc.stdout.readline() == "3001 markings\n"
+    proc.stdout.close()  # as `| head -n 1` does
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "weight, jobs, option, message",
+    [
+        (1, "\u0663", (), "marking counts are naturals"),
+        (1, 2, ("--marking", "busy.job=\u0663"), "marking entries look like P.C=N"),
+        ("\u00b2", 2, (), "arc weights are non-negative integers"),
+    ],
+    ids=["arabic-indic-marking", "arabic-indic-option", "superscript-weight"],
+)
+def test_integers_are_ascii_digits_only(tmp_path, capsys, weight, jobs, option, message):
+    path = tmp_path / "ring.pnet"
+    path.write_text(README_RING.format(weight=weight, jobs=jobs), encoding="utf-8")
+    code = main(["reach", str(path), *option])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
+
 def test_fractional_marking_values_stay_valid(tmp_path, capsys):
     path = tmp_path / "ring2.pnet"
     path.write_text(serialize_net(two_place_ring()))

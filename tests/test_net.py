@@ -3,24 +3,30 @@
 import math
 from fractions import Fraction
 from itertools import combinations
+from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from petrisheaf import intlinalg as la
+from petrisheaf.cli import random_strict_net
 from petrisheaf.formats import parse_net, serialize_net
 from petrisheaf.net import (
+    AxiomReport,
     ColouredNet,
     NetError,
+    _cech,
+    _checked_cover,
     _hook_matrix,
-    _projection,
+    _positions,
     basic_covers,
     place_transition_net,
     verify_binding_cosheaf,
     verify_flow_gluing,
     verify_token_sheaf,
 )
+from petrisheaf.product import kronecker
 from petrisheaf.topology import PetriSpace, SpaceError
 
 from fixtures import (
@@ -513,26 +519,41 @@ def test_unknown_nodes_raise_on_every_call():
             net.flows(A1 | {"zz"})
 
 
+def positions_matrix(positions, width):
+    """The 0/1 matrix with one row per position: the unit row at it."""
+    return [[1 if k == at else 0 for k in range(width)] for at in positions]
+
+
 @given(any_nets)
 @settings(max_examples=40, deadline=None)
-def test_index_projection_equals_the_hook_matrix(net):
+def test_index_positions_equal_the_hook_matrices(net):
     space = net.space
     for kind in ("open", "closed"):
         for region in basic_regions(space, kind):
             for cover in basic_covers(space, region, kind=kind):
                 for small in cover:
-                    assert _projection(net.token_axis, region, small) == _hook_matrix(
+                    tokens = _positions(net, "tokens", region, small)
+                    assert positions_matrix(tokens, len(net.token_axis(region))) == _hook_matrix(
                         net.restrict_token_section, region, small, net.token_axis
                     )
+                    bindings = _positions(net, "bindings", region, small)
                     extension = _hook_matrix(
                         net.extend_binding_section, small, region, net.binding_axis
                     )
-                    assert _projection(net.binding_axis, region, small) == la.transpose(
-                        extension, len(net.binding_axis(small))
+                    assert positions_matrix(bindings, len(net.binding_axis(region))) == (
+                        la.transpose(extension, len(net.binding_axis(small)))
                     )
 
 
-@given(any_nets)
+@st.composite
+def products(draw):
+    """A Kronecker product of two small strict nets: relaxed, with several
+    bindings and tokens per node."""
+    small = strict_nets(max_places=2, max_transitions=2)
+    return kronecker(draw(small), draw(small)).net
+
+
+@given(st.one_of(any_nets, products()))
 @settings(max_examples=40, deadline=None)
 def test_default_verifiers_agree_with_the_honest_hooks(net):
     space = net.space
@@ -546,3 +567,59 @@ def test_default_verifiers_agree_with_the_honest_hooks(net):
             for cover in covers:
                 default = verify(net, region, cover)
                 assert report_fields(default) == report_fields(verify(net, region, cover, **hook))
+
+
+def matrix_flow_gluing(net, region=None, covering=None, ring=None):
+    """Flow gluing on 0/1 projection matrices: the Čech differences over the
+    projections, times the block-diagonal local flow bases."""
+    ring = la.RINGS[ring or net.ring]
+    region, covering, failed = _checked_cover(net, "flow-gluing", region, covering, "closed")
+    if failed is not None:
+        return failed
+
+    axis = net.binding_axis
+
+    def projection(big, small):
+        pos = {lab: k for k, lab in enumerate(axis(big))}
+        return [[1 if k == pos[lab] else 0 for k in range(len(pos))] for lab in axis(small)]
+
+    stack, d, total = _cech(net.space, region, covering, axis, projection)
+    local = [net.flows(c, ring=ring.name) for c in covering]
+    coeffs = sum(len(mod.basis) for mod in local)
+    bases = []
+    done = 0
+    for mod in local:
+        for row in la.transpose(mod.basis, len(mod.axis)):
+            bases.append([0] * done + row + [0] * (coeffs - done - len(row)))
+        done += len(mod.basis)
+    glued = [la.matvec(stack, b) for b in net.flows(region, ring=ring.name).basis]
+    agreeing = [la.matvec(bases, s) for s in ring.kernel_basis(la.matmul(d, bases), coeffs)]
+    failures = []
+    if ring.module(total, glued) != ring.module(total, agreeing):
+        failures.append("glued flows differ from the agreeing families")
+    return AxiomReport("flow-gluing", region, tuple(covering), not failures, failures)
+
+
+def assert_flow_gluing_matches_the_matrix_oracle(net):
+    space = net.space
+    for ring in ("Z", "Q"):
+        for region in [None, *basic_regions(space, "closed")]:
+            covers = [None] if region is None else [None, *basic_covers(space, region, "closed")]
+            for cover in covers:
+                fast = verify_flow_gluing(net, region, cover, ring=ring)
+                assert report_fields(fast) == report_fields(
+                    matrix_flow_gluing(net, region, cover, ring=ring)
+                )
+
+
+@given(any_nets)
+@settings(max_examples=40, deadline=None)
+def test_flow_gluing_matches_the_matrix_oracle(net):
+    assert_flow_gluing_matches_the_matrix_oracle(net)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_flow_gluing_matches_the_matrix_oracle_on_products(seed):
+    rng = Random(seed)
+    first, second = random_strict_net(rng, 3, 2), random_strict_net(rng, 2, 2)
+    assert_flow_gluing_matches_the_matrix_oracle(kronecker(first, second).net)
