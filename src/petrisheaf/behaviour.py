@@ -464,7 +464,7 @@ def check_modification_invariance(morphism, marking, depth=6, max_states=5_000):
     """
     morphism.require_verified()
     cls = morphism.classify()
-    if cls.modification is False:
+    if not cls.modification:
         return InvarianceReport("failed", "morphism is not a modification", 0, 0)
     src, tgt = morphism.source, morphism.target
     start = marking_vector(src, marking)
@@ -475,13 +475,6 @@ def check_modification_invariance(morphism, marking, depth=6, max_states=5_000):
         return InvarianceReport(
             "inconclusive",
             "reachability was truncated by the bounds",
-            len(reach_x),
-            len(reach_y),
-        )
-    if cls.modification == "inconclusive":
-        return InvarianceReport(
-            "inconclusive",
-            "signedness of the inverse components could not be decided",
             len(reach_x),
             len(reach_y),
         )

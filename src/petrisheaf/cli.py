@@ -7,9 +7,10 @@ and resolves the nets a morphism or Winskel document names; ``--marking``
 values follow the documents' scalar grammar.  A subcommand reports either
 human text or, with ``--json``, a sorted-key JSON object (byte-deterministic
 for fixed inputs and seed).  Exit codes: 0 success, 1 a checked property
-failed, 2 usage or parse problem, 3 inconclusive (a guard or state budget
-cut the computation short), 4 internal error (an unexpected exception,
-reported on one line).
+failed, 2 usage or parse problem, 3 inconclusive (the Hilbert guard of
+``flows --ring n`` or a state budget cut the computation short), 4 internal
+error (an unexpected exception, reported on one line).  Morphism
+verification and classification are exact and never inconclusive.
 
 Commands that emit a net or morphism print a valid document on stdout;
 provenance and verification notes ride along as ``#`` comments, so the
@@ -109,11 +110,7 @@ class Report:
 
 
 def _yes(value):
-    if value is True:
-        return "yes"
-    if value is False:
-        return "no"
-    return str(value)
+    return "yes" if value else "no"
 
 
 def _json_value(v):
@@ -233,11 +230,7 @@ def _ring_of(args):
 
 
 def _combine(*statuses):
-    if "failed" in statuses:
-        return FAILURE
-    if "inconclusive" in statuses:
-        return INCONCLUSIVE
-    return OK
+    return FAILURE if "failed" in statuses else OK
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +432,7 @@ def cmd_axioms(args, out):
 
 def cmd_check_morphism(args, out):
     f, doc, _marking = _read_morphism(args.morphism)
-    report = f.verify(hilbert_guard=args.hilbert_guard)
+    report = f.verify()
     out.say(f"morphism {f.name}: {f.source.name} -> {f.target.name}")
     clause_payload = []
     for c in report.clauses:
@@ -458,7 +451,7 @@ def cmd_check_morphism(args, out):
     if report.status == "failed":
         out.put("classification", None)
         return FAILURE
-    d = f.classify(hilbert_guard=args.hilbert_guard).as_dict()
+    d = f.classify().as_dict()
     out.say(
         f"abstraction: {_yes(d['abstraction'])}; "
         f"embedding: {_yes(d['embedding'])}; discrete: {_yes(d['discrete'])}"
@@ -469,7 +462,7 @@ def cmd_check_morphism(args, out):
         f"transition-modification: {_yes(d['transition-modification'])}"
     )
     out.put("classification", d)
-    return _STATUS_CODE[report.status]
+    return OK
 
 
 def cmd_compose(args, out):
@@ -485,7 +478,7 @@ def cmd_compose(args, out):
         composite = f.then(g)
     except MorphismError as exc:
         return out.fail(f"composition failed: {exc}", str(exc))
-    report = composite.verify(hilbert_guard=args.hilbert_guard)
+    report = composite.verify()
     out.document(serialize_morphism(composite, f_doc.source, g_doc.target))
     out.put("name", composite.name)
     out.put("status", report.status)
@@ -527,7 +520,7 @@ def cmd_fibre_product(args, out):
     if f.target.space.nodes != g.target.space.nodes:
         raise CliError("fibre products need morphisms into a common target")
     for which, m in (("first", f), ("second", g)):
-        report = m.verify(hilbert_guard=args.hilbert_guard)
+        report = m.verify()
         if report.status == "failed":
             bad = report.first_failure
             return out.fail(
@@ -542,8 +535,8 @@ def cmd_fibre_product(args, out):
         fp = fibre_product(f, g)
     except (ProductError, MorphismError) as exc:
         return out.fail(f"no fibre product: {exc}", str(exc))
-    left_report = fp.left.verify(hilbert_guard=args.hilbert_guard)
-    right_report = fp.right.verify(hilbert_guard=args.hilbert_guard)
+    left_report = fp.left.verify()
+    right_report = fp.right.verify()
     comments = [
         f"fibre product of {f.name} and {g.name} over {f.target.name}",
         f"left leg onto {f.source.name}: {left_report.status}",
@@ -561,8 +554,8 @@ def cmd_fibre_product(args, out):
 def cmd_diagonal(args, out):
     net, _ = load_net(args.net)
     result = diagonal(net)
-    iso_report = result.iso.verify(hilbert_guard=args.hilbert_guard)
-    emb_report = result.embedding.verify(hilbert_guard=args.hilbert_guard)
+    iso_report = result.iso.verify()
+    emb_report = result.embedding.verify()
     comments = [
         f"diagonal of {net.name} inside {result.product.net.name}",
         f"renaming iso: {iso_report.status}",
@@ -657,8 +650,8 @@ def cmd_winskel(args, out):
         result = from_winskel(w)
     except WinskelError as exc:
         return out.fail(f"conversion failed: {exc}", str(exc))
-    projection_report = result.projection.verify(hilbert_guard=args.hilbert_guard)
-    fold_report = result.fold.verify(hilbert_guard=args.hilbert_guard)
+    projection_report = result.projection.verify()
+    fold_report = result.fold.verify()
     domain_closed = w.source.space.is_closed(result.domain.space.nodes)
     image_open = result.merged.space.is_open(result.fold.space_map.image())
     out.say(f"winskel data {w.name}: {w.source.name} -> {w.target.name}")
@@ -675,7 +668,7 @@ def cmd_winskel(args, out):
         entry = {"name": morphism.name, "status": report.status}
         line = f"{role} {morphism.name}: {report.status}"
         if report.status != "failed":
-            d = morphism.classify(hilbert_guard=args.hilbert_guard).as_dict()
+            d = morphism.classify().as_dict()
             entry["classification"] = d
             line += (
                 f"; discrete: {_yes(d['discrete'])}"
@@ -744,14 +737,6 @@ def build_parser():
 
     common = parent()
     common.add_argument("--json", action="store_true", help="emit a JSON report")
-    guarded = parent()
-    guarded.add_argument(
-        "--hilbert-guard",
-        type=natural,
-        default=10_000,
-        metavar="K",
-        help="growth guard for Hilbert basis completion",
-    )
     regions = parent()
     regions.add_argument("--ring", choices=("n", "z", "q"), help="coefficient ring override")
     regions.add_argument(
@@ -779,7 +764,14 @@ def build_parser():
         return p
 
     add("show", cmd_show, "net summary: sorts, topology, canonical basis", "net")
-    add("flows", cmd_flows, "flow module of a closed region", "net", regions, guarded)
+    p = add("flows", cmd_flows, "flow module of a closed region", "net", regions)
+    p.add_argument(
+        "--hilbert-guard",
+        type=natural,
+        default=10_000,
+        metavar="K",
+        help="growth guard for the Hilbert generators of --ring n",
+    )
     add("classes", cmd_classes, "marking classes of an open region", "net", regions)
 
     p = add("axioms", cmd_axioms, "sheaf/cosheaf exactness on all basic coverings", "net")
@@ -792,8 +784,8 @@ def build_parser():
     )
     p.add_argument("--seed", type=int, default=0, help="seed of the random nets")
 
-    add("check-morphism", cmd_check_morphism, "verify and classify a morphism", "morphism", guarded)
-    add("compose", cmd_compose, "compose two morphisms, first then second", "first second", guarded)
+    add("check-morphism", cmd_check_morphism, "verify and classify a morphism", "morphism")
+    add("compose", cmd_compose, "compose two morphisms, first then second", "first second")
 
     p = add("product", cmd_product, "binary product net with tagged axes", "first second")
     p.add_argument(
@@ -802,15 +794,12 @@ def build_parser():
         help="pair the factor file markings into a product marking",
     )
 
-    add(
-        "fibre-product", cmd_fibre_product, "pullback of two discrete morphisms",
-        "first second", guarded,
-    )
-    add("diagonal", cmd_diagonal, "diagonal subnet of the square product", "net", guarded)
+    add("fibre-product", cmd_fibre_product, "pullback of two discrete morphisms", "first second")
+    add("diagonal", cmd_diagonal, "diagonal subnet of the square product", "net")
     add("simulate", cmd_simulate, "fire a sequence of events step by step", "net", run)
     reach = add("reach", cmd_reach, "breadth-first reachable markings", "net", marked)
     add("map-behaviour", cmd_map_behaviour, "transport a saturated run forward", "morphism", run)
-    add("winskel", cmd_winskel, "convert multirelation data to net morphisms", "file", guarded)
+    add("winskel", cmd_winskel, "convert multirelation data to net morphisms", "file")
 
     pair = add(
         "check-product-reach",

@@ -27,6 +27,10 @@ integers, kernels are read off it, and ``rref`` divides each pivot row by
 its pivot.  ``invariant_factors`` reads the Smith diagonal of a lattice
 basis.
 
+``minimize`` is an exact two-phase simplex on integer rows, and
+``cone_witness`` uses it to decide whether functionals are non-negative on
+a non-negative kernel cone, naming a Hilbert generator where one is not.
+
 Two small helpers serve the other modules as well: ``_integer_row`` and
 ``_integer_rows`` scale a rational row, or a table of rows, to integers over
 one denominator, and ``_format_scalar``/``_format_vector`` render scalars and
@@ -40,15 +44,7 @@ from fractions import Fraction
 
 
 class ResourceLimitExceeded(Exception):
-    """A bounded search ran out of its step budget before finishing.
-
-    Distinct from a negative answer: the caller learns nothing about the
-    property being decided.  ``partial`` holds whatever was found so far.
-    """
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """A bounded search ran out of its step budget: no answer either way."""
 
 
 # ---------------------------------------------------------------------------
@@ -449,10 +445,7 @@ def hilbert_basis(m, cols=None, guard=10_000):
                     continue
                 steps += 1
                 if steps > guard:
-                    raise ResourceLimitExceeded(
-                        f"hilbert basis search exceeded {guard} expansions",
-                        partial=sorted(basis),
-                    )
+                    raise ResourceLimitExceeded(f"hilbert basis search exceeded {guard} expansions")
                 y = tuple(xi + (1 if i == j else 0) for i, xi in enumerate(x))
                 if y in seen or dominated(y):
                     continue
@@ -489,17 +482,32 @@ def _integer_rows(rows):
     return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
 
 
+def _pivot(rows, i, q):
+    """Clear column ``q`` outside row ``i`` by its pivot ``p = rows[i][q]``:
+    a row with entry ``x`` there becomes ``(p*row - x*rows[i]) / g``, with
+    ``p`` and ``x`` over their gcd and ``g`` the content.  With ``p``
+    positive, each row stays a positive multiple of the exact row."""
+    top = rows[i]
+    p = top[q]
+    for k, row in enumerate(rows):
+        x = row[q]
+        if x and k != i:
+            g = math.gcd(p, x)
+            a, b = p // g, x // g
+            row = [a * y - b * z for y, z in zip(row, top)]
+            c = math.gcd(*row)
+            rows[k] = [y // c for y in row] if c > 1 else row
+
+
 def _echelon(m, cols):
     """Fraction-free Gauss-Jordan elimination on the first ``cols`` columns.
 
     Each row is scaled once to integers.  Column by column, the pivot is the
-    first row at or below the current one that is nonzero there; every other
-    row ``r`` with entry ``x`` in that column becomes ``a*r - b*pivot_row``
-    (``a``, ``b`` the pivot and ``x`` over their gcd), divided by its
-    content.  Returns ``(rows, pivots)``: integer rows, pivot rows first,
-    each a nonzero multiple of the row that elimination over Q with the
-    same pivots gives, so dividing a pivot row by its pivot yields the
-    reduced row echelon form.
+    first row at or below the current one that is nonzero there, and
+    ``_pivot`` clears the column in every other row.  Returns ``(rows,
+    pivots)``: integer rows, pivot rows first, each a nonzero multiple of
+    the row that elimination over Q with the same pivots gives, so dividing
+    a pivot row by its pivot yields the reduced row echelon form.
     """
     r = [_integer_row(row)[0] for row in m]
     rows = len(r)
@@ -512,16 +520,7 @@ def _echelon(m, cols):
                 lead += 1
                 continue
             r[i], r[piv] = r[piv], r[i]
-            top = r[i]
-            p = top[lead]
-            for k in range(rows):
-                x = r[k][lead]
-                if x and k != i:
-                    g = math.gcd(p, x)
-                    a, b = p // g, x // g
-                    row = [a * y - b * z for y, z in zip(r[k], top)]
-                    c = math.gcd(*row)
-                    r[k] = [y // c for y in row] if c > 1 else row
+            _pivot(r, i, lead)
             pivots.append(lead)
             lead += 1
             break
@@ -707,62 +706,102 @@ Q = Ring("Q", Subspace, _kernel_subspace, rat_kernel_basis, _echelon_solver)
 RINGS = {"Z": Z, "Q": Q}
 
 
-def _fourier_motzkin_feasible(inequalities, nvars):
-    """Feasibility of ``coeffs . c + const >= 0`` systems over Q.
+# ---------------------------------------------------------------------------
+# linear programming and the non-negative kernel cone
 
-    ``inequalities`` is a list of ``(coeffs, const)`` pairs.  Exact for
-    rationals; used as a definite "no" certificate below.
+
+def _bland(rows, basis, cols):
+    """Simplex pivots under the objective row ``rows[-1]`` until no reduced
+    cost is negative, by Bland's rule: the first column with a negative
+    reduced cost enters, and of the rows of least ratio the one whose basic
+    column comes first leaves.  False when the objective is unbounded."""
+    while True:
+        q = next((j for j in range(cols) if rows[-1][j] < 0), None)
+        if q is None:
+            return True
+        candidates = [i for i, row in enumerate(rows[:-1]) if row[q] > 0]
+        if not candidates:
+            return False
+        r = min(candidates, key=lambda i: (Fraction(rows[i][-1], rows[i][q]), basis[i]))
+        _pivot(rows, r, q)
+        basis[r] = q
+
+
+def minimize(c, a, b):
+    """``min c @ x`` over ``{x : a @ x = b, x >= 0}``: ``(value, x)`` at an
+    optimal vertex, ``x`` as Fractions, or None when the set is empty.  An
+    objective unbounded below raises ValueError.
+
+    Two simplex phases under Bland's rule, which ends on every input (R. G.
+    Bland, *Math. Oper. Res.* 2, 1977), on integer rows, each a positive
+    multiple of the exact row.  Phase 1 starts from an artificial unit per
+    row, whose column is never stored as it never re-enters.  An artificial
+    still basic after it, at zero, is pivoted out on a nonzero entry of its
+    row; a row with none is a redundant equation and is dropped.
     """
-    ineqs = [([Fraction(c) for c in coeffs], Fraction(const)) for coeffs, const in inequalities]
-    for var in range(nvars):
-        pos, neg, rest = [], [], []
-        for coeffs, const in ineqs:
-            c = coeffs[var]
-            if c > 0:
-                pos.append((coeffs, const))
-            elif c < 0:
-                neg.append((coeffs, const))
-            else:
-                rest.append((coeffs, const))
-        new = rest
-        for pc, pk in pos:
-            for nc, nk in neg:
-                # scale so the var cancels: |nc[var]|*p + pc[var]*n
-                a, b = -nc[var], pc[var]
-                coeffs = [a * x + b * y for x, y in zip(pc, nc)]
-                new.append((coeffs, a * pk + b * nk))
-        ineqs = new
-    return all(const >= 0 for _, const in ineqs)
+    cols = len(c)
+    rows = []
+    for row, rhs in zip(a, b):
+        ints, _ = _integer_row([*row, rhs])
+        rows.append([-x for x in ints] if ints[-1] < 0 else ints)
+    basis = [cols + i for i in range(len(rows))]  # the artificials
+    rows.append([-sum(col) for col in zip(*rows)] if rows else [0] * (cols + 1))
+    _bland(rows, basis, cols)
+    for i in reversed(range(len(basis))):
+        row = rows[i]
+        if basis[i] < cols:
+            continue
+        if row[-1]:
+            return None
+        q = next((j for j in range(cols) if row[j]), None)
+        if q is None:
+            del rows[i], basis[i]
+            continue
+        if row[q] < 0:
+            rows[i] = [-x for x in row]
+        _pivot(rows, i, q)
+        basis[i] = q
+    rows[-1], _ = _integer_row([*c, 0])
+    for i, j in enumerate(basis):
+        _pivot(rows, i, j)
+    if not _bland(rows, basis, cols):
+        raise ValueError("the objective is unbounded below")
+    x = [_ZERO] * cols
+    for row, j in zip(rows, basis):
+        x[j] = Fraction(row[-1], row[j])
+    return sum(ci * xi for ci, xi in zip(c, x)), x
 
 
-def nonneg_representative_status(vectors, target, bound=6):
-    """Does ``target + span_Z(vectors)`` meet the non-negative orthant?
-
-    Returns "yes", "no" or "unknown".  "no" is exact (Fourier-Motzkin shows
-    even the rational affine space misses N^n); "yes" comes from a bounded
-    search over integer coefficient boxes; rationally feasible systems with
-    no witness inside the box stay "unknown".
+def cone_witness(m, functionals, cols=None):
+    """A Hilbert generator of ``{x in N^cols : m @ x = 0}`` on which some
+    row of ``functionals`` is negative, or None if all are non-negative on
+    the cone, which holds exactly when they are on its extreme rays (Farkas'
+    lemma; A. Schrijver, *Theory of Linear and Integer Programming*, 1986,
+    section 7).  The cone is the orthant on the zero columns of ``m`` times
+    the cone of the others.  The zero columns' units are generators, tried
+    last column first as ``hilbert_basis`` lists them.  On the others each
+    functional with a negative entry is minimised over ``{m @ x = 0,
+    sum(x) = 1, x >= 0}``; a negative minimum sits at a normalised extreme
+    ray, whose primitive integer vector is a generator.
     """
-    tgt = list(target)
-    if all(x >= 0 for x in tgt):
-        return "yes"
-    k = len(vectors)
-    dim = len(tgt)
-    ineqs = list(zip(transpose(vectors, dim), tgt))
-    if not _fourier_motzkin_feasible(ineqs, k):
-        return "no"
-    if k == 0:
-        return "no"
-    from itertools import product as iproduct
-
-    for radius in range(1, bound + 1):
-        for coeffs in iproduct(range(-radius, radius + 1), repeat=k):
-            if max(abs(c) for c in coeffs) != radius:
-                continue
-            cand = list(tgt)
-            for c, vec in zip(coeffs, vectors):
-                if c:
-                    cand = [a + c * b for a, b in zip(cand, vec)]
-            if all(x >= 0 for x in cand):
-                return "yes"
-    return "unknown"
+    _, cols = shape(m, cols)
+    columns = transpose(m, cols)
+    for j in reversed(range(cols)):
+        if not any(columns[j]) and any(f[j] < 0 for f in functionals):
+            return tuple(int(i == j) for i in range(cols))
+    rest = [j for j in range(cols) if any(columns[j])]
+    a = [*transpose([columns[j] for j in rest], len(m)), [1] * len(rest)]
+    b = [0] * len(m) + [1]
+    for f in functionals:
+        c = [f[j] for j in rest]
+        if min(c, default=0) >= 0:
+            continue
+        optimum = minimize(c, a, b)
+        if optimum is None:
+            return None
+        if optimum[0] < 0:
+            ints, _ = _integer_row(optimum[1])
+            g = math.gcd(*ints)
+            ray = dict(zip(rest, ints))
+            return tuple(ray.get(j, 0) // g for j in range(cols))
+    return None

@@ -28,6 +28,13 @@ so its image is one integer combination.  The clauses read the sparse
 cross-multiplied, and check linear conditions on positive integer multiples
 of rational vectors.  A failing clause reports the exact vectors, rendered
 by ``intlinalg._format_vector`` as the CLI renders scalars: ``[2, -1/2]``.
+
+Every clause is exact: a report is ``ok`` or ``failed``.  Signedness asks
+each image coordinate, as a functional on the fibre bindings, to be
+non-negative on the cone of non-negative fibre flows; ``intlinalg.cone_witness``
+decides that by linear programming and names a Hilbert generator that fails.
+A modification is discrete, so its place fibres carry no relations: the
+preimage class of a target token is one vector, signed or not.
 """
 
 from __future__ import annotations
@@ -67,7 +74,7 @@ class MorphismError(ValueError):
 @dataclass(frozen=True)
 class ClauseResult:
     clause: str
-    status: str  # "ok" | "failed" | "inconclusive"
+    status: str  # "ok" | "failed"
     detail: str = ""
 
     @property
@@ -82,11 +89,7 @@ class VerificationReport:
 
     @property
     def status(self):
-        if any(c.status == "failed" for c in self.clauses):
-            return "failed"
-        if any(c.status == "inconclusive" for c in self.clauses):
-            return "inconclusive"
-        return "ok"
+        return "failed" if self.first_failure else "ok"
 
     @property
     def ok(self):
@@ -114,9 +117,9 @@ class Classification:
     abstraction: bool
     embedding: bool
     discrete: bool
-    modification: object  # True | False | "inconclusive"
-    place_modification: object
-    transition_modification: object
+    modification: bool
+    place_modification: bool
+    transition_modification: bool
 
     def as_dict(self):
         return {
@@ -210,7 +213,7 @@ class NetMorphism:
                 for lab in fibre_tokens
             }
 
-        self._reports = {}  # hilbert guard -> complete VerificationReport
+        self._report = None  # the VerificationReport, once every clause ran
         self._rewrites = None  # per image transition: fibre token -> target token vector
         self._transport = None  # target token axis x source token axis
         self._scaled = None  # the transport scaled to sparse integer rows
@@ -399,13 +402,13 @@ class NetMorphism:
 
     # -- verification --------------------------------------------------------
 
-    def verify(self, hilbert_guard=10_000):
-        """Clause-by-clause report; cached per guard once every clause ran."""
-        if hilbert_guard not in self._reports:
-            self._reports[hilbert_guard] = self._verify(hilbert_guard)
-        return self._reports[hilbert_guard]
+    def verify(self):
+        """Clause-by-clause report; cached once every clause ran."""
+        if self._report is None:
+            self._report = self._verify()
+        return self._report
 
-    def _verify(self, hilbert_guard):
+    def _verify(self):
         report = VerificationReport(self.name)
 
         def fail(clause, detail):
@@ -496,8 +499,8 @@ class NetMorphism:
         self._rewrites = rewrites
         passed(CLAUSE_CLASS_TRANSPORT)
 
-        # 5. signedness of the supplied data
-        signed_status, signed_detail = "ok", ""
+        # 5. signedness of the supplied data: each image coordinate, as a
+        # functional on the fibre bindings, is non-negative on the fibre cone
         for u in self.image_places():
             _, marks = self._integer_marks(u)
             for lab, vec in marks.items():
@@ -506,27 +509,23 @@ class NetMorphism:
                     return report
         for a in self.image_transitions():
             fibre = self.space_map.fibre(a)
-            fibre_axis = src.binding_axis(fibre)
-            mat = src.incidence_matrix(fibre)
-            try:
-                gens = la.hilbert_basis(
-                    mat.as_lists(), cols=len(fibre_axis), guard=hilbert_guard
-                )
-            except la.ResourceLimitExceeded:
-                signed_status = "inconclusive"
-                signed_detail = f"hilbert basis over {a!r} exceeded the guard"
-                continue
-            _, _, image = self._integer_flows(a)
-            for g in gens:
+            cols, dim = len(src.binding_axis(fibre)), len(tgt.bindings[a])
+            basis, images = self.flow_maps[a]
+            functionals = la.transpose(images, dim)  # over a unit basis
+            if [list(v) for v in basis] != la.identity(cols):
+                solve = la.Q.solver([list(v) for v in basis], cols)
+                functionals = [solve(f) for f in functionals]
+            g = la.cone_witness(src.incidence_matrix(fibre).as_lists(), functionals, cols)
+            if g is not None:
+                _, _, image = self._integer_flows(a)
                 ints, d = image(list(g))
-                if any(x < 0 for x in ints):
-                    fail(
-                        CLAUSE_SIGNEDNESS,
-                        f"non-negative fibre flow {la._format_vector(g)} maps to "
-                        f"{la._format_vector(ints, d)}",
-                    )
-                    return report
-        report.clauses.append(ClauseResult(CLAUSE_SIGNEDNESS, signed_status, signed_detail))
+                fail(
+                    CLAUSE_SIGNEDNESS,
+                    f"non-negative fibre flow {la._format_vector(g)} maps to "
+                    f"{la._format_vector(ints, d)}",
+                )
+                return report
+        passed(CLAUSE_SIGNEDNESS)
 
         # 6. incidence compatibility on every image (transition, place) pair:
         # over the pair scale s and the mark denominator d, the fibre side is
@@ -629,8 +628,8 @@ class NetMorphism:
 
     # -- marking transport -----------------------------------------------
 
-    def require_verified(self, hilbert_guard=10_000):
-        report = self.verify(hilbert_guard)
+    def require_verified(self):
+        report = self.verify()
         if report.status == "failed":
             bad = report.first_failure
             raise MorphismError(
@@ -694,8 +693,8 @@ class NetMorphism:
 
     # -- classification ----------------------------------------------------
 
-    def classify(self, hilbert_guard=10_000, search_bound=6):
-        self.require_verified(hilbert_guard)
+    def classify(self):
+        self.require_verified()
         src, tgt = self.source, self.target
         sm = self.space_map
 
@@ -715,22 +714,18 @@ class NetMorphism:
             return self._module(len(tgt.tokens[u]), list(self.mark_maps[u].values())).is_full()
 
         @cache
-        def relations(u):
-            fibre = sm.fibre(u)
-            rel_cols = [src.binding_effect(t, b, fibre) for t, b in src.binding_axis(fibre)]
-            return self._module(len(src.token_axis(fibre)), rel_cols)
-
-        @cache
         def mark_injective(u):
             # injective on classes: the kernel of the mark data lies in the relations
+            fibre = sm.fibre(u)
+            rel_cols = [src.binding_effect(t, b, fibre) for t, b in src.binding_axis(fibre)]
+            relations = self._module(len(src.token_axis(fibre)), rel_cols)
             kernel = self._kernel(list(self.mark_maps[u].values()), len(tgt.tokens[u]))
-            return all(list(k) in relations(u) for k in kernel)
+            return all(list(k) in relations for k in kernel)
 
-        def modification_status():
+        def is_modification():
             """Surjective discrete map whose components are signed isomorphisms."""
             if not (sm.is_surjective() and sm.is_discrete()):
                 return False
-            inconclusive = False
             for a in self.image_transitions():
                 if not (flow_full(a) and flow_injective(a)):
                     return False
@@ -747,26 +742,16 @@ class NetMorphism:
             for u in self.image_places():
                 if not (mark_full(u) and mark_injective(u)):
                     return False
-                # inverse signedness on classes: each target token needs a
-                # preimage class with a non-negative representative
+                # inverse signedness on classes: each target token's preimage
+                # class, one vector as a discrete place fibre has no
+                # relations, must be non-negative
                 dim = len(tgt.tokens[u])
                 solve = self._solver(list(self.mark_maps[u].values()), dim)
-                rel_basis = [list(b) for b in relations(u).basis]
                 for unit in la.identity(dim):
                     x = solve(unit)
-                    if x is None:
+                    if x is None or any(v < 0 for v in x):
                         return False
-                    if self.ring == "Z":
-                        status = la.nonneg_representative_status(
-                            rel_basis, list(x), bound=search_bound
-                        )
-                    else:
-                        status = "yes" if all(v >= 0 for v in x) else "unknown"
-                    if status == "no":
-                        return False
-                    if status == "unknown":
-                        inconclusive = True
-            return "inconclusive" if inconclusive else True
+            return True
 
         abstraction = (
             sm.is_surjective()
@@ -779,24 +764,16 @@ class NetMorphism:
             and all(mark_injective(u) for u in self.image_places())
         )
         discrete = sm.is_discrete()
-        modification = modification_status()
+        modification = is_modification()
         singleton_t = all(len(sm.fibre(a)) == 1 for a in self.image_transitions())
         singleton_p = all(len(sm.fibre(u)) == 1 for u in self.image_places())
-
-        def refine(flag):
-            if modification is True and flag:
-                return True
-            if modification == "inconclusive" and flag:
-                return "inconclusive"
-            return False
-
         return Classification(
             abstraction=abstraction,
             embedding=embedding,
             discrete=discrete,
             modification=modification,
-            place_modification=refine(singleton_t),
-            transition_modification=refine(singleton_p),
+            place_modification=modification and singleton_t,
+            transition_modification=modification and singleton_p,
         )
 
     # -- composition ---------------------------------------------------------

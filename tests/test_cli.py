@@ -179,6 +179,26 @@ def test_check_morphism_classifies_a_fold_of_two_places(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("ring", ["z", "q"])
+def test_an_unsigned_inverse_is_no_modification_over_either_ring(tmp_path, capsys, ring):
+    # p1 and p2 fold onto u, and c2 pulls back to the one class p2.x - p1.x
+    build_documents(tmp_path)
+    if ring == "z":
+        for name in ("loop2q.pnet", "wideq.pnet"):
+            path = tmp_path / name
+            path.write_text(path.read_text().replace("ring q\n", ""))
+    code, out = run(capsys, "check-morphism", tmp_path / "shear-q.pmor")
+    assert code == 0
+    assert out.splitlines()[-1] == (
+        "modification: no; place-modification: no; transition-modification: no"
+    )
+    code, out = run(capsys, "check-morphism", tmp_path / "shear-q.pmor", "--json")
+    classification = json.loads(out)["classification"]
+    assert code == 0 and classification["discrete"] is True
+    assert classification["modification"] is False
+    assert classification["place-modification"] is False
+
+
 def test_check_morphism_json_shape(workdir, capsys):
     code, out = run(capsys, "check-morphism", workdir / "fold.pmor", "--json")
     payload = json.loads(out)
@@ -485,7 +505,7 @@ def test_usage_errors_exit_2(workdir, capsys, case):
         lambda d: ("reach", d / "runY.pnet", "--depth", "-1"),
         lambda d: ("reach", d / "runY.pnet", "--max-states", "-1"),
         lambda d: ("axioms", d / "runY.pnet", "--random", "-1"),
-        lambda d: ("check-morphism", d / "fold.pmor", "--hilbert-guard", "-1"),
+        lambda d: ("flows", d / "runX.pnet", "--ring", "n", "--hilbert-guard", "-1"),
     ],
     ids=[
         "product-depth", "product-max-states", "reach-depth", "reach-max-states", "random",
@@ -571,15 +591,15 @@ OPTIONS = {
     "flows": {"--ring", "--region", "--via", "--hilbert-guard"},
     "classes": {"--ring", "--region", "--via"},
     "axioms": {"--random", "--seed"},
-    "check-morphism": {"--hilbert-guard"},
-    "compose": {"--hilbert-guard"},
+    "check-morphism": set(),
+    "compose": set(),
     "product": {"--marked"},
-    "fibre-product": {"--hilbert-guard"},
-    "diagonal": {"--hilbert-guard"},
+    "fibre-product": set(),
+    "diagonal": set(),
     "simulate": {"--marking", "--sequence"},
     "reach": {"--marking", "--depth", "--max-states"},
     "map-behaviour": {"--marking", "--sequence"},
-    "winskel": {"--hilbert-guard"},
+    "winskel": set(),
     "check-product-reach": {"--marking1", "--marking2", "--depth", "--max-states"},
 }
 
@@ -598,7 +618,7 @@ def test_each_subcommand_declares_the_options_it_reads():
         for name, parser in commands.choices.items()
     }
     assert declared == {name: extra | {"--json"} for name, extra in OPTIONS.items()}
-    assert sum(map(len, declared.values())) == 40
+    assert sum(map(len, declared.values())) == 35
 
 
 @pytest.mark.parametrize(
@@ -607,10 +627,14 @@ def test_each_subcommand_declares_the_options_it_reads():
         lambda d: ("reach", d / "runY.pnet", "--seed", "3"),
         lambda d: ("show", d / "runY.pnet", "--ring", "q"),
         lambda d: ("map-behaviour", d / "fold.pmor", "--hilbert-guard", "1", "--sequence", "t1"),
+        lambda d: ("check-morphism", d / "fold.pmor", "--hilbert-guard", "1"),
         lambda d: ("flows", d / "runX.pnet", "--strict"),
         lambda d: ("show", d / "runY.pnet", "--relaxed"),
     ],
-    ids=["reach-seed", "show-ring", "map-behaviour-guard", "flows-strict", "show-relaxed"],
+    ids=[
+        "reach-seed", "show-ring", "map-behaviour-guard", "check-morphism-guard", "flows-strict",
+        "show-relaxed",
+    ],
 )
 def test_undeclared_options_exit_2(workdir, capsys, case):
     code = main([str(a) for a in case(workdir)])
@@ -783,7 +807,7 @@ def fuzz_commands(base, mutant, directory):
     if base.endswith(".pmor"):
         identity = str(directory / "idY.pmor")
         return [
-            ("check-morphism", mutant, "--hilbert-guard", "200"),
+            ("check-morphism", mutant),
             ("compose", mutant, identity),
             ("fibre-product", mutant, identity),
             ("map-behaviour", mutant, *RUNS[base]),

@@ -4,8 +4,9 @@ Every case runs ``petrisheaf.cli.main`` on documents built from
 ``fixtures.py`` (the same documents as the ``workdir`` fixture of
 ``test_cli.py``, ``ring q`` copies of ``runX.pnet`` and ``runY.pnet``, a
 ``ring q`` target that the fold's data fail on, a morphism that halves
-``runY`` into its ``ring q`` copy, two nets with torsion classes and a
-three-place ring)
+``runY`` into its ``ring q`` copy, two nets with torsion classes, a
+three-place ring and a ``ring q`` morphism folding two places onto one
+whose inverse is not signed)
 and compares the exit code and stdout with ``tests/golden/``.  The
 temporary directory is written as ``<DIR>``.  The expected files are only
 rewritten on purpose, when an output change is intended:
@@ -66,11 +67,12 @@ CASES = {
     "axioms-twice": ("axioms", "twice.pnet"),
     "axioms-random": ("axioms", "runX.pnet", "--random", "4", "--seed", "5"),
     "check-morphism-fold": ("check-morphism", "fold.pmor"),
-    "check-morphism-fold-guard-1": ("check-morphism", "fold.pmor", "--hilbert-guard", "1"),
     "check-morphism-unfold": ("check-morphism", "unfold.pmor"),
     "check-morphism-idY": ("check-morphism", "idY.pmor"),
     # over Q, a failing clause renders its vectors as scalars: [2], not Fraction(2, 1)
     "check-morphism-fold-badw-q": ("check-morphism", "fold-badw.pmor"),
+    # over Q as over Z: the inverse sends c2 to p2.x - p1.x, so no modification
+    "check-morphism-shear-q": ("check-morphism", "shear-q.pmor"),
     "compose-unfold-idY": ("compose", "unfold.pmor", "idY.pmor"),
     "compose-fold-idY": ("compose", "fold.pmor", "idY.pmor"),
     "compose-mismatch": ("compose", "unfold.pmor", "fold.pmor"),
@@ -184,6 +186,40 @@ def build_documents(directory):
         produce={"s0": {"r1": 1}, "s1": {"r2": 1}, "s2": {"r0": 1}},
     )
     (directory / "ring.pnet").write_text(serialize_net(ring, marking={("r0", "r0"): 2}))
+    # p1 and p2 fold onto u; the preimage class of c2 is the one vector [-1, 1]
+    (directory / "loop2q.pnet").write_text(
+        "net loop2\n"
+        "ring q\n"
+        "place p1 tokens x\n"
+        "place p2 tokens x\n"
+        "transition t bindings g\n"
+        "arc - t.g p1.x 1\n"
+        "arc - t.g p2.x 1\n"
+        "arc + t.g p1.x 1\n"
+        "arc + t.g p2.x 1\n"
+    )
+    (directory / "wideq.pnet").write_text(
+        "net wide\n"
+        "ring q\n"
+        "place u tokens c1 c2\n"
+        "transition a bindings g\n"
+        "arc - a.g u.c1 2\n"
+        "arc - a.g u.c2 1\n"
+        "arc + a.g u.c1 2\n"
+        "arc + a.g u.c2 1\n"
+    )
+    (directory / "shear-q.pmor").write_text(
+        "morphism shear\n"
+        "source loop2q.pnet\n"
+        "target wideq.pnet\n"
+        "node p1 -> u\n"
+        "node p2 -> u\n"
+        "node t -> a\n"
+        "flowbasis a: v1 = 1*t.g\n"
+        "flowmap a: v1 -> 1*g\n"
+        "markmap u: p1.x -> 1*c1\n"
+        "markmap u: p2.x -> 1*c1 + 1*c2\n"
+    )
     wsrc, wtgt = winskel_nets()
     (directory / "wsrc.pnet").write_text(serialize_net(wsrc))
     (directory / "wtgt.pnet").write_text(serialize_net(wtgt))

@@ -8,6 +8,8 @@ back-substitution solves) are the slow reference paths that the library's
 fast paths are checked against; other test modules import them.
 """
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -441,6 +443,103 @@ def _is_nonneg_combination(x, gens):
 
 
 # ---------------------------------------------------------------------------
+# the simplex and the cone test, against the Hilbert enumeration
+
+
+def test_minimize_known_programs():
+    # min -x - y with x + 2y = 4, 3x + y = 6: the one point (8/5, 6/5)
+    assert la.minimize([-1, -1, 0], [[1, 2, 0], [3, 1, 0]], [4, 6]) == (
+        Fraction(-14, 5),
+        [Fraction(8, 5), Fraction(6, 5), 0],
+    )
+    # min x over x + y = 1: the vertex (0, 1)
+    assert la.minimize([1, 0], [[1, 1]], [1]) == (0, [0, 1])
+    assert la.minimize([1, 1], [[1, 1]], [-1]) is None
+    with pytest.raises(ValueError):
+        la.minimize([-1, 0], [[1, -1]], [0])
+
+
+def test_minimize_drops_the_redundant_rows_phase_1_leaves():
+    # one equation three times: two artificials end phase 1 basic at zero on
+    # rows with nothing left in them, and phase 2 runs without those rows
+    row = [1, -1, 2]
+    a = [row, [-x for x in row], [2 * x for x in row], [1, 1, 1]]
+    assert la.minimize([1, -1, 0], a, [0, 0, 0, 1]) == (
+        Fraction(-2, 3),
+        [0, Fraction(2, 3), Fraction(1, 3)],
+    )
+
+
+def is_extreme_ray(m, g):
+    """``g`` spans an extreme ray of ``{x >= 0, m @ x = 0}``: the columns on
+    its support have a one-dimensional kernel."""
+    support = [j for j, x in enumerate(g) if x]
+    sub = [[row[j] for j in support] for row in m]
+    return la.Q.kernel(sub, len(support)).rank == 1
+
+
+def random_fibre(rng, rows, cols):
+    """A ``rows x cols`` matrix with entries in -2..2 and functionals on its
+    columns: random ones, or ones that are non-negative on the kernel cone
+    (``y @ m + p`` with ``p >= 0``) but may have negative entries."""
+    m = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)]
+    if m and rng.random() < 0.3:
+        m.append([a + b for a, b in zip(m[0], m[-1])])  # rank deficient
+    count = rng.randint(1, 3)
+    if m and rng.random() < 0.5:
+        ys = [[rng.randint(-2, 2) for _ in m] for _ in range(count)]
+        functionals = [
+            [sum(yi * row[j] for yi, row in zip(y, m)) + rng.randint(0, 1) for j in range(cols)]
+            for y in ys
+        ]
+    else:
+        functionals = [[rng.randint(-2, 3) for _ in range(cols)] for _ in range(count)]
+    return m, functionals
+
+
+def negative_on(functionals, g):
+    return any(sum(a * b for a, b in zip(f, g)) < 0 for f in functionals)
+
+
+def test_cone_witness_equals_the_hilbert_enumeration():
+    rng = random.Random("cone witness")
+    compared = {True: 0, False: 0}
+    while sum(compared.values()) < 240:
+        cols = rng.randint(1, 6)
+        m, functionals = random_fibre(rng, rng.randint(0, 3), cols)
+        try:
+            basis = la.hilbert_basis(m, cols, guard=2_000)
+        except la.ResourceLimitExceeded:
+            continue
+        g = la.cone_witness(m, functionals, cols)
+        want = any(negative_on(functionals, h) for h in basis)
+        assert (g is not None) == want, (m, functionals)
+        if g is not None:
+            assert g in basis and negative_on(functionals, g)
+        compared[want] += 1
+    assert min(compared.values()) >= 60
+
+
+@pytest.mark.parametrize("rows, cols", [(3, 8), (3, 10), (4, 12)])
+def test_cone_witness_decides_where_the_hilbert_guard_trips(rows, cols):
+    # the enumeration exceeds its default guard of 10,000 expansions on 8,
+    # 17 and 20 of these 20 matrices; the cone test decides each one
+    for seed in range(20):
+        rng = random.Random(seed)
+        m = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)]
+        functionals = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(2)]
+        g = la.cone_witness(m, functionals, cols)
+        if g is not None:
+            assert min(g) >= 0 and math.gcd(*g) == 1
+            assert la.is_zero_vector(la.matvec(m, list(g)))
+            assert negative_on(functionals, g) and is_extreme_ray(m, g)
+        # y @ m + 1 is positive on every nonzero point of the cone
+        y = [rng.randint(-2, 2) for _ in range(rows)]
+        positive = [sum(yi * row[j] for yi, row in zip(y, m)) + 1 for j in range(cols)]
+        assert la.cone_witness(m, [positive], cols) is None
+
+
+# ---------------------------------------------------------------------------
 # rational layer
 
 
@@ -626,20 +725,6 @@ def test_det_bareiss_matches_fraction_oracle():
 @given(st.lists(st.lists(st.integers(-5, 5), min_size=4, max_size=4), min_size=4, max_size=4))
 def test_det_random(m):
     assert det(m) == det_fraction(m)
-
-
-# ---------------------------------------------------------------------------
-# signed representatives
-
-
-def test_nonneg_representative_status():
-    # (-1, 1) + k*(1, 1): never non-negative in both slots with k chosen
-    # freely?  (-1+k, 1+k) >= 0 iff k >= 1, so "yes".
-    assert la.nonneg_representative_status([(1, 1)], (-1, 1)) == "yes"
-    # (-1, -1) + k*(1, -1): k >= 1 breaks slot 2, k <= -1 breaks slot 1
-    assert la.nonneg_representative_status([(1, -1)], (-1, -1)) == "no"
-    assert la.nonneg_representative_status([], (-1, 0)) == "no"
-    assert la.nonneg_representative_status([], (0, 2)) == "yes"
 
 
 # ---------------------------------------------------------------------------

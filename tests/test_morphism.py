@@ -538,32 +538,6 @@ def test_composition_of_identities_verifies(net):
 # the verification cache
 
 
-@pytest.mark.parametrize("guards", [(1, 10_000), (10_000, 1)], ids=["low-first", "high-first"])
-def test_verify_cache_keeps_each_guard_apart(guards):
-    # the fold's signedness clause needs more than one Hilbert expansion
-    expected = {1: "inconclusive", 10_000: "ok"}
-    f = fold_morphism()
-    for guard in guards:
-        assert f.verify(hilbert_guard=guard).status == expected[guard]
-    for guard in guards:
-        assert f.verify(hilbert_guard=guard).status == expected[guard]
-
-
-def test_classify_verifies_under_its_own_guard(monkeypatch):
-    from petrisheaf import intlinalg as la
-
-    guards = []
-    real = la.hilbert_basis
-
-    def spy(*args, guard, **kwargs):
-        guards.append(guard)
-        return real(*args, guard=guard, **kwargs)
-
-    monkeypatch.setattr(la, "hilbert_basis", spy)
-    fold_morphism().classify(hilbert_guard=1)
-    assert guards and set(guards) == {1}
-
-
 def test_verify_caches_no_partial_report(monkeypatch):
     from petrisheaf import intlinalg as la
 
@@ -572,7 +546,7 @@ def test_verify_caches_no_partial_report(monkeypatch):
 
     f = fold_morphism()
     with monkeypatch.context() as m:
-        m.setattr(la, "hilbert_basis", broken)
+        m.setattr(la, "minimize", broken)
         with pytest.raises(RuntimeError):
             f.verify()
     report = f.verify()
