@@ -37,11 +37,10 @@ from .behaviour import (
 from .formats import (
     FormatError,
     _format_combination,
-    _load_linked,
     _scalar,
+    load_morphism,
     load_net,
     load_winskel,
-    parse_morphism,
     serialize_morphism,
     serialize_net,
 )
@@ -50,6 +49,7 @@ from .net import (
     NetError,
     basic_covers,
     place_transition_net,
+    same_net,
     verify_binding_cosheaf,
     verify_flow_gluing,
     verify_token_sheaf,
@@ -146,12 +146,6 @@ def _marking_payload(net, vector):
     }
 
 
-def _read_morphism(path):
-    """(morphism, its document, the source net's marking-or-None)."""
-    doc, source_net, target_net, marking = _load_linked(path, parse_morphism)
-    return doc.to_morphism(source_net, target_net), doc, marking
-
-
 def _parse_marking(net, text):
     values = {}
     for part in text.replace(",", " ").split():
@@ -216,8 +210,8 @@ def _resolve_region(args, net):
     if sep and kind == "fibre":
         if not args.via:
             raise CliError("region fibre:NODE needs --via MORPHISM.pmor")
-        f, _doc, _marking = _read_morphism(args.via)
-        if f.source.space.nodes != net.space.nodes:
+        f, _doc, _marking = load_morphism(args.via)
+        if not same_net(f.source, net):
             raise CliError("the --via morphism's source does not match the net")
         return f.space_map.fibre(rest)
     raise CliError(
@@ -242,31 +236,23 @@ def axiom_sweep(net):
     space = net.space
     counts = {"token-sheaf": 0, "binding-cosheaf": 0, "flow-gluing": 0}
     failures = []
-
-    def note(report):
-        region = ",".join(report.region)
-        cover = " ".join("{" + ",".join(part) + "}" for part in report.cover)
-        for item in report.failures:
-            failures.append(f"{report.kind} over {{{region}}} cover {cover}: {item}")
-
-    for x in space.nodes:
-        region = space.basic_open(x)
-        for cover in basic_covers(space, region, kind="open"):
-            counts["token-sheaf"] += 1
-            report = verify_token_sheaf(net, region, cover)
-            if not report.ok:
-                note(report)
-    for x in space.nodes:
-        region = space.basic_closed(x)
-        for cover in basic_covers(space, region, kind="closed"):
-            counts["binding-cosheaf"] += 1
-            report = verify_binding_cosheaf(net, region, cover)
-            if not report.ok:
-                note(report)
-            counts["flow-gluing"] += 1
-            report = verify_flow_gluing(net, region, cover)
-            if not report.ok:
-                note(report)
+    for kind, basic, verifiers in (
+        ("open", space.basic_open, (verify_token_sheaf,)),
+        ("closed", space.basic_closed, (verify_binding_cosheaf, verify_flow_gluing)),
+    ):
+        for x in space.nodes:
+            region = basic(x)
+            for cover in basic_covers(space, region, kind=kind):
+                for verify in verifiers:
+                    report = verify(net, region, cover)
+                    counts[report.kind] += 1
+                    if not report.ok:
+                        where = ",".join(report.region)
+                        parts = " ".join("{" + ",".join(part) + "}" for part in report.cover)
+                        failures.extend(
+                            f"{report.kind} over {{{where}}} cover {parts}: {item}"
+                            for item in report.failures
+                        )
     return counts, failures
 
 
@@ -431,7 +417,7 @@ def cmd_axioms(args, out):
 
 
 def cmd_check_morphism(args, out):
-    f, doc, _marking = _read_morphism(args.morphism)
+    f, doc, _marking = load_morphism(args.morphism)
     report = f.verify()
     out.say(f"morphism {f.name}: {f.source.name} -> {f.target.name}")
     clause_payload = []
@@ -466,13 +452,9 @@ def cmd_check_morphism(args, out):
 
 
 def cmd_compose(args, out):
-    f, f_doc, _m1 = _read_morphism(args.first)
-    g, g_doc, _m2 = _read_morphism(args.second)
-    if (
-        f.target.space.nodes != g.source.space.nodes
-        or f.target.bindings != g.source.bindings
-        or f.target.tokens != g.source.tokens
-    ):
+    f, f_doc, _m1 = load_morphism(args.first)
+    g, g_doc, _m2 = load_morphism(args.second)
+    if not same_net(f.target, g.source):
         raise CliError("the first morphism's target must be the second's source")
     try:
         composite = f.then(g)
@@ -515,9 +497,9 @@ def cmd_product(args, out):
 
 
 def cmd_fibre_product(args, out):
-    f, f_doc, _m1 = _read_morphism(args.first)
-    g, g_doc, _m2 = _read_morphism(args.second)
-    if f.target.space.nodes != g.target.space.nodes:
+    f, f_doc, _m1 = load_morphism(args.first)
+    g, g_doc, _m2 = load_morphism(args.second)
+    if not same_net(f.target, g.target):
         raise CliError("fibre products need morphisms into a common target")
     for which, m in (("first", f), ("second", g)):
         report = m.verify()
@@ -621,7 +603,7 @@ def cmd_reach(args, out):
 
 
 def cmd_map_behaviour(args, out):
-    f, _doc, source_marking = _read_morphism(args.morphism)
+    f, _doc, source_marking = load_morphism(args.morphism)
     start = _marking_arg(f.source, args.marking, source_marking)
     events = _parse_sequence(f.source, args.sequence)
     try:

@@ -538,9 +538,10 @@ def serialize_morphism(morphism, source_ref, target_ref):
 
 
 def load_morphism(path):
-    """Read a ``.pmor`` file, resolving net references next to it."""
-    doc, source_net, target_net, _ = _load_linked(path, parse_morphism)
-    return doc.to_morphism(source_net, target_net)
+    """Read a ``.pmor`` file, resolving net references next to it, into
+    (morphism, document, the source net's marking-or-None)."""
+    doc, source_net, target_net, marking = _load_linked(path, parse_morphism)
+    return doc.to_morphism(source_net, target_net), doc, marking
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ from functools import cache
 from fractions import Fraction
 
 from . import intlinalg as la
-from .net import ColouredNet, NetError
+from .net import ColouredNet, NetError, same_net
 from .topology import SpaceMap, Sort, quotient_by_pairs
 
 CLAUSE_CONTINUITY = "continuity"
@@ -780,11 +780,7 @@ class NetMorphism:
 
     def then(self, other):
         """Composite morphism, self first; both factors must verify."""
-        if other.source is not self.target and (
-            other.source.space.nodes != self.target.space.nodes
-            or other.source.bindings != self.target.bindings
-            or other.source.tokens != self.target.tokens
-        ):
+        if not same_net(other.source, self.target):
             raise MorphismError("morphisms do not compose")
         self.require_verified()
         other.require_verified()
@@ -859,15 +855,13 @@ def _push(axis, pairs, rows, dim):
 
 
 def morphisms_equal(f, g):
-    """Same node map and same induced data on the canonical bases.
+    """Same nets (``same_net``), node map and induced data on the canonical bases.
 
     Flow maps are compared on the integer kernel basis of each fibre (which
     also spans the rational flows), mark maps entry by entry; an int and a
     Fraction compare by value.
     """
-    if f.source.space.nodes != g.source.space.nodes:
-        return False
-    if f.target.space.nodes != g.target.space.nodes:
+    if not (same_net(f.source, g.source) and same_net(f.target, g.target)):
         return False
     if f.space_map.mapping != g.space_map.mapping:
         return False

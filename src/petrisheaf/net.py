@@ -21,18 +21,16 @@ constructions and serialisers list the nonzero arcs in axis order
 (``arcs``); ``w_minus``/``w_plus``/``w``, ``binding_effect`` and
 ``incidence_matrix`` read blocks of the incidence through ``_block``.
 
-The token sheaf and the binding cosheaf with their honest maps are
-decided by the cover alone (the lemma is in ``verify_token_sheaf`` and
-``verify_binding_cosheaf``).  A caller-supplied ``restrict``/``extend``
-hook is turned into a matrix by ``_hook_matrix``, one unit vector at a
-time, and checked through the Čech builder ``_cech``: it stacks the
-restrictions from a region to its cover and the signed differences on
-pairwise overlaps, and the verifier states its exactness condition over
-the ring.  Flow gluing is no such lemma (it fails on relaxed nets), so it
-is checked exactly, on index maps: ``_positions`` gives the positions of a
-subregion's labels in a region's axis, the glued flows are read at the
-cover positions, and the agreement on overlaps is written on the local
-basis coefficients.
+``_positions`` is the one index reader: it gives the positions of a
+subregion's labels in a region's token or binding axis.  The four section
+maps (``restrict_token_section``, ``extend_binding_section``,
+``extend_class`` and ``restrict_flow``) read and write through it.  The
+token sheaf and the binding cosheaf with these maps are decided by the
+cover alone (the lemma is in ``verify_token_sheaf`` and
+``verify_binding_cosheaf``).  Flow gluing is no such lemma (it fails on
+relaxed nets), so it is checked exactly on the same index maps: the glued
+flows are read at the cover positions, and the agreement on overlaps is
+written on the local basis coefficients.
 
 A net is not changed after construction, so it memoises its token and
 binding axes per region, its flow modules per region and ring, and the
@@ -185,21 +183,20 @@ class ColouredNet:
     # -- axes -----------------------------------------------------------
 
     def token_axis(self, region=None):
-        key = ("tokens", None if region is None else frozenset(region))
-        axis = self._memo.get(key)
-        if axis is None:
-            places = self.space.places if region is None else self.space.places_in(region)
-            axis = self._memo[key] = tuple((p, c) for p in places for c in self.tokens[p])
-        return axis
+        return self._axis("tokens", region)
 
     def binding_axis(self, region=None):
-        key = ("bindings", None if region is None else frozenset(region))
+        return self._axis("bindings", region)
+
+    def _axis(self, kind, region):
+        """The (node, element) labels of ``kind`` ("tokens" or "bindings") on
+        the nodes of ``region`` (the whole net for None), in node order."""
+        key = (kind, None if region is None else frozenset(region))
         axis = self._memo.get(key)
         if axis is None:
-            transitions = (
-                self.space.transitions if region is None else self.space.transitions_in(region)
-            )
-            axis = self._memo[key] = tuple((t, b) for t in transitions for b in self.bindings[t])
+            names = self.tokens if kind == "tokens" else self.bindings
+            nodes = self.space.nodes if region is None else self.space.ordered(region)
+            axis = self._memo[key] = tuple((x, e) for x in nodes if x in names for e in names[x])
         return axis
 
     def binding_effect(self, t, b, region=None, kind="difference"):
@@ -250,6 +247,24 @@ class ColouredNet:
 
     # -- restriction / extension -----------------------------------------
 
+    def _section_map(self, noun, vector, big_region, small_region, extending):
+        """``vector`` read from ``big_region`` down to ``small_region`` or,
+        when ``extending``, written by zero from ``small_region`` up to
+        ``big_region``, on the token axis for a "token" vector and on the
+        binding axis for a "flow" or "binding" one."""
+        big, small = self.space.ordered(big_region), self.space.ordered(small_region)
+        if not set(small) <= set(big):
+            role = "extension source" if extending else "restriction target"
+            raise NetError(f"{role} is not a subregion")
+        axis = "tokens" if noun == "token" else "bindings"
+        if len(vector) != len(self._axis(axis, small if extending else big)):
+            raise NetError(f"{noun} vector has the wrong length")
+        at = _positions(self, axis, big, small)
+        if extending:
+            values = dict(zip(at, vector))
+            return [values.get(k, 0) for k in range(len(self._axis(axis, big)))]
+        return [vector[k] for k in at]
+
     def restrict_flow(self, vector, big_region, small_region):
         """Project a flow on ``big_region`` down to a closed subregion.
 
@@ -258,58 +273,23 @@ class ColouredNet:
         tokens inside it, so the projection may fail the smaller region's
         balance conditions; that raises rather than returning a non-flow.
         """
-        big = self.space.ordered(big_region)
-        small = self.space.ordered(small_region)
-        if not set(small) <= set(big):
-            raise NetError("restriction target is not a subregion")
-        big_axis = self.binding_axis(big)
-        if len(vector) != len(big_axis):
-            raise NetError("flow vector has the wrong length")
-        small_flows = self.flows(small)
-        pos = {lab: i for i, lab in enumerate(big_axis)}
-        out = [vector[pos[lab]] for lab in self.binding_axis(small)]
-        if not small_flows.contains(out):
-            raise NetError(
-                "projection is not a flow of the subregion"
-                + ("" if self.strict else " (relaxed net: restriction undefined here)")
-            )
+        out = self._section_map("flow", vector, big_region, small_region, False)
+        if not self.flows(small_region).contains(out):
+            relaxed = "" if self.strict else " (relaxed net: restriction undefined here)"
+            raise NetError("projection is not a flow of the subregion" + relaxed)
         return out
 
     def extend_binding_section(self, vector, small_region, big_region):
         """Extension by zero along closed regions (the binding cosheaf)."""
-        small = self.space.ordered(small_region)
-        big = self.space.ordered(big_region)
-        if not set(small) <= set(big):
-            raise NetError("extension source is not a subregion")
-        small_axis = self.binding_axis(small)
-        if len(vector) != len(small_axis):
-            raise NetError("binding vector has the wrong length")
-        src = dict(zip(small_axis, vector))
-        return [src.get(lab, 0) for lab in self.binding_axis(big)]
+        return self._section_map("binding", vector, big_region, small_region, True)
 
     def restrict_token_section(self, vector, big_region, small_region):
         """Coordinate projection along open regions (the token sheaf)."""
-        big = self.space.ordered(big_region)
-        small = self.space.ordered(small_region)
-        if not set(small) <= set(big):
-            raise NetError("restriction target is not a subregion")
-        big_axis = self.token_axis(big)
-        if len(vector) != len(big_axis):
-            raise NetError("token vector has the wrong length")
-        pos = {lab: i for i, lab in enumerate(big_axis)}
-        return [vector[pos[lab]] for lab in self.token_axis(small)]
+        return self._section_map("token", vector, big_region, small_region, False)
 
     def extend_class(self, vector, small_region, big_region):
         """Zero-extension of token vectors, inducing classes forward."""
-        small = self.space.ordered(small_region)
-        big = self.space.ordered(big_region)
-        if not set(small) <= set(big):
-            raise NetError("extension source is not a subregion")
-        small_axis = self.token_axis(small)
-        if len(vector) != len(small_axis):
-            raise NetError("token vector has the wrong length")
-        src = dict(zip(small_axis, vector))
-        return [src.get(lab, 0) for lab in self.token_axis(big)]
+        return self._section_map("token", vector, big_region, small_region, True)
 
     # -- subnets ----------------------------------------------------------
 
@@ -341,6 +321,19 @@ class ColouredNet:
             f"{len(self.space.transitions)} transitions, "
             f"{'strict' if self.strict else 'relaxed'})"
         )
+
+
+def same_net(a, b):
+    """Are ``a`` and ``b`` one net as data: the same nodes in the same order,
+    adjacency, bindings, tokens (so the same sorts) and arc weights?  The
+    name, the ring and strict/relaxed mode are not compared."""
+    return a is b or (
+        a.space.nodes == b.space.nodes
+        and a.space.adjacency == b.space.adjacency
+        and a.bindings == b.bindings
+        and a.tokens == b.tokens
+        and a._effect == b._effect
+    )
 
 
 class FlowModule:
@@ -477,9 +470,9 @@ class AxiomReport:
 
 
 def _checked_cover(net, kind, region, covering, openness):
-    """Order a region and its covering (basic sets by default), both of them
-    ``openness`` ("open" or "closed"); ``failed`` is a failed report or None.
-    """
+    """The ``kind`` report on a region and its covering (basic sets by
+    default), both ordered: failed unless both are ``openness`` ("open" or
+    "closed") and the covering covers exactly the region."""
     space = net.space
     if openness == "open":
         is_kind, basic = space.is_open, space.basic_open
@@ -487,21 +480,19 @@ def _checked_cover(net, kind, region, covering, openness):
         is_kind, basic = space.is_closed, space.basic_closed
     region = tuple(space.nodes) if region is None else space.ordered(region)
     if not is_kind(region):
-        return region, (), AxiomReport(kind, region, (), False, [f"region is not {openness}"])
+        return AxiomReport(kind, region, (), False, [f"region is not {openness}"])
     if covering is None:
         covering = [basic(x) for x in region]
-    covering = [space.ordered(c) for c in covering]
+    covering = tuple(space.ordered(c) for c in covering)
     failures = []
     for c in covering:
         if not is_kind(c):
             failures.append(f"cover element {list(c)} is not {openness}")
         if not set(c) <= set(region):
             failures.append(f"cover element {list(c)} leaves the region")
-    union = set().union(*map(set, covering)) if covering else set()
-    if union != set(region):
+    if set().union(*covering) != set(region):
         failures.append("cover does not exhaust the region")
-    failed = AxiomReport(kind, region, tuple(covering), False, failures) if failures else None
-    return region, covering, failed
+    return AxiomReport(kind, region, covering, not failures, failures)
 
 
 def _positions(net, axis, big, small):
@@ -510,120 +501,39 @@ def _positions(net, axis, big, small):
     key = ("positions", axis, frozenset(big), frozenset(small))
     positions = net._memo.get(key)
     if positions is None:
-        labels = net.token_axis if axis == "tokens" else net.binding_axis
-        index = {lab: k for k, lab in enumerate(labels(big))}
-        positions = net._memo[key] = tuple(index[lab] for lab in labels(small))
+        index = {lab: k for k, lab in enumerate(net._axis(axis, big))}
+        positions = net._memo[key] = tuple(index[lab] for lab in net._axis(axis, small))
     return positions
 
 
-def _hook_matrix(hook, src, dst, axis):
-    """Matrix of the map ``hook(vector, src, dst)`` on the ``axis`` sections:
-    its columns are the images of the unit vectors of ``src``."""
-    images = [hook(unit, src, dst) for unit in la.identity(len(axis(src)))]
-    return la.transpose(images, len(axis(dst)))
-
-
-def _cech(space, region, covering, axis, restriction):
-    """The Čech data of a region's covering, for sections labelled by ``axis``.
-
-    ``restriction(big, small)`` is the matrix from the sections of ``big`` to
-    those of ``small``.  Returns the restrictions from the region to the
-    cover elements stacked, the signed differences on pairwise overlaps (one
-    row per overlap section: restriction from the first element minus
-    restriction from the second) and the total cover dimension.
-    """
-    offsets = []
-    total = 0
-    for c in covering:
-        offsets.append(total)
-        total += len(axis(c))
-    stack = [row for c in covering for row in restriction(region, c)]
-    differences = []
-    for (i, ci), (j, cj) in combinations(enumerate(covering), 2):
-        overlap = space.ordered(set(ci) & set(cj))
-        if not overlap:
-            continue
-        for row_i, row_j in zip(restriction(ci, overlap), restriction(cj, overlap)):
-            row = [0] * total
-            row[offsets[i] : offsets[i] + len(row_i)] = row_i
-            row[offsets[j] : offsets[j] + len(row_j)] = [-x for x in row_j]
-            differences.append(row)
-    return stack, differences, total
-
-
-def verify_token_sheaf(net, region=None, covering=None, restrict=None):
+def verify_token_sheaf(net, region=None, covering=None):
     """Equaliser exactness of the token sheaf on an open covering.
 
     sections(U) -> prod sections(U_i) must be injective with image exactly
-    the families that agree on pairwise intersections.  ``restrict``
-    replaces the restriction map (a test hook).
-
-    With no hook the cover decides it.  The sections over a region are
-    functions on its token labels, and the labels of ``U_i & U_j`` are the
-    common labels of ``U_i`` and ``U_j``.  A cover that ``_checked_cover``
-    accepts covers every label of ``U``.  So a section is determined by its
-    restrictions, and a family that agrees on overlaps gives each label one
-    value, which is a section of ``U``.  This holds over Z and Q, on strict
-    and relaxed nets alike.
+    the families that agree on pairwise intersections.  The cover decides
+    it.  The sections over a region are functions on its token labels, and
+    the labels of ``U_i & U_j`` are the common labels of ``U_i`` and
+    ``U_j``.  A cover that ``_checked_cover`` accepts covers every label of
+    ``U``.  So a section is determined by its restrictions, and a family
+    that agrees on overlaps gives each label one value, which is a section
+    of ``U``.  This holds over Z and Q, on strict and relaxed nets alike.
     """
-    region, covering, failed = _checked_cover(net, "token-sheaf", region, covering, "open")
-    if failed is not None:
-        return failed
-    if restrict is None:
-        return AxiomReport("token-sheaf", region, tuple(covering), True)
-
-    axis = net.token_axis
-
-    def restriction(big, small):
-        return _hook_matrix(restrict, big, small, axis)
-
-    r, d, total = _cech(net.space, region, covering, axis, restriction)
-    n = len(axis(region))
-    ring = la.RINGS[net.ring]
-    failures = []
-    if ring.kernel_basis(r, n):
-        failures.append("restriction to the cover is not injective")
-    if ring.module(total, la.transpose(r, n)) != ring.kernel(d, total):
-        failures.append("image of sections differs from the agreeing families")
-    return AxiomReport("token-sheaf", region, tuple(covering), not failures, failures)
+    return _checked_cover(net, "token-sheaf", region, covering, "open")
 
 
-def verify_binding_cosheaf(net, region=None, covering=None, extend=None):
+def verify_binding_cosheaf(net, region=None, covering=None):
     """Coequaliser exactness of the binding cosheaf on a closed covering.
 
     prod sections(A_i) -> sections(A) must be surjective with kernel exactly
-    the signed overlap images.  ``extend`` replaces extension by zero (a
-    test hook).
-
-    With no hook the cover decides it, dually to ``verify_token_sheaf``.
-    Every binding label of ``A`` lies in some ``A_i``, so the sum of the
-    extensions by zero is surjective.  A family sums to zero exactly when,
-    at each label, its values on the ``k`` elements holding that label sum
-    to zero; the pairwise differences ``e_i - e_j`` generate the sum-zero
-    vectors of Z^k, and each is the image of that label in ``A_i & A_j``.
+    the signed overlap images.  The cover decides it, dually to
+    ``verify_token_sheaf``.  Every binding label of ``A`` lies in some
+    ``A_i``, so the sum of the extensions by zero is surjective.  A family
+    sums to zero exactly when, at each label, its values on the ``k``
+    elements holding that label sum to zero; the pairwise differences
+    ``e_i - e_j`` generate the sum-zero vectors of Z^k, and each is the
+    image of that label in ``A_i & A_j``.
     """
-    region, covering, failed = _checked_cover(net, "binding-cosheaf", region, covering, "closed")
-    if failed is not None:
-        return failed
-    if extend is None:
-        return AxiomReport("binding-cosheaf", region, tuple(covering), True)
-
-    axis = net.binding_axis
-
-    # fed the transposed extensions, the stack is the sum of extensions
-    # transposed and the difference rows are the overlap relations
-    def restriction(big, small):
-        return la.transpose(_hook_matrix(extend, small, big, axis), len(axis(small)))
-
-    stack, d, total = _cech(net.space, region, covering, axis, restriction)
-    n = len(axis(region))
-    ring = la.RINGS[net.ring]
-    failures = []
-    if not ring.module(n, stack).is_full():
-        failures.append("cover sections do not generate the region sections")
-    if ring.kernel(la.transpose(stack, n), total) != ring.module(total, d):
-        failures.append("kernel of the sum differs from the overlap relations")
-    return AxiomReport("binding-cosheaf", region, tuple(covering), not failures, failures)
+    return _checked_cover(net, "binding-cosheaf", region, covering, "closed")
 
 
 def verify_flow_gluing(net, region=None, covering=None, ring=None):
@@ -639,9 +549,10 @@ def verify_flow_gluing(net, region=None, covering=None, ring=None):
     meet one condition per overlap label.
     """
     ring = la.RINGS[ring or net.ring]
-    region, covering, failed = _checked_cover(net, "flow-gluing", region, covering, "closed")
-    if failed is not None:
-        return failed
+    checked = _checked_cover(net, "flow-gluing", region, covering, "closed")
+    if not checked:
+        return checked
+    region, covering = checked.region, checked.cover
 
     positions = [_positions(net, "bindings", region, c) for c in covering]
     total = sum(map(len, positions))
@@ -669,7 +580,7 @@ def verify_flow_gluing(net, region=None, covering=None, ring=None):
     failures = []
     if ring.module(total, glued) != ring.module(total, agreeing):
         failures.append("glued flows differ from the agreeing families")
-    return AxiomReport("flow-gluing", region, tuple(covering), not failures, failures)
+    return AxiomReport("flow-gluing", region, covering, not failures, failures)
 
 
 def basic_covers(space, region=None, kind="open", limit=12):

@@ -26,7 +26,7 @@ from fractions import Fraction
 from . import intlinalg as la
 from .behaviour import marking_vector, reachable
 from .morphism import NetMorphism, morphisms_equal
-from .net import ColouredNet
+from .net import ColouredNet, same_net
 from .topology import PetriSpace, Sort
 
 
@@ -341,7 +341,7 @@ def mediate(result, to_first, to_second, name=None):
     if to_first.source is not to_second.source:
         raise ProductError("mediating morphisms must share their source")
     for g, factor, side in ((to_first, first, 1), (to_second, second, 2)):
-        if g.target is not factor and g.target.space.nodes != factor.space.nodes:
+        if not same_net(g.target, factor):
             raise ProductError(f"{g.name!r} does not land in factor {side}")
         _require_discrete(g, "mediate")
 
@@ -458,7 +458,7 @@ def factors_through_diagonal(diag, morphism):
     the image of each binding and token must lie in the rational span of
     the embedded element images of its image node.
     """
-    if morphism.target.space.nodes != diag.product.net.space.nodes:
+    if not same_net(morphism.target, diag.product.net):
         raise ProductError("the morphism does not land in the squared net")
     image = morphism.space_map.image()
     if not set(image) <= set(diag.net.space.nodes):
@@ -555,7 +555,7 @@ def inverse_image(f, j, name=None):
     if not (j.space_map.is_embedding() and j.space_map.is_discrete()):
         raise ProductError("inverse image needs a discrete topological embedding")
     j.require_verified()
-    if f.target is not j.target and f.target.space.nodes != j.target.space.nodes:
+    if not same_net(f.target, j.target):
         raise ProductError("inverse image needs a common target net")
 
     src = f.source
@@ -672,11 +672,11 @@ def factor_cone(inverse, to_source, to_subnet, name=None):
     ``to_source`` is solved through the refined basis of its image node.
     """
     apex = to_source.source
-    if to_subnet.source is not apex and to_subnet.source.space.nodes != apex.space.nodes:
+    if not same_net(to_subnet.source, apex):
         raise ProductError("cone legs must share their source")
-    if to_source.target.space.nodes != inverse.into_source.target.space.nodes:
+    if not same_net(to_source.target, inverse.into_source.target):
         raise ProductError("the first cone leg must land in the pulled-back source")
-    if to_subnet.target.space.nodes != inverse.to_subnet.target.space.nodes:
+    if not same_net(to_subnet.target, inverse.to_subnet.target):
         raise ProductError("the second cone leg must land in the subnet")
     for g in (to_source, to_subnet):
         _require_discrete(g, "cone factorization")
@@ -745,7 +745,7 @@ def fibre_product(to_target_first, to_target_second, name=None, cones=()):
     does not factor raises.
     """
     g1, g2 = to_target_first, to_target_second
-    if g1.target is not g2.target and g1.target.space.nodes != g2.target.space.nodes:
+    if not same_net(g1.target, g2.target):
         raise ProductError("fibre product needs a common target")
     for g in (g1, g2):
         _require_discrete(g, "fibre product")

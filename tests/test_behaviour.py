@@ -1,5 +1,6 @@
 """Firing, reachability, saturation, and behaviour transport."""
 
+import random
 from collections import Counter
 
 import pytest
@@ -25,6 +26,7 @@ from petrisheaf.behaviour import (
     verify_petri_morphism,
     zero_marking,
 )
+from petrisheaf.cli import random_strict_net
 from petrisheaf.morphism import identity_morphism
 from petrisheaf.net import place_transition_net
 from petrisheaf.product import kronecker
@@ -190,6 +192,39 @@ def test_activated_sequences_enumeration():
     assert (("t1", "t1"), ("t3", "t3")) in seqs
     # only t1 fires at the start, then all five of t2..t6 are enabled
     assert len(seqs) == 7
+
+
+def reached_outside_the_start_class(net, rng, depth):
+    """Reach from a random start marking of ``net``; return how many markings
+    were reached and those whose marking class over Z or Q is not the
+    start's."""
+    start = [rng.randint(0, 3) for _ in net.token_axis()]
+    reached = reachable(net, start, depth=depth).markings
+    classes = [net.marking_classes(ring=ring) for ring in ("Z", "Q")]
+    outside = [m for m in reached for c in classes if not c.class_equal(m, start)]
+    return len(reached), outside
+
+
+def test_reachable_markings_stay_in_the_start_class():
+    # firing adds an incidence column, which the marking classes quotient out
+    checked = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        count, outside = reached_outside_the_start_class(random_strict_net(rng, 3, 3), rng, 6)
+        assert outside == [], seed
+        checked += count
+    assert checked > 1000
+
+
+def test_reachable_markings_of_products_stay_in_the_start_class():
+    checked = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        first, second = random_strict_net(rng, 3, 3), random_strict_net(rng, 2, 2)
+        count, outside = reached_outside_the_start_class(kronecker(first, second).net, rng, 4)
+        assert outside == [], seed
+        checked += count
+    assert checked > 200
 
 
 # ---------------------------------------------------------------------------

@@ -232,6 +232,46 @@ def test_compose_rejects_mismatched_middles(workdir, capsys):
     assert code == 2
 
 
+RUN_Y = """net runY
+place u tokens c
+transition a bindings b1 b2
+arc - a.b1 u.c {w}
+arc - a.b2 u.c {w}
+arc + a.b1 u.c {w}
+arc + a.b2 u.c {w}
+"""
+
+IDENTITY_Y = """morphism id_runY
+source {net}
+target {net}
+node u -> u
+node a -> a
+flowbasis a: v1 = 1*a.b1
+flowmap a: v1 -> 1*b1
+flowbasis a: v2 = 1*a.b2
+flowmap a: v2 -> 1*b2
+markmap u: u.c -> 1*c
+"""
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("compose", "the first morphism's target must be the second's source"),
+        ("fibre-product", "fibre products need morphisms into a common target"),
+    ],
+)
+def test_morphisms_between_nets_that_differ_in_weights_exit_2(tmp_path, capsys, command, message):
+    # runY with arc weight 2 and with weight 3: same nodes, bindings and tokens
+    for weight, stem in ((2, "y"), (3, "y3")):
+        (tmp_path / f"{stem}.pnet").write_text(RUN_Y.format(w=weight))
+        (tmp_path / f"id_{stem}.pmor").write_text(IDENTITY_Y.format(net=f"{stem}.pnet"))
+    code = main([command, str(tmp_path / "id_y.pmor"), str(tmp_path / "id_y3.pmor")])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: {message}\n"
+
+
 def test_product_marked_output_round_trips(workdir, capsys):
     code, out = run(
         capsys, "product", workdir / "runY.pnet", workdir / "unfoldY.pnet", "--marked"

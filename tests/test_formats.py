@@ -142,10 +142,15 @@ def test_morphism_loader_resolves_net_references(tmp_path):
     (tmp_path / "fold.pmor").write_text(
         serialize_morphism(fold, "runX.pnet", "runY.pnet")
     )
-    loaded = load_morphism(tmp_path / "fold.pmor")
+    loaded, doc, marking = load_morphism(tmp_path / "fold.pmor")
     assert morphisms_equal(loaded, fold)
+    assert (doc.source, doc.target, marking) == ("runX.pnet", "runY.pnet", None)
     cls = loaded.classify()
     assert cls.abstraction and not cls.discrete
+    # the source net's marking line comes back with the morphism
+    token = fold.source.token_axis()[0]
+    (tmp_path / "runX.pnet").write_text(serialize_net(fold.source, marking={token: 2}))
+    assert load_morphism(tmp_path / "fold.pmor")[2] == {token: 2}
 
 
 def test_winskel_round_trip(tmp_path):

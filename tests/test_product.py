@@ -23,6 +23,7 @@ from petrisheaf.product import (
     ReachCorrespondence,
     check_reachability_correspondence,
     diagonal,
+    factor_cone,
     factors_through_diagonal,
     fibre_product,
     inverse_image,
@@ -34,7 +35,14 @@ from petrisheaf.product import (
 )
 from petrisheaf.topology import PetriSpace
 
-from fixtures import fold_morphism, unfolding_morphism, winskel_data, x_net, y_net
+from fixtures import (
+    bad_weight_target,
+    fold_morphism,
+    unfolding_morphism,
+    winskel_data,
+    x_net,
+    y_net,
+)
 from test_net import strict_nets
 
 
@@ -319,6 +327,29 @@ def test_mediate_rejects_different_sources():
     res = kronecker(y_net(), y_net())
     with pytest.raises(ProductError, match="source"):
         mediate(res, identity_morphism(y_net()), identity_morphism(y_net()))
+
+
+def test_nets_that_differ_only_in_weights_are_different_nets():
+    # runY and its copy whose b2 weighs 3: same nodes, bindings and tokens
+    y, heavier = y_net(), bad_weight_target()
+    ident, other = identity_morphism(y), identity_morphism(heavier)
+    with pytest.raises(MorphismError, match="do not compose"):
+        ident.then(other)
+    with pytest.raises(ProductError, match="does not land in factor 2"):
+        mediate(kronecker(y, heavier), ident, ident)
+    with pytest.raises(ProductError, match="common target"):
+        fibre_product(ident, other)
+    with pytest.raises(ProductError, match="common target"):
+        inverse_image(ident, other)
+    inverse = fibre_product(ident, ident).inverse
+    square = identity_morphism(inverse.into_source.target)
+    heavier_square = identity_morphism(kronecker(heavier, heavier).net)
+    with pytest.raises(ProductError, match="cone legs must share their source"):
+        factor_cone(inverse, square, heavier_square)
+    with pytest.raises(ProductError, match="first cone leg must land"):
+        factor_cone(inverse, heavier_square, heavier_square)
+    with pytest.raises(ProductError, match="squared net"):
+        factors_through_diagonal(diagonal(y), heavier_square)
 
 
 def tagged_pairing(labels, first, img1, second, img2):
