@@ -7,15 +7,16 @@ be pushed through a verified morphism once they are saturated: every
 maximal run of events sitting over one image transition must have a Parikh
 vector that is a flow of the corresponding fibre.
 
-Single-binding firing runs on one compiled table per exploration:
-``_single_events`` turns each binding's sparse effect (``net.effect``)
-into ``((t, b), pre, delta)`` once, and ``_successors`` checks the ``pre``
-weights and adds the nonzero ``delta`` entries of each event.
-``reachable``, ``enabled_events``, ``activated_sequences`` and the unit
-firing of transported events (``_fire_units``) all read that table; only
-multiset events (``fire``, ``fire_step``, ``is_enabled``) sum the effects
-in ``_step``.  The table is built per call, so the net holds no state for
-it.
+Firing runs on compiled events: ``_compiled`` turns the sparse effects
+(``net.effect``) of bindings fired at once into one ``(label, pre,
+delta)`` entry, and ``_successors`` checks the ``pre`` weights and adds
+the nonzero ``delta`` entries of each entry.  ``_single_events`` compiles
+every single binding once per exploration, and ``reachable``,
+``enabled_events``, ``activated_sequences`` and the unit firing of
+transported events (``_fire_units``) all read that table; a multiset
+event of ``fire``, ``fire_step`` or ``is_enabled`` is compiled to one
+entry and fired the same way.  The table is built per call, so the net
+holds no state for it.
 """
 
 from __future__ import annotations
@@ -34,10 +35,6 @@ class BehaviourError(ValueError):
 
 # ---------------------------------------------------------------------------
 # markings and events
-
-
-def zero_marking(net):
-    return tuple(0 for _ in net.token_axis())
 
 
 def marking_vector(net, data):
@@ -104,41 +101,25 @@ def event_vector(net, t, data):
     return tuple(int(v) for v in values)
 
 
-def _step(net, marking, events):
-    """Fire ``(t, binding vector)`` events at once over the sparse binding
-    effects; the successor marking, or None when the pre-set does not fit."""
-    need, gain = {}, {}
-    for t, vec in events:
-        for mult, b in zip(vec, net.bindings[t]):
-            if mult:
-                for total, side in zip((need, gain), net.effect(t, b)):
-                    for i, w in side:
-                        total[i] = total.get(i, 0) + mult * w
-    if any(marking[i] < n for i, n in need.items()):
-        return None
-    out = list(marking)
-    for i, n in need.items():
-        out[i] -= n
-    for i, g in gain.items():
-        out[i] += g
-    return tuple(out)
+def _compiled(label, effects):
+    """``(multiplicity, (pre, post))`` sparse effects fired at once, compiled
+    to ``(label, pre, delta)``: ``pre`` sums the consume side per position,
+    so that concurrent bindings need their tokens together, and ``delta``
+    holds the nonzero (position, change) pairs of post minus pre."""
+    need, change = {}, {}
+    for mult, (pre, post) in effects:
+        for i, w in pre:
+            need[i] = need.get(i, 0) + mult * w
+            change[i] = change.get(i, 0) - mult * w
+        for i, w in post:
+            change[i] = change.get(i, 0) + mult * w
+    return label, tuple(need.items()), tuple((i, d) for i, d in change.items() if d)
 
 
 def _single_events(net):
     """Every single-binding event in declaration order, compiled to
-    ``((t, b), pre, delta)``: ``pre`` is the binding's sparse consume side
-    as it stands in ``net.effect``, ``delta`` the nonzero (position, change)
-    pairs of post minus pre."""
-    table = []
-    for t, b in net.binding_axis():
-        pre, post = net.effect(t, b)
-        change = {}
-        for i, w in pre:
-            change[i] = change.get(i, 0) - w
-        for i, w in post:
-            change[i] = change.get(i, 0) + w
-        table.append(((t, b), pre, tuple((i, d) for i, d in change.items() if d)))
-    return table
+    ``((t, b), pre, delta)``."""
+    return [_compiled((t, b), [(1, net.effect(t, b))]) for t, b in net.binding_axis()]
 
 
 def _successors(marking, events):
@@ -155,15 +136,27 @@ def _successors(marking, events):
             yield label, tuple(out)
 
 
-def is_enabled(net, marking, t, data):
+def _fire_step(net, marking, events):
+    """The marking after ``(t, data)`` events fired at once, or None when
+    the pre-set does not fit: the events are compiled to one entry, as the
+    single events are, and fired by ``_successors``."""
     marking = _checked_marking(net, marking)
-    return _step(net, marking, [(t, event_vector(net, t, data))]) is not None
+    effects = [
+        (mult, net.effect(t, b))
+        for t, data in events
+        for mult, b in zip(event_vector(net, t, data), net.bindings[t])
+        if mult
+    ]
+    return next((after for _, after in _successors(marking, [_compiled(None, effects)])), None)
+
+
+def is_enabled(net, marking, t, data):
+    return _fire_step(net, marking, [(t, data)]) is not None
 
 
 def fire(net, marking, t, data):
     """Fire a binding multiset of ``t``; raises when not enabled."""
-    marking = _checked_marking(net, marking)
-    after = _step(net, marking, [(t, event_vector(net, t, data))])
+    after = _fire_step(net, marking, [(t, data)])
     if after is None:
         raise BehaviourError(f"event over {t!r} is not enabled")
     return after
@@ -171,8 +164,7 @@ def fire(net, marking, t, data):
 
 def fire_step(net, marking, events):
     """Fire several events concurrently (their pre-sets must fit at once)."""
-    marking = _checked_marking(net, marking)
-    after = _step(net, marking, [(t, event_vector(net, t, data)) for t, data in events])
+    after = _fire_step(net, marking, events)
     if after is None:
         raise BehaviourError("step is not enabled")
     return after

@@ -22,10 +22,13 @@ factors ``m`` once and returns a ``solve(v)`` for many right-hand sides.
 ``Lattice._read_hnf`` reads it into a lattice basis, a kernel rank and a
 solve by coordinates, and ``snf`` alternates it with the HNF of the
 transpose.
-``Q`` runs on one fraction-free integer echelon (``_echelon``): rows stay
-integers, kernels are read off it, and ``rref`` divides each pivot row by
-its pivot.  ``invariant_factors`` reads the Smith diagonal of a lattice
-basis.
+``Q`` runs on one fraction-free integer echelon (``_echelon``), whose rows
+stay integers: ``Subspace`` divides each pivot row by its pivot, a kernel
+is read off one echelon of the matrix with its columns reversed, and the
+solver off one echelon of the matrix beside an identity block.  Either
+module type eliminates once in ``__init__``, and ``Lattice._of_hnf`` or
+``Subspace._of_rref`` takes a basis that is already canonical.
+``invariant_factors`` reads the Smith diagonal of a lattice basis.
 
 ``minimize`` is an exact two-phase simplex on integer rows, and
 ``cone_witness`` uses it to decide whether functionals are non-negative on
@@ -527,37 +530,6 @@ def _echelon(m, cols):
     return r, pivots
 
 
-def rref(m, cols=None):
-    """Reduced row echelon form over Q.  Returns ``(r, pivot_cols)``.
-
-    The integer echelon with each pivot row divided by its pivot; entries
-    are Fractions.
-    """
-    rows, cols = shape(m, cols)
-    e, pivots = _echelon(m, cols)
-    r = [[Fraction(x, row[p]) if x else _ZERO for x in row] for row, p in zip(e, pivots)]
-    r += [[Fraction(x) if x else _ZERO for x in row] for row in e[len(pivots) :]]
-    return r, pivots
-
-
-def rat_kernel_basis(m, cols=None):
-    """Basis of the rational nullspace, one Fraction vector per free column
-    ``f``: 1 at ``f`` and ``-row[f] / row[p]`` at each echelon pivot ``p``."""
-    _, cols = shape(m, cols)
-    e, pivots = _echelon(m, cols)
-    is_pivot = set(pivots)
-    basis = []
-    for f in range(cols):
-        if f in is_pivot:
-            continue
-        vec = [_ZERO] * cols
-        vec[f] = Fraction(1)
-        for row, p in zip(e, pivots):
-            vec[p] = Fraction(-row[f], row[p])
-        basis.append(vec)
-    return basis
-
-
 def _echelon_solver(m, cols=None):
     """``solve(v)``: a rational ``x`` with ``m @ x = v``, or None.
 
@@ -565,7 +537,8 @@ def _echelon_solver(m, cols=None):
     block records each integer row as a combination of the equations.  A
     ``v`` is consistent when the combinations of the zero rows vanish on
     it, and each pivot unknown is its row's combination of ``v`` over the
-    pivot.  Free unknowns are 0, so the solution is the one rref gives.
+    pivot.  Free unknowns are 0, so the solution is the one read off the
+    reduced row echelon form of ``[m | v]``.
     """
     rows, cols = shape(m, cols)
     aug = [list(row[:cols]) + unit for row, unit in zip(m, identity(rows))]
@@ -595,6 +568,10 @@ def _echelon_solver(m, cols=None):
 class Subspace(_Module):
     """A Q-linear subspace of Q^n with a canonical (rref) basis.
 
+    ``basis`` is a tuple of Fraction tuples, the nonzero rows of the reduced
+    row echelon form of any spanning set: the first nonzero entry of each
+    row is a 1 (at its pivot), and no other row is nonzero there.
+
     ``reduce`` runs on integers.  With ``L`` the lcm of the basis
     denominators, ``L * reduce(v)[j]`` is ``L*v[j] - sum_p v[p]*L*b_p[j]``
     on each free column ``j`` (``b_p`` the basis vector with pivot ``p``)
@@ -608,15 +585,27 @@ class Subspace(_Module):
         for v in vectors:
             if len(v) != ambient_dim:
                 raise ValueError("generator has wrong length")
+        # the integer echelon with each pivot row divided by its pivot
+        e, pivots = _echelon(vectors, ambient_dim)
+        self._read_rref(
+            ambient_dim,
+            [[Fraction(x, row[p]) if x else _ZERO for x in row] for row, p in zip(e, pivots)],
+        )
+
+    @classmethod
+    def _of_rref(cls, ambient_dim, basis):
+        """The subspace spanned by ``basis``, which must already be the
+        nonzero rows of a reduced row echelon form with Fraction entries;
+        no echelon is taken."""
+        space = cls.__new__(cls)
+        space._read_rref(ambient_dim, basis)
+        return space
+
+    def _read_rref(self, ambient_dim, basis):
         self.ambient_dim = ambient_dim
+        self.basis = tuple(map(tuple, basis))
+        self.pivots = tuple(next(filter(b.__getitem__, range(ambient_dim))) for b in self.basis)
         self._free = None
-        if not vectors:
-            self.basis = ()
-            self.pivots = ()
-            return
-        r, pivots = rref(vectors, ambient_dim)
-        self.basis = tuple(tuple(r[i]) for i in range(len(pivots)))
-        self.pivots = tuple(pivots)
 
     def is_full(self):
         return self.rank == self.ambient_dim
@@ -664,17 +653,16 @@ class Ring:
     """Coefficients ``Z`` (column HNF, Lattice) or ``Q`` (integer echelon,
     Subspace).
 
-    ``module(dim, vectors)``, ``kernel(m, cols)``, ``kernel_basis(m, cols)``
-    and ``solver(m, cols)``, which factors ``m`` once and returns
-    ``solve(v)``: an ``x`` with ``m @ x = v``, or None; a ``v`` whose length
-    is not the row count raises ValueError.
+    ``module(dim, vectors)``, ``kernel(m, cols)``, a module whose ``basis``
+    is canonical, and ``solver(m, cols)``, which factors ``m`` once and
+    returns ``solve(v)``: an ``x`` with ``m @ x = v``, or None; a ``v``
+    whose length is not the row count raises ValueError.
     """
 
-    def __init__(self, name, module, kernel, kernel_basis, solver):
+    def __init__(self, name, module, kernel, solver):
         self.name = name
         self.module = module
         self.kernel = kernel
-        self.kernel_basis = kernel_basis
         self.solver = solver
 
     def preimage(self, m, target, cols=None):
@@ -691,18 +679,39 @@ class Ring:
         block = [
             list(row) + [-x for x in col] for row, col in zip(m, transpose(target.basis, rows))
         ]
-        return self.module(cols, [list(v)[:cols] for v in self.kernel_basis(block, cols + k)])
+        return self.module(cols, [v[:cols] for v in self.kernel(block, cols + k).basis])
 
 
 def _kernel_subspace(m, cols=None):
+    """``{x in Q^cols : m @ x = 0}``, read off one echelon of ``m`` with its
+    columns reversed (H. Cohen, *A Course in Computational Algebraic Number
+    Theory*, 1993, section 2.3).  A reversed pivot row is zero before its
+    pivot and at the other pivots, so in the original order a column ``f``
+    without a pivot leads one kernel vector: 1 at ``f``, 0 at the other
+    free columns and ``-row[f] / row[p]`` at each pivot ``p``, all of them
+    right of ``f``.  Ordered by ``f``, these vectors are the rref basis."""
     _, cols = shape(m, cols)
-    return Subspace(cols, rat_kernel_basis(m, cols))
+    last = cols - 1
+    e, pivots = _echelon([row[:cols][::-1] for row in m], cols)
+    # each pivot row with its pivot column in the original order
+    pivot_rows = [(last - q, row[q], row) for row, q in zip(e, pivots)]
+    is_pivot = {p for p, _, _ in pivot_rows}
+    basis = []
+    for f in range(cols):
+        if f in is_pivot:
+            continue
+        vec = [_ZERO] * cols
+        vec[f] = Fraction(1)
+        for p, pivot, row in pivot_rows:
+            x = row[last - f]
+            if x:
+                vec[p] = Fraction(-x, pivot)
+        basis.append(vec)
+    return Subspace._of_rref(cols, basis)
 
 
-Z = Ring(
-    "Z", Lattice, kernel_lattice, lambda m, cols=None: kernel_lattice(m, cols).basis, _hnf_solver
-)
-Q = Ring("Q", Subspace, _kernel_subspace, rat_kernel_basis, _echelon_solver)
+Z = Ring("Z", Lattice, kernel_lattice, _hnf_solver)
+Q = Ring("Q", Subspace, _kernel_subspace, _echelon_solver)
 RINGS = {"Z": Z, "Q": Q}
 
 

@@ -267,7 +267,7 @@ class NetMorphism:
         return la.RINGS[self.ring].solver(la.transpose(vectors, dim), len(vectors))
 
     def _kernel(self, vectors, dim):
-        return la.RINGS[self.ring].kernel_basis(la.transpose(vectors, dim), len(vectors))
+        return la.RINGS[self.ring].kernel(la.transpose(vectors, dim), len(vectors)).basis
 
     # -- induced pieces ----------------------------------------------------
 
@@ -346,25 +346,15 @@ class NetMorphism:
         d *= c
         return tuple(ints) if d == 1 else tuple(Fraction(x, d) for x in ints)
 
-    def induced_flow_family(self, region):
-        """The induced flow map on a closed target region.
-
-        Returns ``(region_axis, mapper)``; the mapper takes a flow on the
-        preimage and produces its component family over the region bindings,
-        raising if some fibre restriction fails to be a flow.
-        """
-        out_axis, integer_mapper = self._integer_family(region)
-
-        def mapper(vector):
-            ints, d = integer_mapper(vector)
-            return tuple(ints) if d == 1 else tuple(Fraction(x, d) for x in ints)
-
-        return out_axis, mapper
-
     def _integer_family(self, region):
-        """``induced_flow_family`` on integers: the mapper scales the flow to
-        integers, maps each fibre restriction through ``_integer_flows`` and
-        returns the family as ``(ints, d)``, an integer row over ``d``."""
+        """The induced flow map on a closed target region, on integers.
+
+        Returns ``(region_axis, mapper)``.  The mapper takes a flow on the
+        preimage, scales it to integers, maps each fibre restriction through
+        ``_integer_flows`` and returns the component family over the region
+        bindings as ``(ints, d)``, an integer row over ``d``; it raises if
+        some fibre restriction fails to be a flow.
+        """
         region = self.target.space.ordered(region)
         if not self.target.space.is_closed(region):
             raise MorphismError("induced flow families live on closed regions")
@@ -603,7 +593,7 @@ class NetMorphism:
 
         # well-definedness: vanishing combinations must map into the relations
         ring = la.RINGS[self.ring]
-        for ker_vec in ring.kernel_basis(matrix, cols) if cols else []:
+        for ker_vec in ring.kernel(matrix, cols).basis:
             w, c = la._integer_row(ker_vec)
             image = la.combine(w, p_ints, tdim)
             if image not in s_module:
@@ -796,12 +786,12 @@ class NetMorphism:
             mid_region = other.space_map.fibre(c)
             fibre = composed_space.fibre(c)
             flows = self.source.flows(fibre, ring=ring)
-            _, mapper = self.induced_flow_family(mid_region)
+            _, mapper = self._integer_family(mid_region)
             entries = []
             for phi in flows.basis:
-                mid = mapper(list(phi))
-                img = other.flow_image(c, list(mid))
-                entries.append((list(phi), list(img)))
+                ints, d = mapper(list(phi))
+                img = other.flow_image(c, ints)
+                entries.append((list(phi), [Fraction(x, d) for x in img]))
             flow_maps[c] = entries
 
         t1 = self.marking_transport()

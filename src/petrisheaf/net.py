@@ -572,7 +572,7 @@ def verify_flow_gluing(net, region=None, covering=None, ring=None):
             row[starts[j] : starts[j + 1]] = [-v[kj] for v in bases[j]]
             conditions.append(row)
     agreeing = []
-    for s in ring.kernel_basis(conditions, starts[-1]):
+    for s in ring.kernel(conditions, starts[-1]).basis:
         family = []
         for k, at in enumerate(positions):
             family += la.combine(s[starts[k] : starts[k + 1]], bases[k], len(at))

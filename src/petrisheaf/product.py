@@ -338,7 +338,7 @@ def mediate(result, to_first, to_second, name=None):
     of its two element images.
     """
     first, second = result.factors
-    if to_first.source is not to_second.source:
+    if not same_net(to_first.source, to_second.source):
         raise ProductError("mediating morphisms must share their source")
     for g, factor, side in ((to_first, first, 1), (to_second, second, 2)):
         if not same_net(g.target, factor):
@@ -389,12 +389,6 @@ class DiagonalResult:
             ring=base.ring,
             name="delta-inv",
         )
-
-    def doubling(self):
-        """The composite of ``iso`` and ``embedding`` into the square."""
-        composite = self.iso.then(self.embedding)
-        composite.name = "diag"
-        return composite
 
 
 def diagonal(net, name=None):
@@ -490,7 +484,7 @@ def _integer_points(subspace):
     if subspace.rank == n:
         return la.Lattice(n, la.identity(n))
     rows = [list(b) for b in subspace.basis]
-    constraints = [la._integer_row(c)[0] for c in la.rat_kernel_basis(rows, n)]
+    constraints = [la._integer_row(c)[0] for c in la.Q.kernel(rows, n).basis]
     return la.kernel_lattice(constraints, n)
 
 

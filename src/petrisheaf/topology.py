@@ -100,9 +100,6 @@ class PetriSpace:
             found = self._ordered[wanted] = tuple(n for n in self.nodes if n in wanted)
         return found
 
-    def places_in(self, nodes):
-        return tuple(n for n in self.ordered(nodes) if self.is_place(n))
-
     def transitions_in(self, nodes):
         return tuple(n for n in self.ordered(nodes) if self.is_transition(n))
 
@@ -290,14 +287,6 @@ class SpaceMap:
 
     def __repr__(self):
         return f"SpaceMap({self.mapping!r})"
-
-
-def identity_map(space):
-    return SpaceMap(space, space, {x: x for x in space.nodes})
-
-
-def inclusion_map(subspace, space):
-    return SpaceMap(subspace, space, {x: x for x in subspace.nodes})
 
 
 def quotient_by_pairs(space, pairs):

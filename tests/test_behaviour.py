@@ -24,7 +24,6 @@ from petrisheaf.behaviour import (
     saturation_status,
     segment_sequence,
     verify_petri_morphism,
-    zero_marking,
 )
 from petrisheaf.cli import random_strict_net
 from petrisheaf.morphism import identity_morphism
@@ -45,7 +44,7 @@ def test_marking_vector_forms():
     net = x_net()
     assert marking_vector(net, {("p1", "p1"): 1, ("p2", "p2"): 1}) == P1P2
     assert marking_vector(net, [1, 1, 0, 0]) == P1P2
-    assert zero_marking(net) == (0, 0, 0, 0)
+    assert marking_vector(net, {}) == (0, 0, 0, 0)
     assert marking_dict(net, P1P2) == {("p1", "p1"): 1, ("p2", "p2"): 1}
     with pytest.raises(BehaviourError):
         marking_vector(net, [1, -1, 0, 0])
@@ -493,3 +492,45 @@ def test_compiled_single_events_agree_with_the_dense_reference(net, data):
     assert Counter(activated_sequences(net, start, depth)) == Counter(
         dense_sequences(net, start, depth)
     )
+
+
+def sparse_step(net, marking, events):
+    """Reference multiset firing, as ``behaviour`` fired multiset events
+    before they were compiled: need and gain summed per position over the
+    sparse binding effects; None when the pre-set does not fit."""
+    need, gain = {}, {}
+    for t, vec in events:
+        for mult, b in zip(vec, net.bindings[t]):
+            if mult:
+                for total, side in zip((need, gain), net.effect(t, b)):
+                    for i, w in side:
+                        total[i] = total.get(i, 0) + mult * w
+    if any(marking[i] < n for i, n in need.items()):
+        return None
+    out = list(marking)
+    for i, n in need.items():
+        out[i] -= n
+    for i, g in gain.items():
+        out[i] += g
+    return tuple(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(nets_with_events(), st.data())
+def test_compiled_multiset_events_agree_with_the_sparse_step(case, data):
+    net, marking, events = case
+    if data.draw(st.booleans()):
+        size = len(marking)
+        marking = tuple(data.draw(st.lists(token_counts, min_size=size, max_size=size)))
+    for step in ([events[0]], events):
+        expected = sparse_step(net, marking, step)
+        if len(step) == 1:
+            t, vec = step[0]
+            assert is_enabled(net, marking, t, vec) == (expected is not None)
+        if expected is None:
+            with pytest.raises(BehaviourError):
+                fire_step(net, marking, step)
+        else:
+            after = fire_step(net, marking, step)
+            assert after == expected
+            assert [type(x) for x in after] == [type(x) for x in expected]

@@ -3,7 +3,7 @@
 The expected values below were derived by hand (gcds of minors for the
 Smith form, explicit kernel combinations) so the tests are independent of
 the implementation.  The plain helpers below (vector sums, matrix equality,
-a Bareiss determinant, rank and the rref over ``Fraction``, the
+a Bareiss determinant, rank, the rref and the kernel over ``Fraction``, the
 back-substitution solves) are the slow reference paths that the library's
 fast paths are checked against; other test modules import them.
 """
@@ -543,17 +543,10 @@ def test_cone_witness_decides_where_the_hilbert_guard_trips(rows, cols):
 # rational layer
 
 
-def test_rref_and_rank():
-    r, pivots = la.rref([[1, 2], [2, 4]])
-    assert pivots == [0]
-    assert r[0] == [Fraction(1), Fraction(2)]
-    assert rat_rank([[1, 2], [2, 4]]) == 1
-
-
 @given(matrices)
 def test_rat_kernel(m):
     rows, cols = len(m), len(m[0])
-    basis = la.rat_kernel_basis(m)
+    basis = la.Q.kernel(m).basis
     assert len(basis) == cols - rat_rank(m)
     for v in basis:
         assert all(x == 0 for x in la.matvec(m, v))
@@ -596,34 +589,31 @@ def rational_matrices(draw, max_rows=5, max_cols=5, entries=entries):
     return m, cols
 
 
-@given(rational_matrices())
+def reference_kernel(m, cols):
+    """The rref basis of the kernel: one vector per free column ``f`` of
+    ``reference_rref(m)``, 1 at ``f`` and ``-r[f]`` at each pivot, echeloned
+    again over ``Fraction``."""
+    r, pivots = reference_rref(m, cols)
+    free = [f for f in range(cols) if f not in pivots]
+    vectors = []
+    for f in free:
+        vec = [Fraction(0)] * cols
+        vec[f] = Fraction(1)
+        for row, p in zip(r, pivots):
+            vec[p] = -row[f]
+        vectors.append(vec)
+    return tuple(map(tuple, reference_rref(vectors, cols)[0][: len(free)]))
+
+
+@given(rational_matrices(max_rows=6, max_cols=8))
 @settings(max_examples=300)
-def test_rref_matches_the_fraction_reference(case):
+def test_q_kernel_is_the_rref_of_the_free_column_kernel(case):
     m, cols = case
-    got, pivots = la.rref(m, cols)
-    want, want_pivots = reference_rref(m, cols)
-    assert pivots == want_pivots
-    assert got == want
-    assert all(type(x) is Fraction for row in got for x in row)
-    if m and cols:
-        assert la.rref(m) == (want, want_pivots)
-
-
-@given(rational_matrices(max_cols=6), st.data())
-@settings(max_examples=150)
-def test_rref_on_leading_columns_matches_the_reference_on_pivot_rows(case, data):
-    # with cols short of the row width, trailing rows may keep nonzero
-    # entries beyond cols; they are multiples of the reference rows
-    m, width = case
-    cols = data.draw(st.integers(0, width))
-    got, pivots = la.rref(m, cols)
-    want, want_pivots = reference_rref(m, cols)
-    assert pivots == want_pivots
-    rank = len(pivots)
-    assert got[:rank] == want[:rank]
-    for g, w in zip(got[rank:], want[rank:]):
-        assert not any(g[:cols]) and not any(w[:cols])
-        assert reference_rref([g, w])[1] == reference_rref([w])[1]
+    kernel = la.Q.kernel(m, cols)
+    assert kernel.basis == reference_kernel(m, cols)
+    assert all(type(x) is Fraction for b in kernel.basis for x in b)
+    assert kernel == la.Subspace(cols, kernel.basis)
+    assert kernel.pivots == tuple(next(j for j, x in enumerate(b) if x) for b in kernel.basis)
 
 
 def _consistent_or_not(draw, m, rows, cols, ring):
@@ -737,7 +727,7 @@ def test_z_and_q_kernels_and_quotients_agree(m):
     rows, cols = len(m), len(m[0])
     z_kernel, q_kernel = la.Z.kernel(m, cols), la.Q.kernel(m, cols)
     assert z_kernel.rank == q_kernel.rank == cols - rat_rank(m)
-    assert all(list(v) in q_kernel for v in la.Z.kernel_basis(m, cols))
+    assert all(list(v) in q_kernel for v in z_kernel.basis)
     relations = [[m[i][j] for i in range(rows)] for j in range(cols)]
     assert la.Z.module(rows, relations).rank == la.Q.module(rows, relations).rank
 
@@ -804,5 +794,4 @@ def test_shape_of_an_empty_matrix():
     assert la.shape([[1, 2]]) == (1, 2)
     assert la.hnf([]) == ([], [])
     assert la.kernel_lattice([]).ambient_dim == 0
-    assert la.rref([]) == ([], [])
     assert la.hilbert_basis([]) == []

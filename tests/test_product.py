@@ -250,7 +250,7 @@ def test_mediating_of_identities_is_the_diagonal():
     assert diag.embedding.verify().ok
     med = mediate(diag.product, identity_morphism(y), identity_morphism(y))
     assert med.verify().ok
-    assert morphisms_equal(med, diag.doubling())
+    assert morphisms_equal(med, diag.iso.then(diag.embedding))
     assert factors_through_diagonal(diag, med)
     assert morphisms_equal(med.then(diag.product.left), identity_morphism(y))
 
@@ -269,7 +269,7 @@ def test_diagonal_of_the_target_verifies_everywhere():
     cls = diag.embedding.classify()
     assert cls.embedding
     assert not cls.abstraction  # mark images span only the doubled line
-    doubled = diag.doubling()
+    doubled = diag.iso.then(diag.embedding)
     assert doubled.verify().ok
     assert list(doubled.flow_image("(a,a)", [1, 0])) == [1, 0, 1, 0]
     assert list(doubled.flow_image("(a,a)", [0, 1])) == [0, 1, 0, 1]
@@ -324,9 +324,14 @@ def test_mediate_rejects_non_discrete():
 
 
 def test_mediate_rejects_different_sources():
+    # two parses of one net are one source; a net that differs is not
     res = kronecker(y_net(), y_net())
+    med = mediate(res, identity_morphism(y_net()), identity_morphism(y_net()))
+    assert med.verify().ok
+    heavier = bad_weight_target()
+    into_y = identity_morphism(y_net())
     with pytest.raises(ProductError, match="source"):
-        mediate(res, identity_morphism(y_net()), identity_morphism(y_net()))
+        mediate(kronecker(heavier, y_net()), identity_morphism(heavier), into_y)
 
 
 def test_nets_that_differ_only_in_weights_are_different_nets():

@@ -9,8 +9,6 @@ from petrisheaf.topology import (
     SpaceError,
     SpaceMap,
     Sort,
-    identity_map,
-    inclusion_map,
     quotient_by_pairs,
 )
 
@@ -91,17 +89,18 @@ def test_running_example_fold_map():
 
 def test_identity_and_composition():
     sp = x_space()
-    ident = identity_map(sp)
+    ident = SpaceMap(sp, sp, {x: x for x in sp.nodes})
     assert ident.is_discrete() and ident.is_embedding()
     f = fold_space_map()
-    assert f.then(identity_map(y_space())) == f
+    y = y_space()
+    assert f.then(SpaceMap(y, y, {x: x for x in y.nodes})) == f
 
 
 def test_subspace_inclusion_is_embedding():
     sp = x_space()
     sub = sp.subspace(U1)
     assert set(sub.nodes) == U1
-    inc = inclusion_map(sub, sp)
+    inc = SpaceMap(sub, sp, {x: x for x in sub.nodes})
     assert inc.is_continuous() and inc.is_embedding()
     assert not inc.is_surjective()
 

@@ -229,7 +229,7 @@ class Reference:
         region = f.space_map.preimage(tgt.space.basic_open(a))
         ambient = src.token_axis(region)
         dim = len(ambient)
-        tgt_places = tgt.space.places_in(tgt.space.basic_open(a))
+        tgt_places = [u for u in tgt.space.ordered(tgt.space.basic_open(a)) if tgt.space.is_place(u)]
         tgt_axis = [(u, c) for u in tgt_places for c in tgt.tokens[u]]
         tgt_index = {lab: i for i, lab in enumerate(tgt_axis)}
         tdim = len(tgt_axis)
@@ -254,7 +254,7 @@ class Reference:
 
         kernel = []
         if columns:
-            kernel = self.ring.kernel_basis(la.transpose(columns, dim), len(columns))
+            kernel = self.ring.kernel(la.transpose(columns, dim), len(columns)).basis
         for ker_vec in kernel:
             image = la.combine(ker_vec, targets, tdim)
             if image not in s_module:
