@@ -399,6 +399,18 @@ class NetMorphism:
         return self._report
 
     def _verify(self):
+        """The clauses in ``CLAUSE_ORDER``, stopping at the first failure.
+
+        Clause 3 follows from clauses 2 and 6 at an image place ``u`` whose
+        closure has a sort-respecting preimage: its places are the fibre of
+        ``u`` and its transitions the fibres of the transitions of ``u``.
+        For a flow ``phi`` of that preimage, clause 6 on the flow basis gives
+        ``C'_{u,A} F(phi) = P_u C_{fibre(u)} phi = 0``, with ``C'_{u,A}`` the
+        target incidence at ``u``, ``F`` the induced flow map and ``P_u`` the
+        mark data.  So clause 6 is decided once, and at such a ``u`` the
+        per-flow loop of clause 3 runs only when clause 6 fails: the first
+        failing clause and its detail are those of the loop.
+        """
         report = VerificationReport(self.name)
 
         def fail(clause, detail):
@@ -414,7 +426,7 @@ class NetMorphism:
         passed(CLAUSE_CONTINUITY)
 
         src, tgt = self.source, self.target
-        src_tokens, tgt_tokens = src.token_axis(), tgt.token_axis()
+        src_tokens = src.token_axis()
 
         # 2. the supplied vectors form a basis of the fibre flows
         for a in self.image_transitions():
@@ -441,9 +453,18 @@ class NetMorphism:
         passed(CLAUSE_FLOW_BASIS)
 
         # 3. induced flow maps on place closures stay flows; the clause is
-        # linear, so each family is checked as a positive integer multiple
+        # linear, so each family is checked as a positive integer multiple.
+        # Where no fibre over the closure mixes sorts, clause 6 decides it
+        incidence_failure = cache(self._incidence_failure)
+        mixed = {
+            y
+            for x, y in self.space_map.mapping.items()
+            if src.space.sort_of(x) is not tgt.space.sort_of(y)
+        }
         for u in self.image_places():
             region = tgt.space.ordered(tgt.space.basic_closed(u))
+            if mixed.isdisjoint(region) and incidence_failure() is None:
+                continue
             pre = self.space_map.preimage(region)
             try:
                 _, mapper = self._integer_family(region)
@@ -517,9 +538,22 @@ class NetMorphism:
                 return report
         passed(CLAUSE_SIGNEDNESS)
 
-        # 6. incidence compatibility on every image (transition, place) pair:
-        # over the pair scale s and the mark denominator d, the fibre side is
-        # s*d times the exact one and the image side s times
+        # 6. incidence compatibility on every image (transition, place) pair
+        detail = incidence_failure()
+        if detail is not None:
+            fail(CLAUSE_INCIDENCE, detail)
+            return report
+        passed(CLAUSE_INCIDENCE)
+        return report
+
+    def _incidence_failure(self):
+        """The detail of the first incidence-compat mismatch, or None.
+
+        Over the pair scale s and the mark denominator d, the fibre side is
+        s*d times the exact one and the image side s times.
+        """
+        src, tgt = self.source, self.target
+        src_tokens, tgt_tokens = src.token_axis(), tgt.token_axis()
         for a in self.image_transitions():
             fibre_axis = src.binding_axis(self.space_map.fibre(a))
             _, pairs, _ = self._integer_flows(a)
@@ -540,15 +574,12 @@ class NetMorphism:
                         lhs = la.combine(vec, pushed, dim)
                         rhs = la.combine(img, weights, dim)
                         if lhs != [d * x for x in rhs]:
-                            fail(
-                                CLAUSE_INCIDENCE,
+                            return (
                                 f"w{sign} mismatch over ({a!r}, {u!r}): fibre side "
                                 f"{la._format_vector(lhs, s * d)} vs image side "
-                                f"{la._format_vector(rhs, s)}",
+                                f"{la._format_vector(rhs, s)}"
                             )
-                            return report
-        passed(CLAUSE_INCIDENCE)
-        return report
+        return None
 
     def _class_transport(self, a):
         """Images for tokens on places inside the fibre over ``a``.
@@ -559,6 +590,14 @@ class NetMorphism:
         string when the transport does not exist.  The well-definedness
         check maps integer multiples of the kernel vectors through the mark
         images scaled to integers over one denominator.
+
+        With ``P`` the tokens of the region on place fibres and ``T`` those
+        on transition fibres, the kernel of ``[I_P | C]`` is spanned by the
+        ``(-C_P z, z)`` with ``z`` over a basis of ``ker C_T``.  When ``T``
+        is empty the unit vectors ``e_j`` are such a basis, and the check is
+        that each image ``P C e_j`` of an incidence column lies in the
+        relations, with no elimination.  Only when that fails is the
+        canonical kernel taken, to name its first failing vector.
         """
         src, tgt = self.source, self.target
         neighbourhood = tgt.space.basic_open(a)
@@ -582,17 +621,18 @@ class NetMorphism:
             else:
                 t_labels.append((i, (p, c)))
         p_ints, d = la._integer_rows(p_targets)
-        cols = len(p_rows) + len(incidence.col_labels)
-        matrix = [
-            [int(i == r) for r in p_rows] + list(row) for i, row in enumerate(incidence.entries)
-        ]
-        targets = p_targets + [[0] * tdim for _ in incidence.col_labels]
-
         relations = tgt.incidence_matrix(neighbourhood, (a,)).entries
         s_module = self._module(tdim, la.transpose(relations, len(tgt.bindings[a])))
 
         # well-definedness: vanishing combinations must map into the relations
+        columns = la.transpose(incidence.entries, len(incidence.col_labels))
+        if not t_labels and all(la.combine(col, p_ints, tdim) in s_module for col in columns):
+            return {}
         ring = la.RINGS[self.ring]
+        cols = len(p_rows) + len(incidence.col_labels)
+        matrix = [
+            [int(i == r) for r in p_rows] + list(row) for i, row in enumerate(incidence.entries)
+        ]
         for ker_vec in ring.kernel(matrix, cols).basis:
             w, c = la._integer_row(ker_vec)
             image = la.combine(w, p_ints, tdim)
@@ -603,6 +643,7 @@ class NetMorphism:
                 )
 
         full_axis = tgt.token_axis()
+        targets = p_targets + [[0] * tdim for _ in incidence.col_labels]
         out = {}
         solve = ring.solver(matrix, cols) if cols and t_labels else None
         for idx, lab in t_labels:

@@ -215,13 +215,6 @@ def trace_markings(result, marking):
     return _traces(result, marking_vector(result.net, marking))
 
 
-def is_saturated_marking(result, marking):
-    """True when the marking is the product of its own traces."""
-    m = marking_vector(result.net, marking)
-    t1, t2 = trace_markings(result, m)
-    return product_marking(result, t1, t2) == m
-
-
 @dataclass(frozen=True)
 class ReachCorrespondence:
     status: str  # "ok" | "failed" | "inconclusive"

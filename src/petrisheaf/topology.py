@@ -14,7 +14,6 @@ node set.
 from __future__ import annotations
 
 import enum
-from itertools import combinations
 
 
 class Sort(enum.Enum):
@@ -137,14 +136,6 @@ class PetriSpace:
                 s.update(self._adj[x])
         return frozenset(s)
 
-    def open_hull(self, nodes):
-        """Smallest open superset: adjoin the places of every transition."""
-        s = set(nodes)
-        for x in tuple(s):
-            if self.sort_of(x) is Sort.TRANSITION:
-                s.update(self._adj[x])
-        return frozenset(s)
-
     def interior(self, nodes):
         s = set(self.ordered(nodes))
         return frozenset(
@@ -152,17 +143,6 @@ class PetriSpace:
             for x in s
             if self.sort_of(x) is Sort.PLACE or set(self._adj[x]) <= s
         )
-
-    def all_open_sets(self, limit=16):
-        """Every open subset.  Exponential; guarded for test-sized spaces."""
-        if len(self.nodes) > limit:
-            raise SpaceError(f"space too large to enumerate opens (> {limit} nodes)")
-        out = []
-        for r in range(len(self.nodes) + 1):
-            for combo in combinations(self.nodes, r):
-                if self.is_open(combo):
-                    out.append(frozenset(combo))
-        return out
 
     def subspace(self, nodes):
         """The induced space on a subset of nodes."""

@@ -309,6 +309,30 @@ def test_incidence_detail_keeps_an_unweighted_zero_on_the_image_side():
     ]
 
 
+def test_discrete_flow_image_fault_fails_flow_map_extends():
+    # the identity of the ring p0 -t0-> p1 -t1-> p2 -t2-> p0 with t0 sent to
+    # twice itself: incidence-compat fails too, so clause 3 runs its per-flow
+    # loop and names the preimage flow t0 + t2 of the closure of p0
+    ring = place_transition_net(
+        "ring",
+        ["p0", "p1", "p2"],
+        ["t0", "t1", "t2"],
+        consume={"t0": {"p0": 1}, "t1": {"p1": 1}, "t2": {"p2": 1}},
+        produce={"t0": {"p1": 1}, "t1": {"p2": 1}, "t2": {"p0": 1}},
+    )
+    moved = NetMorphism.discrete(
+        ring,
+        ring,
+        {x: x for x in ring.space.nodes},
+        lambda x, e: {e: 2 if x == "t0" else 1},
+        name="moved",
+    )
+    assert moved.space_map.is_discrete()
+    assert clause_details(moved) == PASSED[:2] + [
+        ("flow-map-extends", "failed", "image family of [1, 1] violates the balance at 'p0'")
+    ]
+
+
 def test_constructor_rejects_wrong_data_shape():
     with pytest.raises(MorphismError):
         NetMorphism(

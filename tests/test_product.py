@@ -27,7 +27,6 @@ from petrisheaf.product import (
     factors_through_diagonal,
     fibre_product,
     inverse_image,
-    is_saturated_marking,
     kronecker,
     mediate,
     product_marking,
@@ -44,6 +43,13 @@ from fixtures import (
     y_net,
 )
 from test_net import strict_nets
+
+
+def is_saturated_marking(result, marking):
+    """True when the marking is the product of its own traces."""
+    m = marking_vector(result.net, marking)
+    t1, t2 = trace_markings(result, m)
+    return product_marking(result, t1, t2) == m
 
 
 def producer_net():

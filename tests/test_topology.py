@@ -1,5 +1,7 @@
 """Petri space topology: frozen examples plus random-space laws."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,6 +53,23 @@ def subsets(space):
     return st.frozensets(st.sampled_from(space.nodes)) if space.nodes else st.just(frozenset())
 
 
+def open_hull(space, nodes):
+    """Smallest open superset: adjoin the places of every transition."""
+    return frozenset(nodes).union(
+        *(space.basic_open(x) for x in nodes if space.is_transition(x))
+    )
+
+
+def all_open_sets(space):
+    """Every open subset, by enumerating all subsets (test-sized spaces)."""
+    return [
+        frozenset(combo)
+        for r in range(len(space.nodes) + 1)
+        for combo in combinations(space.nodes, r)
+        if space.is_open(combo)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # frozen running example
 
@@ -70,7 +89,7 @@ def test_running_example_open_closed():
     # the two regions are complementary
     assert A1 | U1 == set(sp.nodes)
     assert sp.closure({"p1"}) == {"p1", "t1", "t2", "t3"}
-    assert sp.open_hull({"t5"}) == {"t5", "p3", "p4"}
+    assert open_hull(sp, {"t5"}) == {"t5", "p3", "p4"}
     # no transition of A1 has all its places inside, so only places remain
     assert sp.interior(A1) == {"p1", "p2"}
     assert sp.interior(A1) == set(sp.nodes) - sp.closure(U1)
@@ -163,7 +182,7 @@ def test_points_are_open_or_closed(sp):
 @given(spaces(max_nodes=6))
 @settings(max_examples=50)
 def test_basic_opens_are_minimal_and_generate(sp):
-    opens = sp.all_open_sets()
+    opens = all_open_sets(sp)
     for x in sp.nodes:
         basic = sp.basic_open(x)
         for u in opens:
@@ -184,7 +203,7 @@ def test_basic_opens_are_minimal_and_generate(sp):
 )
 def test_opens_closed_under_union_and_intersection(data):
     sp, subs = data
-    hulls = [sp.open_hull(s) for s in subs]
+    hulls = [open_hull(sp, s) for s in subs]
     union = set()
     inter = set(sp.nodes)
     for h in hulls:
@@ -201,7 +220,7 @@ def test_closure_is_least_closed_superset(data):
     sp, s = data
     cl = sp.closure(s)
     assert sp.is_closed(cl) and s <= cl
-    for u in sp.all_open_sets():
+    for u in all_open_sets(sp):
         c = set(sp.nodes) - u  # every closed set arises this way
         if s <= c:
             assert cl <= c

@@ -199,6 +199,18 @@ class Reference:
                     return report
         passed(CLAUSE_SIGNEDNESS)
 
+        detail = self.incidence_failure()
+        if detail is not None:
+            fail(CLAUSE_INCIDENCE, detail)
+            return report
+        passed(CLAUSE_INCIDENCE)
+        return report
+
+    def incidence_failure(self):
+        """The detail of the first incidence-compat mismatch, or None."""
+        f = self.f
+        src, tgt = f.source, f.target
+        show = la._format_vector
         for a in f.image_transitions():
             fibre_axis = src.binding_axis(f.space_map.fibre(a))
             basis, images = f.flow_maps[a]
@@ -214,14 +226,11 @@ class Reference:
                         lhs = la.combine(vec, pushed, tgt_dim)
                         rhs = la.combine(img, tgt_cols, tgt_dim)
                         if lhs != rhs:
-                            fail(
-                                CLAUSE_INCIDENCE,
+                            return (
                                 f"w{sign} mismatch over ({a!r}, {u!r}): fibre side "
-                                f"{show(lhs)} vs image side {show(rhs)}",
+                                f"{show(lhs)} vs image side {show(rhs)}"
                             )
-                            return report
-        passed(CLAUSE_INCIDENCE)
-        return report
+        return None
 
     def class_transport(self, a):
         f = self.f
@@ -347,6 +356,18 @@ def rebuilt(f, ring, move=None):
     return NetMorphism(f.source, f.target, f.space_map, flows, marks, ring=ring, name=f.name)
 
 
+def drawn(ring, kind, seed, moved):
+    """The morphisms one draw of the property compares, rebuilt over ``ring``."""
+    rng = random.Random(seed)
+    for f in morphisms_of(kind, rng):
+        move = None
+        if moved:
+            move = (rng.randrange(10_000), rng.choice(STEPS[ring]))
+        g = rebuilt(f, ring, move)
+        if g is not None:
+            yield g
+
+
 def outcome(run):
     try:
         report = run()
@@ -361,15 +382,8 @@ def outcome(run):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), seed=st.integers(0, 10_000), moved=st.booleans())
 def test_integer_clauses_equal_the_fraction_reference(ring, data, seed, moved):
-    rng = random.Random(seed)
     kind = data.draw(st.sampled_from(KINDS[ring]), label="kind")
-    for f in morphisms_of(kind, rng):
-        move = None
-        if moved:
-            move = (rng.randrange(10_000), rng.choice(STEPS[ring]))
-        g = rebuilt(f, ring, move)
-        if g is None:
-            continue
+    for g in drawn(ring, kind, seed, moved):
         ref = Reference(g)
         want = outcome(ref.verify)
         assert outcome(g.verify) == want
@@ -385,3 +399,53 @@ def test_a_rational_fault_reads_the_same_in_both():
     want = outcome(Reference(g).verify)
     assert want == outcome(g.verify)
     assert want[1] is not None
+
+
+def shortcut_cases(g):
+    """The cases of the two shortcuts of ``verify`` that ``g`` reaches:
+
+    * ``lemma``: clause 3 is reached at an image place whose closure has a
+      sort-respecting preimage, and clause 6 holds, so the lemma decides it;
+    * ``discrete-fails-3``: a discrete morphism fails first at clause 3, where
+      the guard keeps the per-flow loop;
+    * ``tokens-in-transition-fibres``: class transport rewrites a token on a
+      transition fibre, the case that keeps the canonical kernel;
+    * ``units-fail-4b``: with no such token, class transport fails, so the
+      canonical kernel is taken to name the failing vector.
+    """
+    ref = Reference(g)
+    _, first = outcome(ref.verify)
+    src, tgt, sm = g.source, g.target, g.space_map
+    cases = set()
+    respecting = any(
+        all(
+            src.space.sort_of(x) is tgt.space.sort_of(sm(x))
+            for x in sm.preimage(tgt.space.basic_closed(u))
+        )
+        for u in g.image_places()
+    )
+    reached = first not in (CLAUSE_CONTINUITY, CLAUSE_FLOW_BASIS)
+    if respecting and reached and ref.incidence_failure() is None:
+        cases.add("lemma")
+    if first == CLAUSE_FLOW_EXTENDS and sm.is_discrete():
+        cases.add("discrete-fails-3")
+    if ref.rewrites and any(ref.rewrites.values()):
+        cases.add("tokens-in-transition-fibres")
+    if first == CLAUSE_CLASS_TRANSPORT and all(
+        tgt.space.is_place(sm(p)) for p in src.space.places
+    ):
+        cases.add("units-fail-4b")
+    return cases
+
+
+def test_the_property_draws_reach_every_shortcut_case():
+    # the first seeds of each kind, unmoved and moved, as the property draws them
+    seen = {ring: set() for ring in KINDS}
+    for ring, kinds in KINDS.items():
+        for kind in kinds:
+            for seed in range(4):
+                for moved in (False, True):
+                    for g in drawn(ring, kind, seed, moved):
+                        seen[ring] |= shortcut_cases(g)
+    every = {"lemma", "discrete-fails-3", "tokens-in-transition-fibres", "units-fail-4b"}
+    assert seen == {"Z": every, "Q": every}
