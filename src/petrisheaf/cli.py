@@ -38,6 +38,7 @@ from .formats import (
     FormatError,
     _format_combination,
     _scalar,
+    _split_ref,
     load_morphism,
     load_net,
     load_winskel,
@@ -150,11 +151,11 @@ def _parse_marking(net, text):
     values = {}
     for part in text.replace(",", " ").split():
         ref, eq, num = part.partition("=")
-        place, dot, colour = ref.partition(".")
         value = _scalar(num, None, part) if eq else None
-        if not dot or value is None:
+        if value is None:
             raise CliError(f"marking entries look like P.C=N, got {part!r}")
-        values[(place, colour)] = values.get((place, colour), 0) + value
+        key = _split_ref(ref, "marking token", None, part)
+        values[key] = values.get(key, 0) + value
     return values
 
 

@@ -198,15 +198,32 @@ def _content_lines(text):
             yield lineno, raw, line.split()
 
 
+def _open_document(text, keyword, allow_dot=False):
+    """The name on the ``KEYWORD NAME`` header, which must be the first
+    content line, and an iterator over the content lines after it."""
+    lines = _content_lines(text)
+    for lineno, raw, tokens in lines:
+        if tokens[0] != keyword or len(tokens) != 2:
+            raise FormatError(f"missing {keyword} header", lineno, _column(raw, tokens[0]))
+        return _check_name(tokens[1], keyword, lineno, raw, allow_dot), lines
+    raise FormatError(f"missing {keyword} header")
+
+
+def _read_link(doc, tokens, lineno, raw):
+    """A ``source FILE`` or ``target FILE`` line of a morphism or Winskel document."""
+    head = tokens[0]
+    if len(tokens) != 2:
+        raise FormatError(f"expected '{head} FILE'", lineno, _column(raw, head))
+    if getattr(doc, head) is not None:
+        raise FormatError(f"duplicate {head} line", lineno, _column(raw, head))
+    setattr(doc, head, tokens[1])
+
+
 def parse_net(text):
-    doc = None
-    for lineno, raw, tokens in _content_lines(text):
+    name, lines = _open_document(text, "net")
+    doc = NetDocument(name)
+    for lineno, raw, tokens in lines:
         head = tokens[0]
-        if doc is None:
-            if head != "net" or len(tokens) != 2:
-                raise FormatError("missing net header", lineno, _column(raw, head))
-            doc = NetDocument(_check_name(tokens[1], "net", lineno, raw))
-            continue
         if head == "net":
             raise FormatError("duplicate net header", lineno, _column(raw, head))
         if head == "relaxed":
@@ -275,8 +292,6 @@ def parse_net(text):
             doc.marking[(p, c)] = _integer(tokens[2], lineno, raw)
         else:
             raise FormatError(f"unknown directive {head!r}", lineno, _column(raw, head))
-    if doc is None:
-        raise FormatError("missing net header")
     return doc
 
 
@@ -437,23 +452,13 @@ def _header_name(tokens, lineno, raw, what):
 
 
 def parse_morphism(text):
-    doc = None
-    for lineno, raw, tokens in _content_lines(text):
+    name, lines = _open_document(text, "morphism", allow_dot=True)
+    doc = MorphismDocument(name)
+    for lineno, raw, tokens in lines:
         head = tokens[0]
-        if doc is None:
-            if head != "morphism" or len(tokens) != 2:
-                raise FormatError("missing morphism header", lineno, _column(raw, head))
-            doc = MorphismDocument(
-                _check_name(tokens[1], "morphism", lineno, raw, allow_dot=True)
-            )
-            continue
         rest = raw.split("#", 1)[0].strip()
         if head in ("source", "target"):
-            if len(tokens) != 2:
-                raise FormatError(f"expected '{head} FILE'", lineno, _column(raw, head))
-            if getattr(doc, head) is not None:
-                raise FormatError(f"duplicate {head} line", lineno, _column(raw, head))
-            setattr(doc, head, tokens[1])
+            _read_link(doc, tokens, lineno, raw)
         elif head == "node":
             if len(tokens) != 4 or tokens[2] != "->":
                 raise FormatError("expected 'node X -> Y'", lineno, _column(raw, head))
@@ -502,8 +507,6 @@ def parse_morphism(text):
             table[key] = _parse_combination(expr, lineno, raw)
         else:
             raise FormatError(f"unknown directive {head!r}", lineno, _column(raw, head))
-    if doc is None:
-        raise FormatError("missing morphism header")
     return doc
 
 
@@ -569,23 +572,13 @@ class WinskelDocument:
 
 
 def parse_winskel(text):
-    doc = None
-    for lineno, raw, tokens in _content_lines(text):
+    name, lines = _open_document(text, "winskel", allow_dot=True)
+    doc = WinskelDocument(name)
+    for lineno, raw, tokens in lines:
         head = tokens[0]
-        if doc is None:
-            if head != "winskel" or len(tokens) != 2:
-                raise FormatError("missing winskel header", lineno, _column(raw, head))
-            doc = WinskelDocument(
-                _check_name(tokens[1], "winskel", lineno, raw, allow_dot=True)
-            )
-            continue
         rest = raw.split("#", 1)[0].strip()
         if head in ("source", "target"):
-            if len(tokens) != 2:
-                raise FormatError(f"expected '{head} FILE'", lineno, _column(raw, head))
-            if getattr(doc, head) is not None:
-                raise FormatError(f"duplicate {head} line", lineno, _column(raw, head))
-            setattr(doc, head, tokens[1])
+            _read_link(doc, tokens, lineno, raw)
         elif head == "beta":
             body = rest.split(None, 1)[1] if len(tokens) > 1 else ""
             place, arrow, expr = body.partition("->")
@@ -610,8 +603,6 @@ def parse_winskel(text):
             doc.eta[tokens[1]] = tokens[3]
         else:
             raise FormatError(f"unknown directive {head!r}", lineno, _column(raw, head))
-    if doc is None:
-        raise FormatError("missing winskel header")
     return doc
 
 

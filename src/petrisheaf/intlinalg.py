@@ -16,7 +16,7 @@ Conventions:
 
 Code that works over a net's coefficient ring goes through ``RINGS[name]``,
 the ``Ring`` instance ``Z`` or ``Q``: each builds its module type (``Lattice``
-or ``Subspace``), kernels, solvers and preimages; ``Ring.solver(m, cols)``
+or ``Subspace``), kernels and solvers; ``Ring.solver(m, cols)``
 factors ``m`` once and returns a ``solve(v)`` for many right-hand sides.
 ``Z`` runs on the column HNF, the one integer elimination routine:
 ``Lattice._read_hnf`` reads it into a lattice basis, a kernel rank and a
@@ -664,22 +664,6 @@ class Ring:
         self.module = module
         self.kernel = kernel
         self.solver = solver
-
-    def preimage(self, m, target, cols=None):
-        """``{x : m @ x in target}`` as a module of this ring.
-
-        ``target`` lives in dimension ``len(m)``.  Solved by taking the
-        kernel of the block matrix ``[m | -B]`` (B a basis of ``target``)
-        and projecting away the auxiliary coordinates.
-        """
-        rows, cols = shape(m, cols)
-        if target.ambient_dim != rows:
-            raise ValueError("target module lives in the wrong space")
-        k = target.rank
-        block = [
-            list(row) + [-x for x in col] for row, col in zip(m, transpose(target.basis, rows))
-        ]
-        return self.module(cols, [v[:cols] for v in self.kernel(block, cols + k).basis])
 
 
 def _kernel_subspace(m, cols=None):

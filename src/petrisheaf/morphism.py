@@ -41,12 +41,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from fractions import Fraction
 
 from . import intlinalg as la
 from .net import ColouredNet, NetError, same_net
-from .topology import SpaceMap, Sort, quotient_by_pairs
+from .topology import SpaceMap, quotient_by_pairs
 
 CLAUSE_CONTINUITY = "continuity"
 CLAUSE_FLOW_BASIS = "flow-basis"
@@ -399,7 +399,52 @@ class NetMorphism:
         return self._report
 
     def _verify(self):
-        """The clauses in ``CLAUSE_ORDER``, stopping at the first failure.
+        """The clauses in ``CLAUSE_ORDER``, stopping at the first failure:
+        each clause method returns the detail of its first failure, or None."""
+        report = VerificationReport(self.name)
+        checks = (
+            self._check_continuity,
+            self._check_flow_basis,
+            self._check_flow_extends,
+            self._check_mark_defined,
+            self._check_class_transport,
+            self._check_signedness,
+            self._check_incidence,
+        )
+        for clause, check in zip(CLAUSE_ORDER, checks):
+            detail = check()
+            status = "ok" if detail is None else "failed"
+            report.clauses.append(ClauseResult(clause, status, detail or ""))
+            if detail is not None:
+                break
+        return report
+
+    def _check_continuity(self):
+        """1. The node map is continuous."""
+        if not self.space_map.is_continuous():
+            return "node map is not continuous"
+        return None
+
+    def _check_flow_basis(self):
+        """2. The supplied vectors form a basis of the fibre flows."""
+        for a in self.image_transitions():
+            flows = self.source.flows(self.space_map.fibre(a), ring=self.ring)
+            basis, _ = self.flow_maps[a]
+            for vec in basis:
+                if not flows.contains(list(vec)):
+                    return f"vector {la._format_vector(vec)} is not a flow of the fibre over {a!r}"
+            if len(basis) != flows.rank:
+                return (
+                    f"fibre over {a!r} has flow rank {flows.rank}, "
+                    f"got {len(basis)} basis vectors"
+                )
+            if basis and not flows.same_module([list(v) for v in basis]):
+                return f"vectors do not span the fibre flows over {a!r}"
+        return None
+
+    def _check_flow_extends(self):
+        """3. Induced flow maps on place closures stay flows; the clause is
+        linear, so each family is checked as a positive integer multiple.
 
         Clause 3 follows from clauses 2 and 6 at an image place ``u`` whose
         closure has a sort-respecting preimage: its places are the fibre of
@@ -411,51 +456,7 @@ class NetMorphism:
         per-flow loop of clause 3 runs only when clause 6 fails: the first
         failing clause and its detail are those of the loop.
         """
-        report = VerificationReport(self.name)
-
-        def fail(clause, detail):
-            report.clauses.append(ClauseResult(clause, "failed", detail))
-
-        def passed(clause, detail=""):
-            report.clauses.append(ClauseResult(clause, "ok", detail))
-
-        # 1. continuity
-        if not self.space_map.is_continuous():
-            fail(CLAUSE_CONTINUITY, "node map is not continuous")
-            return report
-        passed(CLAUSE_CONTINUITY)
-
         src, tgt = self.source, self.target
-        src_tokens = src.token_axis()
-
-        # 2. the supplied vectors form a basis of the fibre flows
-        for a in self.image_transitions():
-            fibre = self.space_map.fibre(a)
-            flows = src.flows(fibre, ring=self.ring)
-            basis, _ = self.flow_maps[a]
-            for vec in basis:
-                if not flows.contains(list(vec)):
-                    fail(
-                        CLAUSE_FLOW_BASIS,
-                        f"vector {la._format_vector(vec)} is not a flow of the fibre over {a!r}",
-                    )
-                    return report
-            if len(basis) != flows.rank:
-                fail(
-                    CLAUSE_FLOW_BASIS,
-                    f"fibre over {a!r} has flow rank {flows.rank}, "
-                    f"got {len(basis)} basis vectors",
-                )
-                return report
-            if basis and not flows.same_module([list(v) for v in basis]):
-                fail(CLAUSE_FLOW_BASIS, f"vectors do not span the fibre flows over {a!r}")
-                return report
-        passed(CLAUSE_FLOW_BASIS)
-
-        # 3. induced flow maps on place closures stay flows; the clause is
-        # linear, so each family is checked as a positive integer multiple.
-        # Where no fibre over the closure mixes sorts, clause 6 decides it
-        incidence_failure = cache(self._incidence_failure)
         mixed = {
             y
             for x, y in self.space_map.mapping.items()
@@ -463,7 +464,7 @@ class NetMorphism:
         }
         for u in self.image_places():
             region = tgt.space.ordered(tgt.space.basic_closed(u))
-            if mixed.isdisjoint(region) and incidence_failure() is None:
+            if mixed.isdisjoint(region) and self._incidence_failure is None:
                 continue
             pre = self.space_map.preimage(region)
             try:
@@ -472,82 +473,141 @@ class NetMorphism:
                 for phi in src.flows(pre, ring=self.ring).basis:
                     family, _ = mapper(phi)
                     if not target_flows.contains(family):
-                        fail(
-                            CLAUSE_FLOW_EXTENDS,
+                        return (
                             f"image family of {la._format_vector(phi)} violates the balance "
-                            f"at {u!r}",
+                            f"at {u!r}"
                         )
-                        return report
             except (MorphismError, NetError) as exc:
-                fail(CLAUSE_FLOW_EXTENDS, f"over {u!r}: {exc}")
-                return report
-        passed(CLAUSE_FLOW_EXTENDS)
+                return f"over {u!r}: {exc}"
+        return None
 
-        # 4a. mark maps kill the fibre relations (the target is free over {u})
+    def _check_mark_defined(self):
+        """4a. Mark maps kill the fibre relations (the target is free over {u})."""
+        src = self.source
+        src_tokens = src.token_axis()
         for u in self.image_places():
             d, marks = self._integer_marks(u)
-            dim = len(tgt.tokens[u])
+            dim = len(self.target.tokens[u])
             for t, b in src.binding_axis(self.space_map.fibre(u)):
                 pre, post = src.effect(t, b)
                 out = _push(src_tokens, (*post, *((i, -w) for i, w in pre)), marks, dim)
                 if any(out):
-                    fail(
-                        CLAUSE_MARK_DEFINED,
+                    return (
                         f"binding {t}.{b} has nonzero image {la._format_vector(out, d)} "
-                        f"in the tokens of {u!r}",
+                        f"in the tokens of {u!r}"
                     )
-                    return report
-        passed(CLAUSE_MARK_DEFINED)
+        return None
 
-        # 4b. class transport over each transition neighbourhood
-        rewrites = {}
+    def _check_class_transport(self):
+        """4b. Class transport over each transition neighbourhood.
+
+        Per image transition ``a``, solves each token on a place inside the
+        fibre over ``a`` as a combination of place-fibre tokens and region
+        relations inside the neighbourhood of ``a``, and records the images
+        in ``_rewrites``: token label -> vector over the full target token
+        axis.  The well-definedness check maps integer multiples of the
+        kernel vectors through the mark images scaled to integers over one
+        denominator.
+
+        With ``P`` the tokens of the region on place fibres and ``T`` those
+        on transition fibres, the kernel of ``[I_P | C]`` is spanned by the
+        ``(-C_P z, z)`` with ``z`` over a basis of ``ker C_T``.  When ``T``
+        is empty the unit vectors ``e_j`` are such a basis, and the check is
+        that each image ``P C e_j`` of an incidence column lies in the
+        relations, with no elimination.  Only when that fails is the
+        canonical kernel taken, to name its first failing vector.
+        """
+        src, tgt = self.source, self.target
+        ring = la.RINGS[self.ring]
+        full_axis = tgt.token_axis()
+        self._rewrites = {}
         for a in self.image_transitions():
-            result = self._class_transport(a)
-            if isinstance(result, str):
-                fail(CLAUSE_CLASS_TRANSPORT, result)
-                return report
-            rewrites[a] = result
-        self._rewrites = rewrites
-        passed(CLAUSE_CLASS_TRANSPORT)
+            neighbourhood = tgt.space.basic_open(a)
+            region = self.space_map.preimage(neighbourhood)
+            ambient = src.token_axis(region)
+            dim = len(ambient)
+            incidence = src.incidence_matrix(region)
+            tgt_axis = tgt.token_axis(neighbourhood)
+            tgt_index = {lab: i for i, lab in enumerate(tgt_axis)}
+            tdim = len(tgt_axis)
 
-        # 5. signedness of the supplied data: each image coordinate, as a
-        # functional on the fibre bindings, is non-negative on the fibre cone
+            p_rows, p_targets, t_labels = [], [], []
+            for i, (p, c) in enumerate(ambient):
+                if tgt.space.is_place(self.space_map(p)):
+                    p_rows.append(i)
+                    p_targets.append(self._mark_column(p, c, tgt_index))
+                else:
+                    t_labels.append((i, (p, c)))
+            p_ints, d = la._integer_rows(p_targets)
+            relations = tgt.incidence_matrix(neighbourhood, (a,)).entries
+            s_module = self._module(tdim, la.transpose(relations, len(tgt.bindings[a])))
+
+            # well-definedness: vanishing combinations must map into the relations
+            out = self._rewrites[a] = {}
+            columns = la.transpose(incidence.entries, len(incidence.col_labels))
+            if not t_labels and all(la.combine(col, p_ints, tdim) in s_module for col in columns):
+                continue
+            cols = len(p_rows) + len(incidence.col_labels)
+            matrix = [
+                [int(i == r) for r in p_rows] + list(row)
+                for i, row in enumerate(incidence.entries)
+            ]
+            for ker_vec in ring.kernel(matrix, cols).basis:
+                w, c = la._integer_row(ker_vec)
+                image = la.combine(w, p_ints, tdim)
+                if image not in s_module:
+                    return (
+                        f"transport over {a!r} is inconsistent: a vanishing combination "
+                        f"maps to {la._format_vector(image, c * d)}, outside the relations"
+                    )
+
+            targets = p_targets + [[0] * tdim for _ in incidence.col_labels]
+            solve = ring.solver(matrix, cols) if cols and t_labels else None
+            for idx, lab in t_labels:
+                coords = solve([int(i == idx) for i in range(dim)]) if solve else None
+                if coords is None:
+                    return (
+                        f"transport over {a!r} is underdetermined: token {lab} is not "
+                        "generated by the place-fibre tokens and the region relations"
+                    )
+                placed = dict(zip(tgt_axis, la.combine(coords, targets, tdim)))
+                out[lab] = tuple(placed.get(lab2, 0) for lab2 in full_axis)
+        return None
+
+    def _check_signedness(self):
+        """5. Signedness of the supplied data: each image coordinate, as a
+        functional on the fibre bindings, is non-negative on the fibre cone."""
         for u in self.image_places():
             _, marks = self._integer_marks(u)
             for lab, vec in marks.items():
                 if any(x < 0 for x in vec):
-                    fail(CLAUSE_SIGNEDNESS, f"mark image of {lab} has a negative entry")
-                    return report
+                    return f"mark image of {lab} has a negative entry"
         for a in self.image_transitions():
             fibre = self.space_map.fibre(a)
-            cols, dim = len(src.binding_axis(fibre)), len(tgt.bindings[a])
+            cols, dim = len(self.source.binding_axis(fibre)), len(self.target.bindings[a])
             basis, images = self.flow_maps[a]
             functionals = la.transpose(images, dim)  # over a unit basis
             if [list(v) for v in basis] != la.identity(cols):
                 solve = la.Q.solver([list(v) for v in basis], cols)
                 functionals = [solve(f) for f in functionals]
-            g = la.cone_witness(src.incidence_matrix(fibre).as_lists(), functionals, cols)
+            g = la.cone_witness(self.source.incidence_matrix(fibre).as_lists(), functionals, cols)
             if g is not None:
                 _, _, image = self._integer_flows(a)
                 ints, d = image(list(g))
-                fail(
-                    CLAUSE_SIGNEDNESS,
+                return (
                     f"non-negative fibre flow {la._format_vector(g)} maps to "
-                    f"{la._format_vector(ints, d)}",
+                    f"{la._format_vector(ints, d)}"
                 )
-                return report
-        passed(CLAUSE_SIGNEDNESS)
+        return None
 
-        # 6. incidence compatibility on every image (transition, place) pair
-        detail = incidence_failure()
-        if detail is not None:
-            fail(CLAUSE_INCIDENCE, detail)
-            return report
-        passed(CLAUSE_INCIDENCE)
-        return report
+    def _check_incidence(self):
+        """6. Incidence compatibility on every image (transition, place) pair."""
+        return self._incidence_failure
 
+    @cached_property
     def _incidence_failure(self):
-        """The detail of the first incidence-compat mismatch, or None.
+        """The detail of the first incidence-compat mismatch, or None, decided
+        once per morphism: clause 3 reads it too.
 
         Over the pair scale s and the mark denominator d, the fibre side is
         s*d times the exact one and the image side s times.
@@ -581,81 +641,14 @@ class NetMorphism:
                             )
         return None
 
-    def _class_transport(self, a):
-        """Images for tokens on places inside the fibre over ``a``.
-
-        Solves each such token as a combination of place-fibre tokens and
-        region relations inside the transition neighbourhood; returns a dict
-        token label -> vector over the full target token axis, or an error
-        string when the transport does not exist.  The well-definedness
-        check maps integer multiples of the kernel vectors through the mark
-        images scaled to integers over one denominator.
-
-        With ``P`` the tokens of the region on place fibres and ``T`` those
-        on transition fibres, the kernel of ``[I_P | C]`` is spanned by the
-        ``(-C_P z, z)`` with ``z`` over a basis of ``ker C_T``.  When ``T``
-        is empty the unit vectors ``e_j`` are such a basis, and the check is
-        that each image ``P C e_j`` of an incidence column lies in the
-        relations, with no elimination.  Only when that fails is the
-        canonical kernel taken, to name its first failing vector.
-        """
-        src, tgt = self.source, self.target
-        neighbourhood = tgt.space.basic_open(a)
-        region = self.space_map.preimage(neighbourhood)
-        ambient = src.token_axis(region)
-        dim = len(ambient)
-        incidence = src.incidence_matrix(region)
-        tgt_axis = tgt.token_axis(neighbourhood)
-        tgt_index = {lab: i for i, lab in enumerate(tgt_axis)}
-        tdim = len(tgt_axis)
-
-        p_rows, p_targets, t_labels = [], [], []
-        for i, (p, c) in enumerate(ambient):
-            fp = self.space_map(p)
-            if tgt.space.sort_of(fp) is Sort.PLACE:
-                target = [0] * tdim
-                for val, c2 in zip(self.mark_maps[fp][(p, c)], tgt.tokens[fp]):
-                    target[tgt_index[(fp, c2)]] = val
-                p_rows.append(i)
-                p_targets.append(target)
-            else:
-                t_labels.append((i, (p, c)))
-        p_ints, d = la._integer_rows(p_targets)
-        relations = tgt.incidence_matrix(neighbourhood, (a,)).entries
-        s_module = self._module(tdim, la.transpose(relations, len(tgt.bindings[a])))
-
-        # well-definedness: vanishing combinations must map into the relations
-        columns = la.transpose(incidence.entries, len(incidence.col_labels))
-        if not t_labels and all(la.combine(col, p_ints, tdim) in s_module for col in columns):
-            return {}
-        ring = la.RINGS[self.ring]
-        cols = len(p_rows) + len(incidence.col_labels)
-        matrix = [
-            [int(i == r) for r in p_rows] + list(row) for i, row in enumerate(incidence.entries)
-        ]
-        for ker_vec in ring.kernel(matrix, cols).basis:
-            w, c = la._integer_row(ker_vec)
-            image = la.combine(w, p_ints, tdim)
-            if image not in s_module:
-                return (
-                    f"transport over {a!r} is inconsistent: a vanishing combination "
-                    f"maps to {la._format_vector(image, c * d)}, outside the relations"
-                )
-
-        full_axis = tgt.token_axis()
-        targets = p_targets + [[0] * tdim for _ in incidence.col_labels]
-        out = {}
-        solve = ring.solver(matrix, cols) if cols and t_labels else None
-        for idx, lab in t_labels:
-            coords = solve([int(i == idx) for i in range(dim)]) if solve else None
-            if coords is None:
-                return (
-                    f"transport over {a!r} is underdetermined: token {lab} is not "
-                    "generated by the place-fibre tokens and the region relations"
-                )
-            placed = dict(zip(tgt_axis, la.combine(coords, targets, tdim)))
-            out[lab] = tuple(placed.get(lab2, 0) for lab2 in full_axis)
-        return out
+    def _mark_column(self, p, c, index):
+        """The mark image of token ``c`` on ``p``, written into the target
+        token axis whose positions ``index`` gives."""
+        u = self.space_map(p)
+        column = [0] * len(index)
+        for val, c2 in zip(self.mark_maps[u][(p, c)], self.target.tokens[u]):
+            column[index[(u, c2)]] = val
+        return column
 
     # -- marking transport -----------------------------------------------
 
@@ -679,20 +672,15 @@ class NetMorphism:
         if self._transport is not None:
             return self._transport
         self.require_verified()
-        src, tgt = self.source, self.target
-        src_axis = src.token_axis()
-        tgt_axis = tgt.token_axis()
+        tgt_axis = self.target.token_axis()
         tpos = {lab: i for i, lab in enumerate(tgt_axis)}
         cols = []
-        for p, c in src_axis:
+        for p, c in self.source.token_axis():
             fp = self.space_map(p)
-            col = [0] * len(tgt_axis)
-            if tgt.space.sort_of(fp) is Sort.PLACE:
-                for val, c2 in zip(self.mark_maps[fp][(p, c)], tgt.tokens[fp]):
-                    col[tpos[(fp, c2)]] = val
+            if self.target.space.is_place(fp):
+                cols.append(self._mark_column(p, c, tpos))
             else:
-                col = list(self._rewrites[fp][(p, c)])
-            cols.append(col)
+                cols.append(list(self._rewrites[fp][(p, c)]))
         self._transport = la.transpose(cols, len(tgt_axis))
         return self._transport
 
@@ -835,29 +823,20 @@ class NetMorphism:
                 entries.append((list(phi), [Fraction(x, d) for x in img]))
             flow_maps[c] = entries
 
-        t1 = self.marking_transport()
-        t2 = other.marking_transport()
+        # each column of the first transport, pushed through the second
         src_axis = self.source.token_axis()
+        columns = dict(zip(src_axis, la.transpose(self.marking_transport(), len(src_axis))))
         out_axis = other.target.token_axis()
         mark_maps = {}
         for u in other.target.space.places:
             if u not in image:
                 continue
-            fibre_tokens = self.source.token_axis(composed_space.fibre(u))
-            table = {}
-            for lab in fibre_tokens:
-                j = src_axis.index(lab)
-                out_vec = la.matvec(t2, [row[j] for row in t1])
-                img = []
-                for i, (q, _) in enumerate(out_axis):
-                    if q == u:
-                        img.append(out_vec[i])
-                    elif out_vec[i]:
-                        raise MorphismError(
-                            "composite mark image leaks outside the image place"
-                        )
-                table[lab] = img
-            mark_maps[u] = table
+            table = mark_maps[u] = {}
+            for lab in self.source.token_axis(composed_space.fibre(u)):
+                out_vec = other.map_marking(columns[lab])
+                if any(x for (q, _), x in zip(out_axis, out_vec) if q != u):
+                    raise MorphismError("composite mark image leaks outside the image place")
+                table[lab] = [x for (q, _), x in zip(out_axis, out_vec) if q == u]
 
         return NetMorphism(
             self.source,

@@ -469,16 +469,12 @@ def factors_through_diagonal(diag, morphism):
 # inverse images and fibre products
 
 
-def _integer_points(subspace):
-    """The lattice of integer vectors inside a rational subspace."""
-    n = subspace.ambient_dim
-    if subspace.rank == 0:
-        return la.Lattice(n)
-    if subspace.rank == n:
-        return la.Lattice(n, la.identity(n))
-    rows = [list(b) for b in subspace.basis]
-    constraints = [la._integer_row(c)[0] for c in la.Q.kernel(rows, n).basis]
-    return la.kernel_lattice(constraints, n)
+def _integer_preimage(cols, normals):
+    """The lattice of integer ``v`` whose image ``sum(v[i] * cols[i])`` lies in
+    the common kernel of the integer rows ``normals``: the kernel lattice of
+    ``N . cols``, each row scaled to integers.  Its basis is canonical."""
+    rows = [la._integer_row(la.matvec(cols, n))[0] for n in normals]
+    return la.kernel_lattice(rows, len(cols))
 
 
 def _name_basis(names, lattice):
@@ -548,23 +544,24 @@ def inverse_image(f, j, name=None):
     src = f.source
     sub = j.source
     back = {j.space_map(z): z for z in sub.space.nodes}
-    # per embedded node: its dimension, and the span of its element images
-    # with a solver over them, factored once
+    # per embedded node: its dimension, the normals of the span of its element
+    # images (integer rows whose common kernel is that span) and a solver over
+    # those images, factored once
     embedded = {}
     for y, z in back.items():
         dim = len(_elements(f.target, y))
         jcols = [j.element_image(z, e) for e in _elements(sub, z)]
         solve = la.Q.solver(la.transpose(jcols, dim), len(jcols))
-        embedded[y] = (dim, la.Subspace(dim, jcols), solve)
+        normals = [la._integer_row(n)[0] for n in la.Q.kernel(jcols, dim).basis]
+        embedded[y] = (dim, normals, solve)
     node_level = [x for x in src.space.nodes if f.space_map(x) in back]
 
     bases = {}
     columns = {}
     for x in node_level:
-        dim, span, _ = embedded[f.space_map(x)]
+        _, normals, _ = embedded[f.space_map(x)]
         cols = [[Fraction(v) for v in f.element_image(x, e)] for e in _elements(src, x)]
-        pre = la.Q.preimage(la.transpose(cols, dim), span, cols=len(cols))
-        bases[x] = _name_basis(_elements(src, x), _integer_points(pre))
+        bases[x] = _name_basis(_elements(src, x), _integer_preimage(cols, normals))
         columns[x] = cols
 
     kept = [x for x in node_level if bases[x]]

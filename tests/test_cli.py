@@ -744,6 +744,19 @@ def test_integers_are_ascii_digits_only(tmp_path, capsys, weight, jobs, option, 
     assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "entry, ref", [(".=1", "."), ("busy.=1", "busy."), ("busyjob=1", "busyjob")]
+)
+def test_a_marking_entry_without_a_token_reference_names_it(tmp_path, capsys, entry, ref):
+    path = tmp_path / "ring.pnet"
+    path.write_text(README_RING.format(weight=1, jobs=2))
+    code = main(["reach", str(path), "--marking", f"busy.job=1,{entry}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: marking token must look like NODE.ELEMENT, got {ref!r}\n"
+
+
 def test_fractional_marking_values_stay_valid(tmp_path, capsys):
     path = tmp_path / "ring2.pnet"
     path.write_text(serialize_net(two_place_ring()))

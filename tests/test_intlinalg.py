@@ -126,11 +126,6 @@ def rat_rank(m, cols=None):
     return len(reference_rref(m, cols)[1])
 
 
-def preimage_lattice(m, lat, cols=None):
-    """``{x in Z^cols : m @ x in lat}`` as a Lattice."""
-    return la.Z.preimage(m, lat, cols)
-
-
 def reference_solve_columns(m, v, cols=None):
     """Integer solve by back-substitution through a fresh column HNF."""
     rows, cols = la.shape(m, cols) if (m or cols is not None) else (0, 0)
@@ -277,17 +272,6 @@ def test_lattice_reduce_is_canonical():
     assert lat.reduce((1, 0)) == lat.reduce((0, 1))
     assert lat.reduce((5, -2)) == lat.reduce((0, 3))
     assert lat.reduce(lat.reduce((7, 4))) == lat.reduce((7, 4))
-
-
-def test_preimage_lattice():
-    # x mapsto (x1+x2) mod lattice 3Z: preimage of 3Z under the sum map
-    m = [[1, 1]]
-    lat = la.Lattice(1, [(3,)])
-    pre = preimage_lattice(m, lat)
-    assert [1, 2] in pre
-    assert [3, 0] in pre
-    assert [1, 1] not in pre
-    assert pre.rank == 2
 
 
 def test_solve_columns():
@@ -730,30 +714,6 @@ def test_z_and_q_kernels_and_quotients_agree(m):
     assert all(list(v) in q_kernel for v in z_kernel.basis)
     relations = [[m[i][j] for i in range(rows)] for j in range(cols)]
     assert la.Z.module(rows, relations).rank == la.Q.module(rows, relations).rank
-
-
-small_preimage_cases = st.integers(1, 3).flatmap(
-    lambda r: st.integers(1, 3).flatmap(
-        lambda c: st.tuples(
-            st.lists(st.lists(st.integers(-3, 3), min_size=c, max_size=c), min_size=r, max_size=r),
-            st.lists(st.lists(st.integers(-3, 3), min_size=r, max_size=r), max_size=2),
-        )
-    )
-)
-
-
-@pytest.mark.parametrize("ring", [la.Z, la.Q], ids=["Z", "Q"])
-@given(case=small_preimage_cases)
-@settings(max_examples=40)
-def test_preimage_membership_by_brute_force(ring, case):
-    from itertools import product
-
-    m, generators = case
-    rows, cols = len(m), len(m[0])
-    target = ring.module(rows, generators)
-    pre = ring.preimage(m, target, cols)
-    for x in product(range(-2, 3), repeat=cols):
-        assert (list(x) in pre) == (la.matvec(m, x) in target)
 
 
 # ---------------------------------------------------------------------------

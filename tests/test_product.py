@@ -1,5 +1,6 @@
 """Products, projections, mediating morphisms, diagonals, fibre products."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from petrisheaf import intlinalg as la
 from petrisheaf.behaviour import fire, marking_vector, reachable
 from petrisheaf.cli import random_strict_net
 from petrisheaf.morphism import (
@@ -16,11 +18,12 @@ from petrisheaf.morphism import (
     identity_morphism,
     morphisms_equal,
 )
-from petrisheaf.net import ColouredNet, place_transition_net
+from petrisheaf.net import ColouredNet, place_transition_net, same_net
 from petrisheaf.product import (
     ProductError,
     ProductResult,
     ReachCorrespondence,
+    _integer_preimage,
     check_reachability_correspondence,
     diagonal,
     factor_cone,
@@ -32,11 +35,12 @@ from petrisheaf.product import (
     product_marking,
     trace_markings,
 )
-from petrisheaf.topology import PetriSpace
+from petrisheaf.topology import PetriSpace, SpaceMap
 
 from fixtures import (
     bad_weight_target,
     fold_morphism,
+    squash_morphism,
     unfolding_morphism,
     winskel_data,
     x_net,
@@ -561,6 +565,57 @@ def test_inverse_image_of_the_whole_target_is_the_source():
     assert morphisms_equal(res.to_subnet, unfold)
 
 
+def reference_preimage(m, target, cols):
+    """``{x in Q^cols : m @ x in target}``: the kernel of the block matrix
+    ``[m | -B]`` (``B`` a basis of ``target``) with the auxiliary coordinates
+    projected away."""
+    rows, cols = la.shape(m, cols)
+    k = target.rank
+    block = [
+        list(row) + [-x for x in col] for row, col in zip(m, la.transpose(target.basis, rows))
+    ]
+    return la.Q.module(cols, [v[:cols] for v in la.Q.kernel(block, cols + k).basis])
+
+
+def reference_integer_points(subspace):
+    """The lattice of integer vectors inside a rational subspace."""
+    n = subspace.ambient_dim
+    if subspace.rank == 0:
+        return la.Lattice(n)
+    if subspace.rank == n:
+        return la.Lattice(n, la.identity(n))
+    rows = [list(b) for b in subspace.basis]
+    constraints = [la._integer_row(c)[0] for c in la.Q.kernel(rows, n).basis]
+    return la.kernel_lattice(constraints, n)
+
+
+small_scalars = st.one_of(
+    st.integers(-3, 3), st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+)
+refinement_cases = st.integers(1, 3).flatmap(
+    lambda dim: st.tuples(
+        st.lists(st.lists(small_scalars, min_size=dim, max_size=dim), min_size=1, max_size=3),
+        st.lists(st.lists(small_scalars, min_size=dim, max_size=dim), max_size=3),
+    )
+)
+
+
+@given(case=refinement_cases)
+@settings(max_examples=150)
+def test_inverse_image_refinement_equals_the_rational_preimage_route(case):
+    # the route inverse_image took before it read one integer kernel: the
+    # rational preimage of the span, then the integer points inside it
+    cols, generators = case
+    dim = len(cols[0])
+    span = la.Subspace(dim, generators)
+    normals = [la._integer_row(n)[0] for n in la.Q.kernel(generators, dim).basis]
+    got = _integer_preimage(cols, normals)
+    pre = reference_preimage(la.transpose(cols, dim), span, len(cols))
+    assert got == reference_integer_points(pre)
+    for v in itertools.product(range(-2, 3), repeat=len(cols)):
+        assert (list(v) in got) == (la.combine(v, cols, dim) in span)
+
+
 def test_inverse_image_requires_discrete_map():
     fold = fold_morphism()
     with pytest.raises(ProductError, match="discrete"):
@@ -865,3 +920,76 @@ def test_flow_image_memo_equals_a_fresh_morphism(first, second, seed):
     for side, a, v in cases[:3]:
         with pytest.raises(MorphismError, match="wrong length"):
             getattr(res, side).flow_image(a, v + [0])
+
+
+def dense_composite_marks(f, g):
+    """The mark data of ``f.then(g)`` as composition built it before it
+    pushed each column of the first transport through ``g.map_marking``: the
+    dense product of the two transports, read one source token at a time."""
+    t1, t2 = f.marking_transport(), g.marking_transport()
+    src_axis, out_axis = f.source.token_axis(), g.target.token_axis()
+    node_map = {x: g.space_map(y) for x, y in f.space_map.mapping.items()}
+    composed = SpaceMap(f.source.space, g.target.space, node_map)
+    mark_maps = {}
+    for u in g.target.space.places:
+        if u not in node_map.values():
+            continue
+        table = mark_maps[u] = {}
+        for lab in f.source.token_axis(composed.fibre(u)):
+            j = src_axis.index(lab)
+            out_vec = la.matvec(t2, [row[j] for row in t1])
+            img = []
+            for i, (q, _) in enumerate(out_axis):
+                if q == u:
+                    img.append(out_vec[i])
+                elif out_vec[i]:
+                    raise MorphismError("composite mark image leaks outside the image place")
+            table[lab] = tuple(img)
+    return mark_maps
+
+
+def composition_pool(first, second):
+    """Verified morphisms around two nets: identities, the projections of
+    their products, pairings by ``mediate``, a Winskel fold and projection,
+    and the fixture maps whose transport runs through class transport."""
+    square, pair = kronecker(first, first), kronecker(first, second)
+    ident, squash = identity_morphism(first), squash_morphism()
+    pool = [
+        ident,
+        identity_morphism(second),
+        identity_morphism(pair.net),
+        square.left,
+        square.right,
+        pair.left,
+        pair.right,
+        mediate(square, ident, ident),
+        mediate(pair, pair.left, pair.right),
+        identity_morphism(y_net()),
+        fold_morphism(),
+        unfolding_morphism(),
+        squash,
+        identity_morphism(squash.target),
+    ]
+    winskel = from_winskel(winskel_data())
+    pool += [winskel.fold, winskel.projection, identity_morphism(winskel.merged)]
+    return [g for g in pool if g.verify().ok]
+
+
+@settings(max_examples=15, deadline=None)
+@given(factor_nets, factor_nets)
+def test_composite_marks_equal_the_dense_transport_product(first, second):
+    pool = composition_pool(first, second)
+    composed = 0
+    for f in pool:
+        for g in pool:
+            if not same_net(g.source, f.target):
+                continue
+            composed += 1
+            try:
+                want = dense_composite_marks(f, g)
+            except MorphismError as exc:
+                with pytest.raises(MorphismError, match=str(exc)):
+                    f.then(g)
+                continue
+            assert f.then(g).mark_maps == want, (f.name, g.name)
+    assert composed >= 15
