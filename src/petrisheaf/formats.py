@@ -382,7 +382,10 @@ class MorphismDocument:
         if extra:
             raise FormatError(f"node map names unknown node {extra[0]!r}")
 
-        flow_maps = {}
+        # an image node with no lines has empty data: a fibre without flows
+        # or tokens writes none, and clause 2 decides a basis left out
+        image = set(self.node_map.values())
+        flow_maps = {a: [] for a in target_net.space.transitions if a in image}
         for a, entries in self.flow_bases.items():
             if a not in target_net.bindings:
                 raise FormatError(f"flowbasis on unknown target transition {a!r}")
@@ -418,7 +421,7 @@ class MorphismDocument:
             if a not in self.flow_bases:
                 raise FormatError(f"flowmap without flowbasis on {a!r}")
 
-        mark_maps = {}
+        mark_maps = {u: {} for u in target_net.space.places if u in image}
         for u, table in self.mark_images.items():
             if u not in target_net.tokens:
                 raise FormatError(f"markmap on unknown target place {u!r}")

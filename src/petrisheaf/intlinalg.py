@@ -18,10 +18,11 @@ Code that works over a net's coefficient ring goes through ``RINGS[name]``,
 the ``Ring`` instance ``Z`` or ``Q``: each builds its module type (``Lattice``
 or ``Subspace``), kernels and solvers; ``Ring.solver(m, cols)``
 factors ``m`` once and returns a ``solve(v)`` for many right-hand sides.
-``Z`` runs on the column HNF, the one integer elimination routine:
-``Lattice._read_hnf`` reads it into a lattice basis, a kernel rank and a
-solve by coordinates, and ``snf`` alternates it with the HNF of the
-transpose.
+``Z`` runs on the column HNF, the one integer elimination routine
+(``_hnf_columns``, on whole column vectors, so a transform stacked under
+them rides along): ``Lattice._read_hnf`` reads it into a lattice basis, a
+kernel rank and a solve by coordinates, and ``snf`` alternates it on the
+columns and on the rows.
 ``Q`` runs on one fraction-free integer echelon (``_echelon``), whose rows
 stay integers: ``Subspace`` divides each pivot row by its pivot, a kernel
 is read off one echelon of the matrix with its columns reversed, and the
@@ -88,22 +89,6 @@ def combine(coeffs, vectors, dim):
     return out
 
 
-def matmul(a, b):
-    rows, inner = len(a), len(b)
-    cols = len(b[0]) if inner else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            aik = ai[k]
-            if not aik:
-                continue
-            bk = b[k]
-            for j in range(cols):
-                oi[j] += aik * bk[j]
-    return out
-
 def matvec(m, v):
     return [sum(x * y for x, y in zip(row, v)) for row in m]
 
@@ -148,20 +133,49 @@ def xgcd(a, b):
 # Hermite normal form (column style) and friends
 
 
-def _col_swap(m, i, j):
-    for row in m:
-        row[i], row[j] = row[j], row[i]
+def _hnf_columns(vs, k):
+    """Bring the first ``k`` coordinates of the column vectors ``vs`` to
+    column HNF in place and return the rank.  Each operation acts on whole
+    vectors, so coordinates past ``k`` ride along: unit vectors stacked
+    under the columns of ``m`` end as the columns of ``u``, ``h = m @ u``."""
+    n = len(vs)
+    c = 0
+    for r in range(k):
+        if c == n:
+            break
+        piv = next((j for j in range(c, n) if vs[j][r]), None)
+        if piv is None:
+            continue
+        vs[c], vs[piv] = vs[piv], vs[c]
+        col = vs[c]
+        for j in range(c + 1, n):
+            other = vs[j]
+            if not other[r]:
+                continue
+            if other[r] % col[r] == 0:
+                q = other[r] // col[r]
+                vs[j] = [e - q * f for e, f in zip(other, col)]
+                continue
+            g, x, y = xgcd(col[r], other[r])
+            a, b = col[r] // g, other[r] // g
+            # [[x, -b], [y, a]] has determinant x*a + y*b = 1
+            vs[j] = [a * vj - b * vc for vc, vj in zip(col, other)]
+            col = vs[c] = [x * vc + y * vj for vc, vj in zip(col, other)]
+        if col[r] < 0:
+            col = vs[c] = [-e for e in col]
+        d = col[r]
+        for j in range(c):
+            q = vs[j][r] // d
+            if q:
+                vs[j] = [e - q * f for e, f in zip(vs[j], col)]
+        c += 1
+    return c
 
 
-def _col_axpy(m, dst, src, k):
-    # column dst += k * column src
-    for row in m:
-        row[dst] += k * row[src]
-
-
-def _col_negate(m, j):
-    for row in m:
-        row[j] = -row[j]
+def _stacked(m, cols):
+    """The columns of ``m``, each with a unit vector of length ``cols``
+    stacked under it, for ``_hnf_columns`` to carry the transform."""
+    return [[*col, *unit] for col, unit in zip(transpose(m, cols), identity(cols))]
 
 
 def hnf(m, cols=None):
@@ -175,45 +189,9 @@ def hnf(m, cols=None):
     column lattice, so it doubles as a canonical lattice basis.
     """
     rows, cols = shape(m, cols)
-    h = [list(row) for row in m]
-    u = identity(cols)
-    c = 0
-    for r in range(rows):
-        if c == cols:
-            break
-        piv = next((j for j in range(c, cols) if h[r][j]), None)
-        if piv is None:
-            continue
-        if piv != c:
-            _col_swap(h, c, piv)
-            _col_swap(u, c, piv)
-        for j in range(c + 1, cols):
-            if not h[r][j]:
-                continue
-            if h[r][j] % h[r][c] == 0:
-                q = h[r][j] // h[r][c]
-                _col_axpy(h, j, c, -q)
-                _col_axpy(u, j, c, -q)
-                continue
-            g, x, y = xgcd(h[r][c], h[r][j])
-            a, b = h[r][c] // g, h[r][j] // g
-            # [[x, -b], [y, a]] has determinant x*a + y*b = 1
-            for mat in (h, u):
-                for row in mat:
-                    vc, vj = row[c], row[j]
-                    row[c] = x * vc + y * vj
-                    row[j] = a * vj - b * vc
-        if h[r][c] < 0:
-            _col_negate(h, c)
-            _col_negate(u, c)
-        d = h[r][c]
-        for j in range(c):
-            q = h[r][j] // d
-            if q:
-                _col_axpy(h, j, c, -q)
-                _col_axpy(u, j, c, -q)
-        c += 1
-    return h, u
+    vs = _stacked(m, cols)
+    _hnf_columns(vs, rows)
+    return transpose([v[:rows] for v in vs], rows), transpose([v[rows:] for v in vs], cols)
 
 
 def _hnf_solver(m, cols=None):
@@ -225,9 +203,10 @@ def _hnf_solver(m, cols=None):
     is outside the column lattice.
     """
     rows, cols = shape(m, cols)
-    h, u = hnf(m, cols)
-    image = Lattice._of_hnf(rows, transpose(h, cols))
-    u_columns = transpose(u, cols)[: image.rank]
+    vs = _stacked(m, cols)
+    rank = _hnf_columns(vs, rows)
+    image = Lattice._of_hnf(rows, [v[:rows] for v in vs[:rank]])
+    u_columns = [v[rows:] for v in vs[:rank]]
 
     def solve(v):
         if len(v) != rows:
@@ -279,8 +258,8 @@ class Lattice(_Module):
         for v in vectors:
             if len(v) != ambient_dim:
                 raise ValueError("generator has wrong length")
-        h = hnf(transpose(vectors, ambient_dim), cols=len(vectors))[0] if vectors else []
-        self._read_hnf(ambient_dim, transpose(h, len(vectors)))
+        _hnf_columns(vectors, ambient_dim)
+        self._read_hnf(ambient_dim, vectors)
 
     @classmethod
     def _of_hnf(cls, ambient_dim, columns):
@@ -355,9 +334,9 @@ def kernel_lattice(m, cols=None):
     rows, cols = shape(m, cols)
     if rows == 0:
         return Lattice._of_hnf(cols, identity(cols))
-    h, u = hnf(m, cols)
-    rank = Lattice._of_hnf(rows, transpose(h, cols)).rank
-    return Lattice(cols, transpose(u, cols)[rank:])
+    vs = _stacked(m, cols)
+    rank = _hnf_columns(vs, rows)
+    return Lattice(cols, [v[rows:] for v in vs[rank:]])
 
 
 # ---------------------------------------------------------------------------
@@ -370,27 +349,30 @@ def snf(m, cols=None):
 
     Returns ``(s, u, v)`` with ``s = u @ m @ v``, both transforms
     unimodular, ``s`` diagonal with non-negative entries and each diagonal
-    entry dividing the next.
+    entry dividing the next.  The transforms ride along, ``v`` stacked under
+    the columns of ``s`` and ``u`` beside its rows, and are never multiplied.
     """
     rows, cols = shape(m, cols)
-    s, u, v = m, identity(rows), identity(cols)
+    s, u, v = m, identity(rows), identity(cols)  # v by columns, u by rows
     # Why this ends: each HNF leaves the gcd of the first row (column) not
     # yet clear at its lead, so that entry can only shrink, and a cleared
     # row or column stays cleared.  Adding row k + 1 to row k turns
     # (a_k, a_k+1) into (gcd, lcm), a lexicographic decrease; a column added
     # instead is undone, as the column HNF reduces entries left of a pivot.
     while True:
-        s, w = hnf(s, cols)
-        v = matmul(v, w)
-        t, x = hnf(transpose(s, cols), rows)
-        u = matmul(transpose(x, rows), u)
-        s = transpose(t, rows)
+        vs = [[*col, *w] for col, w in zip(transpose(s, cols), v)]
+        _hnf_columns(vs, rows)
+        v = [col[rows:] for col in vs]
+        rs = [[*row, *w] for row, w in zip(transpose([col[:rows] for col in vs], rows), u)]
+        _hnf_columns(rs, cols)
+        s = [row[:cols] for row in rs]
+        u = [row[cols:] for row in rs]
         if any(s[i][j] for i in range(rows) for j in range(cols) if i != j):
             continue
         diag = [s[i][i] for i in range(min(rows, cols))]
         k = next((k for k, d in enumerate(diag[1:]) if diag[k] and d % diag[k]), None)
         if k is None:
-            return s, u, v
+            return s, u, transpose(v, cols)
         s[k] = [a + b for a, b in zip(s[k], s[k + 1])]
         u[k] = [a + b for a, b in zip(u[k], u[k + 1])]
 

@@ -255,7 +255,9 @@ class NetMorphism:
         if self.target.space.is_place(y):
             return self.mark_maps[y][(x, e)]
         axis = self.source.binding_axis(self.space_map.fibre(y))
-        return self.flow_image(y, la.identity(len(axis))[axis.index((x, e))])
+        unit = [0] * len(axis)
+        unit[axis.index((x, e))] = 1
+        return self.flow_image(y, unit)
 
     # -- ring helpers ------------------------------------------------------
 
@@ -798,7 +800,20 @@ class NetMorphism:
     # -- composition ---------------------------------------------------------
 
     def then(self, other):
-        """Composite morphism, self first; both factors must verify."""
+        """Composite morphism, self first; both factors must verify.
+
+        The mark data of a token of ``x`` over an image place ``u`` is its
+        image through both transports, read on ``u``, and nothing of that
+        image lies elsewhere.  If this morphism sends ``x`` to a place
+        ``v``, the token goes through its mark data onto ``v``, and
+        ``other``'s mark data over ``u = other(v)`` send it into ``u``
+        alone.  Otherwise ``x`` goes to a transition ``y``, and this
+        morphism's class transport writes only onto places next to ``y``.
+        ``other`` is continuous, so it sends ``y``, a point of the closure
+        of each such place ``v``, into the closure of ``other(v)``; that
+        closure holds the place ``u = other(y)`` only when ``other(v) =
+        u``, and again the mark data over ``u`` keep the image on ``u``.
+        """
         if not same_net(other.source, self.target):
             raise MorphismError("morphisms do not compose")
         self.require_verified()
@@ -834,8 +849,6 @@ class NetMorphism:
             table = mark_maps[u] = {}
             for lab in self.source.token_axis(composed_space.fibre(u)):
                 out_vec = other.map_marking(columns[lab])
-                if any(x for (q, _), x in zip(out_axis, out_vec) if q != u):
-                    raise MorphismError("composite mark image leaks outside the image place")
                 table[lab] = [x for (q, _), x in zip(out_axis, out_vec) if q == u]
 
         return NetMorphism(

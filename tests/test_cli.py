@@ -39,6 +39,7 @@ from fixtures import (
     y_net,
 )
 from test_behaviour import two_place_ring
+from test_formats import DRAIN, LONE
 from test_golden import build_documents
 
 
@@ -270,6 +271,44 @@ def test_morphisms_between_nets_that_differ_in_weights_exit_2(tmp_path, capsys, 
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err == f"error: {message}\n"
+
+
+def test_a_basis_of_twice_the_unit_does_not_span_the_integer_flows(tmp_path, capsys):
+    # the fibre over t is t alone, so every binding vector is a flow; 2*t.b
+    # is one, of the right rank, but spans only the even flows over Z
+    (tmp_path / "one.pnet").write_text(
+        "net one\nplace p tokens c\ntransition t bindings b\narc - t.b p.c 1\n"
+    )
+    (tmp_path / "twice.pmor").write_text(
+        "morphism twice\nsource one.pnet\ntarget one.pnet\nnode p -> p\nnode t -> t\n"
+        "flowbasis t: v1 = 2*t.b\nflowmap t: v1 -> 2*b\nmarkmap p: p.c -> 1*c\n"
+    )
+    code, out = run(capsys, "check-morphism", tmp_path / "twice.pmor")
+    assert code == 1
+    assert "flow-basis: failed (vectors do not span the fibre flows over 't')" in out
+
+
+@pytest.mark.parametrize("ring", ["z", "q"])
+def test_a_token_with_no_integer_class_leaves_the_transport_underdetermined(
+    tmp_path, capsys, ring
+):
+    # t consumes 2 tokens from p and both go to a: over Z the token p.c is
+    # no integer combination of the relation column [-2], over Q it is
+    line = "ring q\n" if ring == "q" else ""
+    (tmp_path / "drain.pnet").write_text(DRAIN.format(ring=line))
+    (tmp_path / "lone.pnet").write_text(LONE.format(ring=line))
+    (tmp_path / "drain.pmor").write_text(
+        "morphism drain\nsource drain.pnet\ntarget lone.pnet\nnode p -> a\nnode t -> a\n"
+    )
+    code, out = run(capsys, "check-morphism", tmp_path / "drain.pmor")
+    if ring == "q":
+        assert code == 0 and "class-transport: ok" in out
+        return
+    assert code == 1
+    assert (
+        "class-transport: failed (transport over 'a' is underdetermined: token ('p', 'c') "
+        "is not generated by the place-fibre tokens and the region relations)"
+    ) in out
 
 
 def test_product_marked_output_round_trips(workdir, capsys):

@@ -19,7 +19,12 @@ from petrisheaf.formats import (
     serialize_net,
     serialize_winskel,
 )
-from petrisheaf.morphism import WinskelMorphism, identity_morphism, morphisms_equal
+from petrisheaf.morphism import (
+    NetMorphism,
+    WinskelMorphism,
+    identity_morphism,
+    morphisms_equal,
+)
 from petrisheaf.product import kronecker
 
 from fixtures import (
@@ -133,6 +138,34 @@ def test_projection_with_fractional_marks_round_trips():
     again = parse_morphism(text).to_morphism(f.source, f.target)
     assert morphisms_equal(again, f)
     assert serialize_morphism(again, "prod.pnet", "runY.pnet") == text
+
+
+DRAIN = "net drain\n{ring}place p tokens c\ntransition t bindings g\narc - t.g p.c 2\n"
+LONE = "net lone\n{ring}place u tokens c\ntransition a bindings h\n"
+
+
+def drain_nets(ring):
+    """A net whose transition ``t`` consumes 2 tokens from ``p``, and a lone
+    transition ``a`` beside an unattached place ``u``."""
+    line = "ring q\n" if ring == "q" else ""
+    return parse_net(DRAIN.format(ring=line)).to_net(), parse_net(LONE.format(ring=line)).to_net()
+
+
+@pytest.mark.parametrize("ring", ["z", "q"])
+def test_a_morphism_with_empty_fibre_data_round_trips(ring):
+    # p and t both go to a: the fibre over a has no flows, so no flowbasis
+    # line, and there is no image place, so no markmap line
+    source, target = drain_nets(ring)
+    f = NetMorphism(source, target, {"p": "a", "t": "a"}, {"a": []}, {}, name="drain")
+    text = serialize_morphism(f, "drain.pnet", "lone.pnet")
+    assert "flowbasis" not in text and "markmap" not in text
+    again = parse_morphism(text).to_morphism(source, target)
+    assert serialize_morphism(again, "drain.pnet", "lone.pnet") == text
+    assert again.flow_maps == f.flow_maps == {"a": ((), ())}
+    assert again.mark_maps == f.mark_maps == {}
+    details = [(c.clause, c.status, c.detail) for c in again.verify().clauses]
+    assert details == [(c.clause, c.status, c.detail) for c in f.verify().clauses]
+    assert again.verify().status == ("ok" if ring == "q" else "failed")
 
 
 def test_morphism_loader_resolves_net_references(tmp_path):

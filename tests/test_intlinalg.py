@@ -2,10 +2,12 @@
 
 The expected values below were derived by hand (gcds of minors for the
 Smith form, explicit kernel combinations) so the tests are independent of
-the implementation.  The plain helpers below (vector sums, matrix equality,
-a Bareiss determinant, rank, the rref and the kernel over ``Fraction``, the
-back-substitution solves) are the slow reference paths that the library's
-fast paths are checked against; other test modules import them.
+the implementation.  The plain helpers below (vector sums, matrix equality
+and product, a Bareiss determinant, rank, the rref and the kernel over
+``Fraction``, the back-substitution solves, and the column HNF and Smith form
+as the library computed them with the transform stored apart and multiplied
+in) are the slow reference paths that the library's fast paths are checked
+against; other test modules import them.
 """
 
 import math
@@ -72,6 +74,92 @@ def mat_equal(a, b):
     return [list(r) for r in a] == [list(r) for r in b]
 
 
+def matmul(a, b):
+    """``a @ b`` for matrices given by rows; with no rows in ``b`` the
+    product has no columns."""
+    columns = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in columns] for row in a]
+
+
+def reference_hnf(m, cols=None):
+    """Column HNF ``(h, u)`` on two matrices: each column operation is
+    written out on ``h`` and again on ``u``, in the library's order."""
+    rows, cols = la.shape(m, cols)
+    h = [list(row) for row in m]
+    u = la.identity(cols)
+
+    def col_swap(i, j):
+        for mat in (h, u):
+            for row in mat:
+                row[i], row[j] = row[j], row[i]
+
+    def col_axpy(dst, src, k):
+        for mat in (h, u):
+            for row in mat:
+                row[dst] += k * row[src]
+
+    c = 0
+    for r in range(rows):
+        if c == cols:
+            break
+        piv = next((j for j in range(c, cols) if h[r][j]), None)
+        if piv is None:
+            continue
+        if piv != c:
+            col_swap(c, piv)
+        for j in range(c + 1, cols):
+            if not h[r][j]:
+                continue
+            if h[r][j] % h[r][c] == 0:
+                col_axpy(j, c, -(h[r][j] // h[r][c]))
+                continue
+            g, x, y = la.xgcd(h[r][c], h[r][j])
+            a, b = h[r][c] // g, h[r][j] // g
+            for mat in (h, u):
+                for row in mat:
+                    vc, vj = row[c], row[j]
+                    row[c] = x * vc + y * vj
+                    row[j] = a * vj - b * vc
+        if h[r][c] < 0:
+            for mat in (h, u):
+                for row in mat:
+                    row[c] = -row[c]
+        d = h[r][c]
+        for j in range(c):
+            q = h[r][j] // d
+            if q:
+                col_axpy(j, c, -q)
+        c += 1
+    return h, u
+
+
+def reference_snf(m, cols=None):
+    """Smith form ``(s, u, v)`` by alternating ``reference_hnf`` of ``s`` and
+    of its transpose, each transform multiplied into ``u`` or ``v``."""
+    rows, cols = la.shape(m, cols)
+    s, u, v = m, la.identity(rows), la.identity(cols)
+    while True:
+        s, w = reference_hnf(s, cols)
+        v = matmul(v, w)
+        t, x = reference_hnf(la.transpose(s, cols), rows)
+        u = matmul(la.transpose(x, rows), u)
+        s = la.transpose(t, rows)
+        if any(s[i][j] for i in range(rows) for j in range(cols) if i != j):
+            continue
+        diag = [s[i][i] for i in range(min(rows, cols))]
+        k = next((k for k, d in enumerate(diag[1:]) if diag[k] and d % diag[k]), None)
+        if k is None:
+            return s, u, v
+        s[k] = [a + b for a, b in zip(s[k], s[k + 1])]
+        u[k] = [a + b for a, b in zip(u[k], u[k + 1])]
+
+
+def reference_lattice_basis(dim, vectors):
+    """The nonzero columns of ``reference_hnf`` of the generators."""
+    h, _ = reference_hnf(la.transpose(vectors, dim), len(vectors))
+    return tuple(tuple(col) for col in la.transpose(h, len(vectors)) if any(col))
+
+
 def det(m):
     """Determinant of a square integer matrix, fraction-free (Bareiss)."""
     n = len(m)
@@ -131,7 +219,7 @@ def reference_solve_columns(m, v, cols=None):
     rows, cols = la.shape(m, cols) if (m or cols is not None) else (0, 0)
     if rows != len(v):
         raise ValueError("dimension mismatch")
-    h, u = la.hnf(m, cols)
+    h, u = reference_hnf(m, cols)
     rem = list(v)
     y = [0] * cols
     for j in range(cols):
@@ -196,7 +284,7 @@ def det_fraction(m):
 def test_hnf_properties(m):
     rows, cols = len(m), len(m[0])
     h, u = la.hnf(m)
-    assert mat_equal(h, la.matmul(m, u))
+    assert mat_equal(h, matmul(m, u))
     assert abs(det_fraction(u)) == 1
     assert is_column_hnf(h, rows, cols)
 
@@ -290,7 +378,7 @@ def test_solve_columns():
 def test_snf_classic_example():
     m = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
     s, u, v = la.snf(m)
-    assert mat_equal(s, la.matmul(la.matmul(u, m), v))
+    assert mat_equal(s, matmul(matmul(u, m), v))
     assert [s[i][i] for i in range(3)] == [2, 6, 12]
     assert abs(det_fraction(u)) == 1
     assert abs(det_fraction(v)) == 1
@@ -301,7 +389,7 @@ def test_snf_classic_example():
 def test_snf_properties(m):
     rows, cols = len(m), len(m[0])
     s, u, v = la.snf(m)
-    assert mat_equal(s, la.matmul(la.matmul(u, m), v))
+    assert mat_equal(s, matmul(matmul(u, m), v))
     assert abs(det_fraction(u)) == 1
     assert abs(det_fraction(v)) == 1
     diag = [s[i][i] for i in range(min(rows, cols))]
@@ -323,7 +411,7 @@ def smith_form(m, cols):
     rows = len(m)
     s, u, v = la.snf(m, cols)
     assert (len(s), len(u), len(v)) == (rows, rows, cols)
-    assert mat_equal(s, la.matmul(la.matmul(u, m), v))
+    assert mat_equal(s, matmul(matmul(u, m), v))
     assert abs(det_fraction(u)) == 1
     assert abs(det_fraction(v)) == 1
     assert all(s[i][j] == 0 for i in range(rows) for j in range(cols) if i != j)
@@ -653,6 +741,31 @@ def test_solver_on_empty_matrices(ring):
     no_columns = la.RINGS[ring].solver([[], []], 0)
     assert no_columns([0, 0]) == []
     assert no_columns([0, 1]) is None is REFERENCE_SOLVES[ring]([[], []], [0, 1], 0)
+
+
+big_entries = st.one_of(st.integers(-4, 4), st.integers(-(10**12), 10**12))
+
+
+@given(rational_matrices(max_rows=6, max_cols=6, entries=big_entries), st.data())
+@settings(max_examples=200, deadline=None)
+def test_every_z_elimination_equals_the_two_matrix_reference(case, data):
+    m, cols = case
+    rows = len(m)
+    h, u = reference_hnf(m, cols)
+    assert la.hnf(m, cols) == (h, u)
+    assert la.snf(m, cols) == reference_snf(m, cols)
+    rank = len(reference_lattice_basis(rows, la.transpose(m, cols)))
+    assert la.kernel_lattice(m, cols).basis == reference_lattice_basis(
+        cols, la.transpose(u, cols)[rank:]
+    )
+    assert la.Lattice(cols, m).basis == reference_lattice_basis(cols, m)
+    solve = la.Z.solver(m, cols)
+    for _ in range(3):
+        if cols and data.draw(st.booleans()):
+            v = la.matvec(m, data.draw(st.lists(big_entries, min_size=cols, max_size=cols)))
+        else:
+            v = data.draw(st.lists(big_entries, min_size=rows, max_size=rows))
+        assert solve(v) == reference_solve_columns(m, v, cols)
 
 
 def reference_reduce(subspace, v):

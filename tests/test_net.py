@@ -41,7 +41,7 @@ from fixtures import (
     x_net,
     y_net,
 )
-from test_intlinalg import det_fraction, rat_rank
+from test_intlinalg import det_fraction, matmul, rat_rank
 
 
 # ---------------------------------------------------------------------------
@@ -728,7 +728,7 @@ def matrix_flow_gluing(net, region=None, covering=None, ring=None):
             bases.append([0] * done + row + [0] * (coeffs - done - len(row)))
         done += len(mod.basis)
     glued = [la.matvec(stack, b) for b in net.flows(region, ring=ring.name).basis]
-    agreeing = [la.matvec(bases, s) for s in ring.kernel(la.matmul(d, bases), coeffs).basis]
+    agreeing = [la.matvec(bases, s) for s in ring.kernel(matmul(d, bases), coeffs).basis]
     failures = []
     if ring.module(total, glued) != ring.module(total, agreeing):
         failures.append("glued flows differ from the agreeing families")
