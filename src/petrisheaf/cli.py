@@ -233,7 +233,13 @@ def _combine(*statuses):
 
 
 def axiom_sweep(net):
-    """Exactness of all three gluing checks on every basic-set covering."""
+    """Exactness of all three gluing checks on every basic-set covering.
+
+    No check here can fail: each basic cover of a basic set holds the set
+    itself, and its other elements are singletons of the other sort.  A
+    failing cover, such as the whole of a relaxed net under its default
+    cover, needs the library verifiers in ``petrisheaf.net``.
+    """
     space = net.space
     counts = {"token-sheaf": 0, "binding-cosheaf": 0, "flow-gluing": 0}
     failures = []

@@ -748,10 +748,10 @@ class NetMorphism:
             if not (sm.is_surjective() and sm.is_discrete()):
                 return False
             for a in self.image_transitions():
-                if not (flow_full(a) and flow_injective(a)):
+                if not flow_injective(a):
                     return False
-                # inverse signedness: the preimage of each unit binding must
-                # be a non-negative fibre flow
+                # fullness and inverse signedness: each unit binding must have
+                # a preimage, and it must be a non-negative fibre flow
                 basis, images = self.flow_maps[a]
                 dim = len(tgt.bindings[a])
                 fibre_dim = len(src.binding_axis(sm.fibre(a)))
@@ -761,11 +761,11 @@ class NetMorphism:
                     if coords is None or any(x < 0 for x in la.combine(coords, basis, fibre_dim)):
                         return False
             for u in self.image_places():
-                if not (mark_full(u) and mark_injective(u)):
+                if not mark_injective(u):
                     return False
-                # inverse signedness on classes: each target token's preimage
-                # class, one vector as a discrete place fibre has no
-                # relations, must be non-negative
+                # fullness and inverse signedness on classes: each target
+                # token must have a preimage class, one vector as a discrete
+                # place fibre has no relations, and it must be non-negative
                 dim = len(tgt.tokens[u])
                 solve = self._solver(list(self.mark_maps[u].values()), dim)
                 for unit in la.identity(dim):
@@ -819,9 +819,8 @@ class NetMorphism:
         self.require_verified()
         other.require_verified()
         ring = "Q" if "Q" in (self.ring, other.ring) else "Z"
-        node_map = {x: other.space_map(y) for x, y in self.space_map.mapping.items()}
-        composed_space = SpaceMap(self.source.space, other.target.space, node_map)
-        image = set(node_map.values())
+        composed_space = self.space_map.then(other.space_map)
+        image = set(composed_space.mapping.values())
 
         flow_maps = {}
         for c in other.target.space.transitions:
@@ -854,7 +853,7 @@ class NetMorphism:
         return NetMorphism(
             self.source,
             other.target,
-            node_map,
+            composed_space,
             flow_maps,
             mark_maps,
             ring=ring,

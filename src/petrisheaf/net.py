@@ -27,10 +27,9 @@ maps (``restrict_token_section``, ``extend_binding_section``,
 ``extend_class`` and ``restrict_flow``) read and write through it.  The
 token sheaf and the binding cosheaf with these maps are decided by the
 cover alone (the lemma is in ``verify_token_sheaf`` and
-``verify_binding_cosheaf``).  Flow gluing is no such lemma (it fails on
-relaxed nets), so it is checked exactly on the same index maps: the glued
-flows are read at the cover positions, and the agreement on overlaps is
-written on the local basis coefficients.
+``verify_binding_cosheaf``).  Flow gluing, which can fail on relaxed nets,
+is decided on the same index maps by one comparison of rational row spaces
+(the lemma is in ``verify_flow_gluing``).
 
 A net is not changed after construction, so it memoises its token and
 binding axes per region, its flow modules per region and ring, and the
@@ -41,7 +40,7 @@ that raises stores nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, combinations
+from itertools import combinations
 
 from . import intlinalg as la
 from .topology import PetriSpace, Sort
@@ -408,9 +407,6 @@ class ClassModule:
     def class_equal(self, v, w):
         return self.class_of(v) == self.class_of(w)
 
-    def is_zero_class(self, v):
-        return list(v) in self.relations
-
     def __repr__(self):
         return f"ClassModule(region={list(self.region)!r}, rank={self.rank})"
 
@@ -536,49 +532,40 @@ def verify_binding_cosheaf(net, region=None, covering=None):
     return _checked_cover(net, "binding-cosheaf", region, covering, "closed")
 
 
-def verify_flow_gluing(net, region=None, covering=None, ring=None):
+def verify_flow_gluing(net, region=None, covering=None):
     """Equaliser exactness for flows on a closed covering.
 
     Families of flows on the cover that agree on overlaps must come from a
-    unique flow on the region.  Meaningful for strict nets (on relaxed nets
-    the restriction maps need not stay inside the flow modules).
-
-    Restrictions are read through index maps (``_positions``): a region
-    flow glues to its entries at the cover positions, and an agreeing
-    family is a combination of the local flow bases whose coefficients
-    meet one condition per overlap label.
+    unique flow on the region.  The cover covers every binding label, so
+    such a family is one binding vector ``phi`` on the region, and
+    restriction is injective.  ``phi`` restricts to flows on every element
+    exactly when the cut rows kill it: for each element, the region
+    incidence row of each token of a place in it, with the entries outside
+    the element's bindings set to 0.  So gluing is exact exactly when the
+    region rows and the cut rows have one kernel.  Integer kernels are
+    saturated, so that holds over Z exactly when it holds over Q, which is
+    when the two row spaces are equal: the verdict does not depend on the
+    ring.  On a strict net a place's weights sit on its own transitions,
+    which every closed element holding the place contains, so nothing is
+    cut and gluing holds; on relaxed nets it can fail.
     """
-    ring = la.RINGS[ring or net.ring]
     checked = _checked_cover(net, "flow-gluing", region, covering, "closed")
     if not checked:
         return checked
     region, covering = checked.region, checked.cover
 
-    positions = [_positions(net, "bindings", region, c) for c in covering]
-    total = sum(map(len, positions))
-    region_flows = net.flows(region, ring=ring.name).basis
-    glued = [[b[k] for at in positions for k in at] for b in region_flows]
-    bases = [net.flows(c, ring=ring.name).basis for c in covering]
-    starts = list(accumulate(map(len, bases), initial=0))
-    # at each overlap label: local basis i at that label minus local basis j at it
-    conditions = []
-    for (i, ci), (j, cj) in combinations(enumerate(covering), 2):
-        overlap = set(ci) & set(cj)
-        at_i = _positions(net, "bindings", ci, overlap)
-        at_j = _positions(net, "bindings", cj, overlap)
-        for ki, kj in zip(at_i, at_j):
-            row = [0] * starts[-1]
-            row[starts[i] : starts[i + 1]] = [v[ki] for v in bases[i]]
-            row[starts[j] : starts[j + 1]] = [-v[kj] for v in bases[j]]
-            conditions.append(row)
-    agreeing = []
-    for s in ring.kernel(conditions, starts[-1]).basis:
-        family = []
-        for k, at in enumerate(positions):
-            family += la.combine(s[starts[k] : starts[k + 1]], bases[k], len(at))
-        agreeing.append(family)
+    mat = net.incidence_matrix(region)
+    rows, width = mat.entries, len(mat.col_labels)
+    cut = []
+    for c in covering:
+        keep = _positions(net, "bindings", region, c)
+        for k in _positions(net, "tokens", region, c):
+            row = [0] * width
+            for j in keep:
+                row[j] = rows[k][j]
+            cut.append(row)
     failures = []
-    if ring.module(total, glued) != ring.module(total, agreeing):
+    if la.Q.module(width, rows) != la.Q.module(width, cut):
         failures.append("glued flows differ from the agreeing families")
     return AxiomReport("flow-gluing", region, covering, not failures, failures)
 

@@ -23,11 +23,11 @@ from petrisheaf.product import (
     ProductError,
     ProductResult,
     ReachCorrespondence,
+    _elements,
     _integer_preimage,
     check_reachability_correspondence,
     diagonal,
     factor_cone,
-    factors_through_diagonal,
     fibre_product,
     inverse_image,
     kronecker,
@@ -54,6 +54,33 @@ def is_saturated_marking(result, marking):
     m = marking_vector(result.net, marking)
     t1, t2 = trace_markings(result, m)
     return product_marking(result, t1, t2) == m
+
+
+def factors_through_diagonal(diag, morphism):
+    """Oracle: True when a morphism into the square lands inside the diagonal.
+
+    The morphism must be discrete.  Node images must be diagonal nodes, and
+    the image of each binding and token must lie in the rational span of
+    the embedded element images of its image node.
+    """
+    if not same_net(morphism.target, diag.product.net):
+        raise ProductError("the morphism does not land in the squared net")
+    image = morphism.space_map.image()
+    if not set(image) <= set(diag.net.space.nodes):
+        return False
+    emb = diag.embedding
+    spans = {
+        y: la.Subspace(
+            len(_elements(emb.target, y)),
+            [emb.element_image(y, e) for e in _elements(diag.net, y)],
+        )
+        for y in image
+    }
+    return all(
+        list(morphism.element_image(x, e)) in spans[morphism.space_map(x)]
+        for x in morphism.source.space.nodes
+        for e in _elements(morphism.source, x)
+    )
 
 
 def producer_net():
