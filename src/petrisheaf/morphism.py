@@ -20,10 +20,15 @@ element images and ``NetMorphism.element_image`` reads them back.
 
 Verification runs on integer rows, fraction-free in the manner of Bareiss
 (*Math. Comp.* 22, 1968).  Once per morphism, the mark images over each image
-place ``u`` are scaled to integer rows over one denominator ``d_u``, and each
-flow (basis, image) pair to integers by one factor.  Over a unit flow basis,
-which every discrete morphism has, a fibre flow is its own coordinate vector,
-so its image is one integer combination.  The clauses read the sparse
+place ``u`` are scaled to integer rows over one denominator ``d_u``, and the
+flow data over each image transition ``a`` become one table of binding
+images over one denominator: row ``j`` is the image of fibre binding ``j``.
+Over a unit flow basis, which every discrete morphism has, the table is the
+supplied images.  Over any other basis each image coordinate is the
+functional on the fibre bindings that takes the supplied values on the
+basis, with its free unknowns 0: the reduced row echelon extension, the
+same table for every basis of the same map.  A fibre flow's image is one
+integer combination of the table rows.  The clauses read the sparse
 ``net.effect`` pairs, compare integer vectors with the denominators
 cross-multiplied, and check linear conditions on positive integer multiples
 of rational vectors.  A failing clause reports the exact vectors, rendered
@@ -214,10 +219,9 @@ class NetMorphism:
             }
 
         self._report = None  # the VerificationReport, once every clause ran
-        self._rewrites = None  # per image transition: fibre token -> target token vector
         self._transport = None  # target token axis x source token axis
         self._scaled = None  # the transport scaled to sparse integer rows
-        self._flow_rows = {}  # image transition -> its flow data on integer rows
+        self._flow_rows = {}  # image transition -> its table of binding images
         self._mark_rows = {}  # image place -> its mark data on integer rows
 
     @classmethod
@@ -280,46 +284,28 @@ class NetMorphism:
         return self._image_places
 
     def _integer_flows(self, a):
-        """The flow data over ``a`` on integer rows, built once per morphism.
+        """The table of binding images over ``a``, built once per morphism:
+        ``(table, d)``, with ``table[j] / d`` the image of fibre binding
+        ``j``, so a fibre flow ``w`` maps to ``combine(w, table) / d``.
 
-        Returns ``(fibre_dim, pairs, image)``.  ``pairs`` holds each (basis,
-        image) pair scaled to integers by one factor ``s``, as ``(s, basis,
-        image)``.  ``image(w)`` takes an integer fibre flow and returns its
-        image as ``(ints, d)``, an integer row over the denominator ``d``.
-        Over the unit basis a flow is its own coordinate vector and the
-        images share one denominator; any other basis, the empty one
-        included, is factored once, in its scaled form, and each flow solved
-        over it.
+        Over the unit basis the table is the images.  Any other basis, the
+        empty one included, is factored once over Q, and each image
+        coordinate solved as the functional on the fibre bindings that takes
+        the supplied values on the basis, its free unknowns 0.
         """
         rows = self._flow_rows.get(a)
         if rows is None:
             basis, images = self.flow_maps[a]
             fibre_dim = len(self.source.binding_axis(self.space_map.fibre(a)))
-            dim = len(self.target.bindings[a])
-            pairs = []
-            for vec, img in zip(basis, images):
-                ints, s = la._integer_row(vec + img)
-                pairs.append((s, ints[:fibre_dim], ints[fibre_dim:]))
-            if [list(v) for v in basis] == la.identity(fibre_dim):
-                table, d = la._integer_rows(images)
-
-                def image(w):
-                    return la.combine(w, table, dim), d
-
-            else:
-                scaled_basis = la.transpose([vec for _, vec, _ in pairs], fibre_dim)
-                solve = la.RINGS[self.ring].solver(scaled_basis, len(pairs))
-                scaled_images = [img for _, _, img in pairs]
-
-                def image(w):
-                    coords = solve(w)
-                    if coords is None:
-                        raise MorphismError(
-                            f"vector is not in the span of the flow basis over {a!r}"
-                        )
-                    return la._integer_row(la.combine(coords, scaled_images, dim))
-
-            rows = self._flow_rows[a] = (fibre_dim, pairs, image)
+            basis = [list(v) for v in basis]
+            if basis != la.identity(fibre_dim):
+                solve = la.Q.solver(basis, fibre_dim)
+                dim = len(self.target.bindings[a])
+                functionals = [solve(f) for f in la.transpose(images, dim)]
+                if None in functionals:
+                    raise MorphismError(f"flow data over {a!r} are not linear on the basis")
+                images = la.transpose(functionals, fibre_dim)
+            rows = self._flow_rows[a] = la._integer_rows(images)
         return rows
 
     def _integer_marks(self, u):
@@ -336,15 +322,17 @@ class NetMorphism:
     def flow_image(self, a, vector):
         """Image of a fibre flow over ``a`` as a binding vector of ``a``.
 
-        ``vector`` is scaled to integers and mapped through
+        ``vector`` is scaled to integers and combined over the table of
         ``_integer_flows``; the image holds ints when its denominator is 1,
         else Fractions.
         """
-        fibre_dim, _, image = self._integer_flows(a)
-        if len(vector) != fibre_dim:
+        table, d = self._integer_flows(a)
+        if len(vector) != len(table):
             raise MorphismError("fibre flow vector has the wrong length")
+        if not self.source.flows(self.space_map.fibre(a), ring=self.ring).contains(vector):
+            raise MorphismError(f"vector is not in the span of the flow basis over {a!r}")
         w, c = la._integer_row(vector)
-        ints, d = image(w)
+        ints = la.combine(w, table, len(self.target.bindings[a]))
         d *= c
         return tuple(ints) if d == 1 else tuple(Fraction(x, d) for x in ints)
 
@@ -352,10 +340,10 @@ class NetMorphism:
         """The induced flow map on a closed target region, on integers.
 
         Returns ``(region_axis, mapper)``.  The mapper takes a flow on the
-        preimage, scales it to integers, maps each fibre restriction through
-        ``_integer_flows`` and returns the component family over the region
-        bindings as ``(ints, d)``, an integer row over ``d``; it raises if
-        some fibre restriction fails to be a flow.
+        preimage, scales it to integers, combines each fibre restriction over
+        the table of ``_integer_flows`` and returns the component family over
+        the region bindings as ``(ints, d)``, an integer row over ``d``; it
+        raises if some fibre restriction fails to be a flow.
         """
         region = self.target.space.ordered(region)
         if not self.target.space.is_closed(region):
@@ -369,8 +357,8 @@ class NetMorphism:
             if a in self.flow_maps:
                 fibre = self.space_map.fibre(a)
                 index = [pre_index[lab] for lab in src.binding_axis(fibre)]
-                _, _, image = self._integer_flows(a)
-                fibres.append((a, index, src.flows(fibre, ring=self.ring), image))
+                table, d = self._integer_flows(a)
+                fibres.append((a, index, src.flows(fibre, ring=self.ring), table, d))
         zeros = {a: [0] * len(self.target.bindings[a]) for a in transitions}
 
         def mapper(vector):
@@ -378,11 +366,11 @@ class NetMorphism:
                 raise MorphismError("flow vector has the wrong length")
             w, c = la._integer_row(vector)
             images = {}
-            for a, index, flows, image in fibres:
+            for a, index, flows, table, e in fibres:
                 restricted = [w[i] for i in index]
                 if not flows.contains(restricted):
                     raise NetError(f"restriction to the fibre over {a!r} is not a flow")
-                images[a] = image(restricted)
+                images[a] = la.combine(restricted, table, len(zeros[a])), e
             d = math.lcm(*(e for _, e in images.values()))
             family = []
             for a in transitions:
@@ -501,12 +489,23 @@ class NetMorphism:
         return None
 
     def _check_class_transport(self):
-        """4b. Class transport over each transition neighbourhood.
+        """4b. Class transport over each transition neighbourhood."""
+        return self._class_transport[0]
+
+    @property
+    def _rewrites(self):
+        """Per image transition: fibre token -> target token vector."""
+        return self._class_transport[1]
+
+    @cached_property
+    def _class_transport(self):
+        """``(detail, rewrites)``, decided once per morphism: the detail of
+        the first class-transport failure, or None, and the rewrites.
 
         Per image transition ``a``, solves each token on a place inside the
         fibre over ``a`` as a combination of place-fibre tokens and region
-        relations inside the neighbourhood of ``a``, and records the images
-        in ``_rewrites``: token label -> vector over the full target token
+        relations inside the neighbourhood of ``a``, and records its image
+        in ``rewrites[a]``: token label -> vector over the full target token
         axis.  The well-definedness check maps integer multiples of the
         kernel vectors through the mark images scaled to integers over one
         denominator.
@@ -522,7 +521,7 @@ class NetMorphism:
         src, tgt = self.source, self.target
         ring = la.RINGS[self.ring]
         full_axis = tgt.token_axis()
-        self._rewrites = {}
+        rewrites = {}
         for a in self.image_transitions():
             neighbourhood = tgt.space.basic_open(a)
             region = self.space_map.preimage(neighbourhood)
@@ -545,7 +544,7 @@ class NetMorphism:
             s_module = self._module(tdim, la.transpose(relations, len(tgt.bindings[a])))
 
             # well-definedness: vanishing combinations must map into the relations
-            out = self._rewrites[a] = {}
+            out = rewrites[a] = {}
             columns = la.transpose(incidence.entries, len(incidence.col_labels))
             if not t_labels and all(la.combine(col, p_ints, tdim) in s_module for col in columns):
                 continue
@@ -561,7 +560,7 @@ class NetMorphism:
                     return (
                         f"transport over {a!r} is inconsistent: a vanishing combination "
                         f"maps to {la._format_vector(image, c * d)}, outside the relations"
-                    )
+                    ), rewrites
 
             targets = p_targets + [[0] * tdim for _ in incidence.col_labels]
             solve = ring.solver(matrix, cols) if cols and t_labels else None
@@ -571,14 +570,15 @@ class NetMorphism:
                     return (
                         f"transport over {a!r} is underdetermined: token {lab} is not "
                         "generated by the place-fibre tokens and the region relations"
-                    )
+                    ), rewrites
                 placed = dict(zip(tgt_axis, la.combine(coords, targets, tdim)))
                 out[lab] = tuple(placed.get(lab2, 0) for lab2 in full_axis)
-        return None
+        return None, rewrites
 
     def _check_signedness(self):
         """5. Signedness of the supplied data: each image coordinate, as a
-        functional on the fibre bindings, is non-negative on the fibre cone."""
+        functional on the fibre bindings, is non-negative on the fibre cone.
+        The functionals are the columns of the table of binding images."""
         for u in self.image_places():
             _, marks = self._integer_marks(u)
             for lab, vec in marks.items():
@@ -586,19 +586,14 @@ class NetMorphism:
                     return f"mark image of {lab} has a negative entry"
         for a in self.image_transitions():
             fibre = self.space_map.fibre(a)
-            cols, dim = len(self.source.binding_axis(fibre)), len(self.target.bindings[a])
-            basis, images = self.flow_maps[a]
-            functionals = la.transpose(images, dim)  # over a unit basis
-            if [list(v) for v in basis] != la.identity(cols):
-                solve = la.Q.solver([list(v) for v in basis], cols)
-                functionals = [solve(f) for f in functionals]
-            g = la.cone_witness(self.source.incidence_matrix(fibre).as_lists(), functionals, cols)
+            table, d = self._integer_flows(a)
+            dim = len(self.target.bindings[a])
+            incidence = self.source.incidence_matrix(fibre).as_lists()
+            g = la.cone_witness(incidence, la.transpose(table, dim), len(table))
             if g is not None:
-                _, _, image = self._integer_flows(a)
-                ints, d = image(list(g))
                 return (
                     f"non-negative fibre flow {la._format_vector(g)} maps to "
-                    f"{la._format_vector(ints, d)}"
+                    f"{la._format_vector(la.combine(g, table, dim), d)}"
                 )
         return None
 
@@ -611,14 +606,18 @@ class NetMorphism:
         """The detail of the first incidence-compat mismatch, or None, decided
         once per morphism: clause 3 reads it too.
 
-        Over the pair scale s and the mark denominator d, the fibre side is
-        s*d times the exact one and the image side s times.
+        A basis vector scaled to integers by ``s`` has its image read off
+        the table over ``s*e``, with ``e`` the table's denominator, so the
+        image side is ``s*e`` times the exact one and the fibre side ``s*d``
+        times, with ``d`` the mark denominator.
         """
         src, tgt = self.source, self.target
         src_tokens, tgt_tokens = src.token_axis(), tgt.token_axis()
         for a in self.image_transitions():
             fibre_axis = src.binding_axis(self.space_map.fibre(a))
-            _, pairs, _ = self._integer_flows(a)
+            table, e = self._integer_flows(a)
+            basis = [la._integer_row(vec) for vec in self.flow_maps[a][0]]
+            images = [la.combine(w, table, len(tgt.bindings[a])) for w, _ in basis]
             for u in self.image_places():
                 d, marks = self._integer_marks(u)
                 dim = len(tgt.tokens[u])
@@ -632,14 +631,14 @@ class NetMorphism:
                         _push(tgt_tokens, tgt.effect(a, b)[side], units, dim)
                         for b in tgt.bindings[a]
                     ]
-                    for s, vec, img in pairs:
-                        lhs = la.combine(vec, pushed, dim)
+                    for (w, s), img in zip(basis, images):
+                        lhs = la.combine(w, pushed, dim)
                         rhs = la.combine(img, weights, dim)
-                        if lhs != [d * x for x in rhs]:
+                        if any(e * x != d * y for x, y in zip(lhs, rhs)):
                             return (
                                 f"w{sign} mismatch over ({a!r}, {u!r}): fibre side "
                                 f"{la._format_vector(lhs, s * d)} vs image side "
-                                f"{la._format_vector(rhs, s)}"
+                                f"{la._format_vector(rhs, s * e)}"
                             )
         return None
 
@@ -879,9 +878,9 @@ def _push(axis, pairs, rows, dim):
 def morphisms_equal(f, g):
     """Same nets (``same_net``), node map and induced data on the canonical bases.
 
-    Flow maps are compared on the integer kernel basis of each fibre (which
-    also spans the rational flows), mark maps entry by entry; an int and a
-    Fraction compare by value.
+    Flow maps are compared by their tables of binding images, which are
+    the same for every basis of the same map on the fibre flows, mark maps
+    entry by entry; an int and a Fraction compare by value.
     """
     if not (same_net(f.source, g.source) and same_net(f.target, g.target)):
         return False
@@ -889,12 +888,9 @@ def morphisms_equal(f, g):
         return False
     f.require_verified()
     g.require_verified()
-    for a in f.image_transitions():
-        flows = f.source.flows(f.space_map.fibre(a), ring="Z")
-        for phi in flows.basis:
-            if f.flow_image(a, list(phi)) != g.flow_image(a, list(phi)):
-                return False
-    return all(f.mark_maps[u] == g.mark_maps[u] for u in f.image_places())
+    return all(
+        f._integer_flows(a) == g._integer_flows(a) for a in f.image_transitions()
+    ) and all(f.mark_maps[u] == g.mark_maps[u] for u in f.image_places())
 
 
 def identity_morphism(net, name=None):

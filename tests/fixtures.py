@@ -194,3 +194,53 @@ def winskel_data():
 
     src, tgt = winskel_nets()
     return WinskelMorphism(src, tgt, beta={"x": {"y1": 1, "y2": 1}}, eta={"t": "s"})
+
+
+def step_net():
+    """``t1`` moves one token from ``q`` onto ``p``; ``t2`` takes two
+    tokens from ``p`` and puts one on ``r``."""
+    places = [(p, "place") for p in ("p", "q", "r")]
+    space = PetriSpace(
+        places + [("t1", "transition"), ("t2", "transition")],
+        [("q", "t1"), ("p", "t1"), ("p", "t2"), ("r", "t2")],
+    )
+    return ColouredNet(
+        space,
+        bindings={"t1": ("g",), "t2": ("g",)},
+        tokens={"p": ("c",), "q": ("c",), "r": ("c",)},
+        w_minus={("t1", "g", "q", "c"): 1, ("t2", "g", "p", "c"): 2},
+        w_plus={("t1", "g", "p", "c"): 1, ("t2", "g", "r", "c"): 1},
+        name="step",
+    )
+
+
+def pair_net():
+    """One binding ``a.b`` taking two tokens from ``u`` and putting one on ``w``."""
+    space = PetriSpace(
+        [("u", "place"), ("w", "place"), ("a", "transition")], [("u", "a"), ("w", "a")]
+    )
+    return ColouredNet(
+        space,
+        bindings={"a": ("b",)},
+        tokens={"u": ("c",), "w": ("c",)},
+        w_minus={("a", "b", "u", "c"): 2},
+        w_plus={("a", "b", "w", "c"): 1},
+        name="pair",
+    )
+
+
+def squeeze_morphism():
+    """Squeezes ``p``, ``t1`` and ``t2`` of the step net into ``a``.  The
+    fibre flows over ``a`` are spanned by ``2*t1.g + t2.g``, sent to ``b``,
+    so a flow's image is half its ``t1.g`` entry: over Z, the image table on
+    the fibre bindings needs the denominator 2."""
+    from petrisheaf.morphism import NetMorphism
+
+    return NetMorphism(
+        step_net(),
+        pair_net(),
+        {"q": "u", "r": "w", "p": "a", "t1": "a", "t2": "a"},
+        flow_maps={"a": [((2, 1), (1,))]},
+        mark_maps={"u": {("q", "c"): (1,)}, "w": {("r", "c"): (1,)}},
+        name="squeeze",
+    )

@@ -6,7 +6,8 @@ Every case runs ``petrisheaf.cli.main`` on documents built from
 ``ring q`` target that the fold's data fail on, a morphism that halves
 ``runY`` into its ``ring q`` copy, two nets with torsion classes, a
 three-place ring and a ``ring q`` morphism folding two places onto one
-whose inverse is not signed)
+whose inverse is not signed, and a morphism squeezing a place and two
+transitions of ``step.pnet`` onto one transition of ``pair.pnet``)
 and compares the exit code and stdout with ``tests/golden/``.  The
 temporary directory is written as ``<DIR>``.  The expected files are only
 rewritten on purpose, when an output change is intended:
@@ -26,7 +27,14 @@ from petrisheaf.formats import serialize_morphism, serialize_net, serialize_wins
 from petrisheaf.morphism import identity_morphism
 from petrisheaf.net import place_transition_net
 
-from fixtures import bad_weight_target, fold_morphism, unfolding_morphism, winskel_data, winskel_nets
+from fixtures import (
+    bad_weight_target,
+    fold_morphism,
+    squeeze_morphism,
+    unfolding_morphism,
+    winskel_data,
+    winskel_nets,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 DOCUMENT_SUFFIXES = (".pnet", ".pmor", ".pwin")
@@ -76,6 +84,10 @@ CASES = {
     "compose-unfold-idY": ("compose", "unfold.pmor", "idY.pmor"),
     "compose-fold-idY": ("compose", "fold.pmor", "idY.pmor"),
     "compose-mismatch": ("compose", "unfold.pmor", "fold.pmor"),
+    # the fibre flows over a are spanned by 2*t1.g + t2.g: the image of a
+    # fibre flow is half its t1.g entry
+    "check-morphism-squeeze": ("check-morphism", "squeeze.pmor"),
+    "compose-squeeze-idpair": ("compose", "squeeze.pmor", "idpair.pmor"),
     "product-runY-unfoldY": ("product", "runY.pnet", "unfoldY.pnet"),
     "product-runY-unfoldY-marked": ("product", "runY.pnet", "unfoldY.pnet", "--marked"),
     "product-runX-runXq": ("product", "runX.pnet", "runXq.pnet"),
@@ -96,6 +108,7 @@ CASES = {
     "map-behaviour-fold-unsaturated": (
         "map-behaviour", "fold.pmor", "--marking", "p1.p1=1 p2.p2=1", "--sequence", "t1"
     ),
+    "map-behaviour-squeeze": ("map-behaviour", "squeeze.pmor", "--sequence", "t1,t1,t2"),
     # the refused image renders as the CLI renders scalars: [1/2, 0], not Fraction(1, 2)
     "map-behaviour-half": (
         "map-behaviour", "half.pmor", "--marking", "u.c=2", "--sequence", "a.b1"
@@ -219,6 +232,15 @@ def build_documents(directory):
         "flowmap a: v1 -> 1*g\n"
         "markmap u: p1.x -> 1*c1\n"
         "markmap u: p2.x -> 1*c1 + 1*c2\n"
+    )
+    squeeze = squeeze_morphism()
+    (directory / "step.pnet").write_text(serialize_net(squeeze.source, marking={("q", "c"): 2}))
+    (directory / "pair.pnet").write_text(serialize_net(squeeze.target))
+    (directory / "squeeze.pmor").write_text(
+        serialize_morphism(squeeze, "step.pnet", "pair.pnet")
+    )
+    (directory / "idpair.pmor").write_text(
+        serialize_morphism(identity_morphism(squeeze.target), "pair.pnet", "pair.pnet")
     )
     wsrc, wtgt = winskel_nets()
     (directory / "wsrc.pnet").write_text(serialize_net(wsrc))

@@ -52,6 +52,21 @@ def test_fold_flow_images():
         f.flow_image("a", [1, 0, 0, 0])
 
 
+def test_flow_data_that_are_no_linear_map_have_no_flow_images():
+    # one basis vector sent to two images: the data fail flow-basis, and
+    # no flow image is read from them
+    f = NetMorphism(
+        x_net(),
+        y_net(),
+        FOLD_NODE_MAP,
+        flow_maps={"a": [((1, 0, 1, 0), (1, 0)), ((1, 0, 1, 0), (0, 1))]},
+        mark_maps={"u": {("p3", "p3"): (1,), ("p4", "p4"): (1,)}},
+    )
+    assert f.verify().first_failure.clause == "flow-basis"
+    with pytest.raises(MorphismError, match="not linear"):
+        f.flow_image("a", [1, 0, 1, 0])
+
+
 def test_fold_marking_transport():
     f = fold_morphism()
     # tokens on the place fibre go through the mark data

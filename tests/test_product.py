@@ -41,6 +41,7 @@ from fixtures import (
     bad_weight_target,
     fold_morphism,
     squash_morphism,
+    squeeze_morphism,
     unfolding_morphism,
     winskel_data,
     x_net,
@@ -978,7 +979,8 @@ def dense_composite_marks(f, g):
 def composition_pool(first, second):
     """Verified morphisms around two nets: identities, the projections of
     their products, pairings by ``mediate``, a Winskel fold and projection,
-    and the fixture maps whose transport runs through class transport."""
+    the fixture maps whose transport runs through class transport, and the
+    squeeze, whose flow basis is no unit basis."""
     square, pair = kronecker(first, first), kronecker(first, second)
     ident, squash = identity_morphism(first), squash_morphism()
     pool = [
@@ -999,7 +1001,17 @@ def composition_pool(first, second):
     ]
     winskel = from_winskel(winskel_data())
     pool += [winskel.fold, winskel.projection, identity_morphism(winskel.merged)]
+    pool.append(squeeze_morphism())
     return [g for g in pool if g.verify().ok]
+
+
+@settings(max_examples=15, deadline=None)
+@given(factor_nets, factor_nets)
+def test_identities_are_units_of_composition(first, second):
+    for f in composition_pool(first, second):
+        for g in (identity_morphism(f.source).then(f), f.then(identity_morphism(f.target))):
+            assert g.verify().ok, (f.name, g.verify().first_failure)
+            assert morphisms_equal(g, f), f.name
 
 
 @settings(max_examples=15, deadline=None)

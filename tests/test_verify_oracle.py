@@ -41,7 +41,7 @@ from petrisheaf.net import NetError, place_transition_net
 from petrisheaf.product import diagonal, kronecker, mediate
 from petrisheaf.topology import Sort
 
-from fixtures import fold_morphism, squash_morphism, unfolding_morphism
+from fixtures import fold_morphism, squash_morphism, squeeze_morphism, unfolding_morphism
 
 
 class Reference:
@@ -319,7 +319,7 @@ def morphisms_of(kind, rng):
     if kind == "winskel":
         return winskel_maps(rng)
     if kind == "fixture":
-        return [fold_morphism(), unfolding_morphism(), squash_morphism()]
+        return [fold_morphism(), unfolding_morphism(), squash_morphism(), squeeze_morphism()]
     if kind == "mediate":
         net = random_strict_net(rng, 2, 2)
         ident = identity_morphism(net)
@@ -389,6 +389,42 @@ def test_integer_clauses_equal_the_fraction_reference(ring, data, seed, moved):
         assert outcome(g.verify) == want
         if ref.rewrites is not None:
             assert g._rewrites == ref.rewrites
+
+
+def refusal(run):
+    try:
+        return run()
+    except MorphismError:
+        return MorphismError
+
+
+@pytest.mark.parametrize("ring", ["Z", "Q"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 10_000), moved=st.booleans())
+def test_flow_images_equal_the_fraction_reference(ring, data, seed, moved):
+    # on each morphism that verifies: the basis flows, integer combinations
+    # of them, and the unit bindings, which are refused exactly when they
+    # are no fibre flow
+    kind = data.draw(st.sampled_from(KINDS[ring]), label="kind")
+    rng = random.Random(seed)
+    for g in drawn(ring, kind, seed, moved):
+        if not g.verify():
+            continue
+        ref = Reference(g)
+        for a in g.image_transitions():
+            basis, _ = g.flow_maps[a]
+            fibre = g.space_map.fibre(a)
+            dim = len(g.source.binding_axis(fibre))
+            vectors = [list(v) for v in basis]
+            for _ in range(3):
+                vectors.append(la.combine([rng.randint(-2, 2) for _ in basis], basis, dim))
+            for v in vectors:
+                assert g.flow_image(a, v) == ref.flow_image(a, v)
+            flows = g.source.flows(fibre, ring=g.ring)
+            for unit in la.identity(dim):
+                want = ref.flow_image(a, unit) if flows.contains(unit) else MorphismError
+                assert refusal(lambda: g.flow_image(a, unit)) == want
+                assert refusal(lambda: ref.flow_image(a, unit)) == want
 
 
 def test_a_rational_fault_reads_the_same_in_both():
