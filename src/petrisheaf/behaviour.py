@@ -227,8 +227,11 @@ def reachable(net, marking, depth=None, max_states=10_000, record_edges=False):
     markings; ``truncated`` is set when either limit leaves a marking
     unseen: the budget refused a new marking (``budget_exhausted`` is set
     too), or an event enabled at the depth bound leads to a marking not
-    found within it.
+    found within it.  The start marking is always kept, so ``max_states``
+    must be at least 1.
     """
+    if max_states < 1:
+        raise BehaviourError(f"max_states must be at least 1, got {max_states}")
     start = _checked_marking(net, marking)
     single = _single_events(net)
     seen = {start}

@@ -5,12 +5,13 @@ options it reads.  Every subcommand reads ``.pnet`` / ``.pmor`` / ``.pwin``
 documents through ``formats``, which opens, decodes and parses each file
 and resolves the nets a morphism or Winskel document names; ``--marking``
 values follow the documents' scalar grammar.  A subcommand reports either
-human text or, with ``--json``, a sorted-key JSON object (byte-deterministic
-for fixed inputs and seed).  Exit codes: 0 success, 1 a checked property
-failed, 2 usage or parse problem, 3 inconclusive (the Hilbert guard of
-``flows --ring n`` or a state budget cut the computation short), 4 internal
-error (an unexpected exception, reported on one line).  Morphism
-verification and classification are exact and never inconclusive.
+human text or, with ``--json``, a sorted-key JSON object with a two-space
+indent, the bytes the standard library's ``json.dumps`` writes for it
+(byte-deterministic for fixed inputs and seed).  Exit codes: 0 success, 1
+a checked property failed, 2 usage or parse problem, 3 inconclusive (the
+Hilbert guard of ``flows --ring n`` or a state budget cut the computation
+short), 4 internal error (an unexpected exception, reported on one line).
+Morphism verification and classification are exact and never inconclusive.
 
 Commands that emit a net or morphism print a valid document on stdout;
 provenance and verification notes ride along as ``#`` comments, so the
@@ -19,6 +20,7 @@ output can be piped straight into a file and fed back in.
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import random
@@ -107,6 +109,67 @@ class Report:
 
 
 # ---------------------------------------------------------------------------
+# the --json writer
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+@functools.cache
+def _encode_at(level):
+    """The C encoder of a container whose items sit at indent ``level``."""
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * level, ": ")).encode
+
+
+def _flat(items):
+    """No container among ``items``, told apart by type as the encoder does."""
+    return not any(issubclass(t, _CONTAINERS) for t in set(map(type, items)))
+
+
+def _dumps(value, level=0):
+    """The standard library's JSON dump with a two-space indent and sorted
+    keys, byte for byte (keys are strings, as in every payload), written by
+    the C encoder.
+
+    ``indent`` turns the C encoder off, but a separator may carry the line
+    break and the indent.  So a container of scalars is one encoder call,
+    with a break added after its opening and before its closing bracket.  A
+    list of non-empty dicts of scalars is one call at the indent of the
+    dicts' items, and each seam ``},<break><indent>{`` between two dicts is
+    rewritten.  The seam is always structural: the encoder escapes every
+    control character in a string, so a line break is a separator's; no
+    scalar ends in ``}``; a key starts with ``"``.  Any other container is
+    written item by item.
+    """
+    if not isinstance(value, _CONTAINERS):
+        return _encode_at(level)(value)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    is_dict = isinstance(value, dict)
+    pad = "\n" + "  " * level
+    inner = pad + "  "
+    if _flat(value.values() if is_dict else value):
+        text = _encode_at(level + 1)(value)
+        return text[0] + inner + text[1:-1] + pad + text[-1]
+    if is_dict:
+        parts = [
+            inner + _encode_at(level)(k) + ": " + _dumps(value[k], level + 1)
+            for k in sorted(value)
+        ]
+        return "{" + ",".join(parts) + pad + "}"
+    if (
+        all(issubclass(t, dict) for t in set(map(type, value)))
+        and all(value)
+        and _flat(itertools.chain.from_iterable(map(dict.values, value)))
+    ):
+        deep = inner + "  "
+        text = _encode_at(level + 2)(value)
+        body = text[2:-2].replace("}," + deep + "{", inner + "}," + inner + "{" + deep)
+        return "[" + inner + "{" + deep + body + inner + "}" + pad + "]"
+    return "[" + ",".join(inner + _dumps(v, level + 1) for v in value) + pad + "]"
+
+
+# ---------------------------------------------------------------------------
 # small formatting and input helpers
 
 
@@ -130,21 +193,19 @@ def _label(lab):
     return f"{node}.{element}"
 
 
-def _fmt_marking(net, vector):
-    parts = [
-        f"{p}.{c}={la._format_scalar(v)}"
-        for (p, c), v in zip(net.token_axis(), vector)
-        if v
-    ]
+def _token_labels(net):
+    """The ``p.c`` label of every token of ``net``, in token-axis order:
+    read by every rendering of a marking of ``net``, built once per call."""
+    return tuple(map(_label, net.token_axis()))
+
+
+def _fmt_marking(labels, vector):
+    parts = [f"{lab}={la._format_scalar(v)}" for lab, v in zip(labels, vector) if v]
     return " ".join(parts) if parts else "(empty)"
 
 
-def _marking_payload(net, vector):
-    return {
-        f"{p}.{c}": _json_value(v)
-        for (p, c), v in zip(net.token_axis(), vector)
-        if v
-    }
+def _marking_payload(labels, vector):
+    return {lab: _json_value(v) for lab, v in zip(labels, vector) if v}
 
 
 def _parse_marking(net, text):
@@ -331,8 +392,9 @@ def cmd_show(args, out):
     )
     if marking:
         vector = marking_vector(net, marking)
-        out.say(f"marking: {_fmt_marking(net, vector)}")
-        out.put("marking", _marking_payload(net, vector))
+        labels = _token_labels(net)
+        out.say(f"marking: {_fmt_marking(labels, vector)}")
+        out.put("marking", _marking_payload(labels, vector))
     else:
         out.put("marking", None)
     return OK
@@ -493,7 +555,7 @@ def cmd_product(args, out):
             marking_vector(second, second_marking),
         )
         marking = marking_dict(result.net, vector)
-        out.put("marking", _marking_payload(result.net, vector))
+        out.put("marking", _marking_payload(_token_labels(result.net), vector))
     else:
         out.put("marking", None)
     out.document(serialize_net(result.net, marking=marking, comments=comments))
@@ -565,8 +627,9 @@ def cmd_simulate(args, out):
     net, file_marking = load_net(args.net)
     current = _marking_arg(net, args.marking, file_marking)
     events = _parse_sequence(net, args.sequence)
-    out.say(f"start: {_fmt_marking(net, current)}")
-    trace = [_marking_payload(net, current)]
+    labels = _token_labels(net)
+    out.say(f"start: {_fmt_marking(labels, current)}")
+    trace = [_marking_payload(labels, current)]
     for i, (t, b) in enumerate(events, start=1):
         try:
             current = fire(net, current, t, b)
@@ -574,12 +637,12 @@ def cmd_simulate(args, out):
             detail = f"step {i} ({t}.{b}) is not enabled"
             out.put("trace", trace)
             return out.fail(detail, detail)
-        out.say(f"step {i} ({t}.{b}): {_fmt_marking(net, current)}")
-        trace.append(_marking_payload(net, current))
-    out.say(f"final: {_fmt_marking(net, current)}")
+        out.say(f"step {i} ({t}.{b}): {_fmt_marking(labels, current)}")
+        trace.append(_marking_payload(labels, current))
+    out.say(f"final: {_fmt_marking(labels, current)}")
     out.put("status", "ok")
     out.put("trace", trace)
-    out.put("final", _marking_payload(net, current))
+    out.put("final", _marking_payload(labels, current))
     return OK
 
 
@@ -601,11 +664,12 @@ def cmd_reach(args, out):
     out.put("truncated", result.truncated)
     out.put("budget_exhausted", result.budget_exhausted)
     # each marking is rendered once, in the format that is printed
+    labels = _token_labels(net)
     if out.json:
-        out.put("markings", [_marking_payload(net, m) for m in markings])
+        out.put("markings", [_marking_payload(labels, m) for m in markings])
     else:
         for m in markings:
-            out.say(f"  {_fmt_marking(net, m)}")
+            out.say(f"  {_fmt_marking(labels, m)}")
     return INCONCLUSIVE if result.budget_exhausted else OK
 
 
@@ -621,15 +685,16 @@ def cmd_map_behaviour(args, out):
         f"{a}[{_format_combination(f.target.bindings[a], vec)}]" for a, vec in report.image_events
     ]
     out.say("image sequence: " + (" ".join(image) if image else "(empty)"))
-    out.say(f"source post: {_fmt_marking(f.source, report.source_post)}")
-    out.say(f"target post: {_fmt_marking(f.target, report.target_post)}")
+    source_labels, target_labels = _token_labels(f.source), _token_labels(f.target)
+    out.say(f"source post: {_fmt_marking(source_labels, report.source_post)}")
+    out.say(f"target post: {_fmt_marking(target_labels, report.target_post)}")
     out.say(f"status: {report.status}" + (f" ({report.detail})" if report.detail else ""))
     out.put("morphism", f.name)
     out.put("status", report.status)
     out.put("detail", report.detail)
     out.put("image_events", image)
-    out.put("source_post", _marking_payload(f.source, report.source_post))
-    out.put("target_post", _marking_payload(f.target, report.target_post))
+    out.put("source_post", _marking_payload(source_labels, report.source_post))
+    out.put("target_post", _marking_payload(target_labels, report.target_post))
     return OK if report.ok else FAILURE
 
 
@@ -711,6 +776,15 @@ def natural(text):
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a natural number, got {value}")
+    return value
+
+
+def positive(text):
+    """Argument type of ``--max-states``: the start marking is always kept,
+    so a budget of zero markings cannot be met and exits 2."""
+    value = natural(text)
+    if value == 0:
+        raise argparse.ArgumentTypeError("expected a positive count, got 0")
     return value
 
 
@@ -800,7 +874,7 @@ def build_parser():
     pair.add_argument("--marking2", metavar="M", help="second factor marking")
     for p, depth in ((reach, None), (pair, 5)):
         p.add_argument("--depth", type=natural, default=depth, metavar="D")
-        p.add_argument("--max-states", type=natural, default=10_000)
+        p.add_argument("--max-states", type=positive, default=10_000)
 
     return parser
 
@@ -838,7 +912,7 @@ def main(argv=None):
         return INTERNAL
     try:
         if args.json:
-            print(json.dumps(out.payload, indent=2, sort_keys=True))
+            print(_dumps(out.payload))
         else:
             for line in out.lines:
                 print(line)

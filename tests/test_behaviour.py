@@ -159,6 +159,13 @@ def test_reachable_state_bound():
     assert result.budget_exhausted
 
 
+@pytest.mark.parametrize("max_states", [0, -1])
+def test_a_state_budget_below_one_is_refused(max_states):
+    # the start marking is always kept, so no such budget can be met
+    with pytest.raises(BehaviourError, match="max_states must be at least 1"):
+        reachable(two_place_ring(), (2, 0), max_states=max_states)
+
+
 def test_budget_flag_needs_a_refused_marking():
     # 2 markings fill a budget of 2 at depth 1; the one unseen marking lies
     # past the depth cut, so the budget refused nothing

@@ -550,6 +550,28 @@ def test_winskel_conversion_summary(workdir, capsys):
     assert "discrete: yes" in out
 
 
+# strings from an alphabet with every character the writer's seam involves
+JSON_TEXT = st.text(alphabet='{}[]",:\\\n\x00é a', max_size=5)
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-(2**80), 2**80), JSON_TEXT)
+# lists of dicts of scalars, some of them empty, as the seam rule meets them
+JSON_DICT_LISTS = st.lists(st.dictionaries(JSON_TEXT, JSON_SCALARS, max_size=3), max_size=4)
+JSON_VALUES = st.recursive(
+    st.one_of(JSON_SCALARS, JSON_DICT_LISTS),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(JSON_TEXT, inner, max_size=4),
+    ),
+    max_leaves=16,
+)
+
+
+@given(JSON_VALUES)
+@settings(max_examples=1000, deadline=None)
+def test_the_json_writer_writes_the_bytes_of_the_standard_library(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
 def test_json_reports_are_byte_deterministic(workdir, capsys):
     _, first = run(capsys, "flows", workdir / "runX.pnet", "--json")
     _, second = run(capsys, "flows", workdir / "runX.pnet", "--json")
@@ -611,6 +633,27 @@ def test_zero_counts_are_accepted(workdir, capsys):
     assert out.startswith("1 marking\n")
     code, out = run(capsys, "axioms", workdir / "runY.pnet", "--random", "0")
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda d: ("reach", d / "grow.pnet"),
+        lambda d: ("check-product-reach", d / "grow.pnet", d / "grow.pnet"),
+    ],
+    ids=["reach", "check-product-reach"],
+)
+def test_a_zero_state_budget_exits_2_naming_the_option(workdir, capsys, case):
+    # the start marking is always kept, so a budget of no marking cannot be met
+    argv = [str(a) for a in case(workdir)]
+    code = main([*argv, "--max-states", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "argument --max-states: expected a positive count, got 0" in captured.err
+    # a budget of one marking is met, and grow's second marking exhausts it
+    assert main([*argv, "--max-states", "1"]) == 3
+    capsys.readouterr()
 
 
 def test_unknown_command_exits_2(workdir, capsys):

@@ -5,7 +5,8 @@ Every case runs ``petrisheaf.cli.main`` on documents built from
 ``test_cli.py``, ``ring q`` copies of ``runX.pnet`` and ``runY.pnet``, a
 ``ring q`` target that the fold's data fail on, a morphism that halves
 ``runY`` into its ``ring q`` copy, two nets with torsion classes, a
-three-place ring and a ``ring q`` morphism folding two places onto one
+three-place ring, a net whose names hold braces and quotes, and a
+``ring q`` morphism folding two places onto one
 whose inverse is not signed, and a morphism squeezing a place and two
 transitions of ``step.pnet`` onto one transition of ``pair.pnet``)
 and compares the exit code and stdout with ``tests/golden/``.  The
@@ -97,6 +98,10 @@ CASES = {
     "reach-ring-depth-2": ("reach", "ring.pnet", "--depth", "2"),
     "reach-ring-depth-4": ("reach", "ring.pnet", "--depth", "4"),
     "reach-grow-budget": ("reach", "grow.pnet", "--max-states", "3"),
+    # every marking key holds braces or quotes
+    "reach-braces": ("reach", "braces.pnet"),
+    # no token at all: the one reachable marking is empty
+    "reach-zero": ("reach", "ring.pnet", "--marking", ""),
     "simulate-runY": ("simulate", "runY.pnet", "--sequence", "a.b1,a.b2"),
     "simulate-runY-disabled": (
         "simulate", "runY.pnet", "--marking", "u.c=1", "--sequence", "a.b1"
@@ -199,6 +204,22 @@ def build_documents(directory):
         produce={"s0": {"r1": 1}, "s1": {"r2": 1}, "s2": {"r0": 1}},
     )
     (directory / "ring.pnet").write_text(serialize_net(ring, marking={("r0", "r0"): 2}))
+    # place, token, transition and binding names holding { } and ": five markings
+    (directory / "braces.pnet").write_text(
+        'net braces{"}\n'
+        'place p{"} tokens a} {b\n'
+        'place q} tokens "c{\n'
+        'transition t{ bindings g} h"\n'
+        "transition s} bindings k{\n"
+        'arc - t{.g} p{"}.a} 1\n'
+        'arc + t{.g} q}."c{ 1\n'
+        'arc - t{.h" p{"}.{b 1\n'
+        'arc + t{.h" q}."c{ 1\n'
+        'arc - s}.k{ q}."c{ 1\n'
+        'arc + s}.k{ p{"}.a} 1\n'
+        'marking p{"}.a} 1\n'
+        'marking p{"}.{b 1\n'
+    )
     # p1 and p2 fold onto u; the preimage class of c2 is the one vector [-1, 1]
     (directory / "loop2q.pnet").write_text(
         "net loop2\n"
