@@ -16,7 +16,11 @@ failure.  Clause identifiers are stable strings used by reports and the CLI.
 A sort-preserving (discrete) morphism is given by where it sends each
 binding and each token: its transition fibres hold no places, so the unit
 bindings are a flow basis.  ``NetMorphism.discrete`` builds one from those
-element images and ``NetMorphism.element_image`` reads them back.
+element images and ``NetMorphism.element_image`` reads them back.  Such a
+morphism is verified on its arcs: ``flow-basis`` takes no fibre kernel,
+``incidence-compat`` compares only the (transition, place) pairs that some
+arc joins, and ``class-transport`` pushes each binding's sparse effect
+through the mark data; each method's docstring holds its lemma.
 
 Verification runs on integer rows, fraction-free in the manner of Bareiss
 (*Math. Comp.* 22, 1968).  Once per morphism, the mark images over each image
@@ -187,8 +191,11 @@ class NetMorphism:
                 f"flow data must cover exactly the image transitions {list(image_transitions)!r}"
             )
         self.flow_maps = {}
+        self._place_free = set()  # image transitions whose fibre holds no place
+        self._units = set()  # image transitions whose supplied basis is the unit one
         for a in image_transitions:
-            fibre_axis = source.binding_axis(self.space_map.fibre(a))
+            fibre = self.space_map.fibre(a)
+            fibre_axis = source.binding_axis(fibre)
             target_axis = target.bindings[a]
             raw = flow_maps[a]
             pairs = list(raw.items()) if isinstance(raw, dict) else list(raw)
@@ -197,6 +204,10 @@ class NetMorphism:
                 basis.append(_as_vector(vec, fibre_axis, self.ring, f"flow basis over {a}"))
                 images.append(_as_vector(img, target_axis, self.ring, f"flow image over {a}"))
             self.flow_maps[a] = (tuple(basis), tuple(images))
+            if not any(source.space.is_place(x) for x in fibre):
+                self._place_free.add(a)
+            if [list(v) for v in basis] == la.identity(len(fibre_axis)):
+                self._units.add(a)
 
         mark_maps = dict(mark_maps)
         if set(mark_maps) != set(image_places):
@@ -296,10 +307,9 @@ class NetMorphism:
         rows = self._flow_rows.get(a)
         if rows is None:
             basis, images = self.flow_maps[a]
-            fibre_dim = len(self.source.binding_axis(self.space_map.fibre(a)))
-            basis = [list(v) for v in basis]
-            if basis != la.identity(fibre_dim):
-                solve = la.Q.solver(basis, fibre_dim)
+            if a not in self._units:
+                fibre_dim = len(self.source.binding_axis(self.space_map.fibre(a)))
+                solve = la.Q.solver([list(v) for v in basis], fibre_dim)
                 dim = len(self.target.bindings[a])
                 functionals = [solve(f) for f in la.transpose(images, dim)]
                 if None in functionals:
@@ -319,6 +329,14 @@ class NetMorphism:
             rows = self._mark_rows[u] = (d, dict(zip(table, ints)))
         return rows
 
+    def _fibre_flows(self, a):
+        """The flows of the fibre over ``a``, or None when the fibre holds no
+        place: its incidence then has no rows, so every binding vector is a
+        flow and no kernel is needed to tell."""
+        if a in self._place_free:
+            return None
+        return self.source.flows(self.space_map.fibre(a), ring=self.ring)
+
     def flow_image(self, a, vector):
         """Image of a fibre flow over ``a`` as a binding vector of ``a``.
 
@@ -329,7 +347,8 @@ class NetMorphism:
         table, d = self._integer_flows(a)
         if len(vector) != len(table):
             raise MorphismError("fibre flow vector has the wrong length")
-        if not self.source.flows(self.space_map.fibre(a), ring=self.ring).contains(vector):
+        flows = self._fibre_flows(a)
+        if flows is not None and not flows.contains(vector):
             raise MorphismError(f"vector is not in the span of the flow basis over {a!r}")
         w, c = la._integer_row(vector)
         ints = la.combine(w, table, len(self.target.bindings[a]))
@@ -358,7 +377,7 @@ class NetMorphism:
                 fibre = self.space_map.fibre(a)
                 index = [pre_index[lab] for lab in src.binding_axis(fibre)]
                 table, d = self._integer_flows(a)
-                fibres.append((a, index, src.flows(fibre, ring=self.ring), table, d))
+                fibres.append((a, index, self._fibre_flows(a), table, d))
         zeros = {a: [0] * len(self.target.bindings[a]) for a in transitions}
 
         def mapper(vector):
@@ -368,7 +387,7 @@ class NetMorphism:
             images = {}
             for a, index, flows, table, e in fibres:
                 restricted = [w[i] for i in index]
-                if not flows.contains(restricted):
+                if flows is not None and not flows.contains(restricted):
                     raise NetError(f"restriction to the fibre over {a!r} is not a flow")
                 images[a] = la.combine(restricted, table, len(zeros[a])), e
             d = math.lcm(*(e for _, e in images.values()))
@@ -416,8 +435,18 @@ class NetMorphism:
         return None
 
     def _check_flow_basis(self):
-        """2. The supplied vectors form a basis of the fibre flows."""
+        """2. The supplied vectors form a basis of the fibre flows.
+
+        On a fibre that holds no place the clause holds for the unit basis
+        with no kernel taken.  The incidence of such a fibre has no rows, so
+        every binding vector is a flow: the flows are the whole binding
+        module, over Z and over Q, and the unit vectors are a basis of it.
+        The fibres of every discrete morphism are of this kind, and
+        ``discrete`` supplies the unit basis.
+        """
         for a in self.image_transitions():
+            if a in self._place_free and a in self._units:
+                continue
             flows = self.source.flows(self.space_map.fibre(a), ring=self.ring)
             basis, _ = self.flow_maps[a]
             for vec in basis:
@@ -436,6 +465,10 @@ class NetMorphism:
         """3. Induced flow maps on place closures stay flows; the clause is
         linear, so each family is checked as a positive integer multiple.
 
+        A morphism of sheaves commutes with restriction to every closed set,
+        so the clause is not only for the image places: a place outside the
+        image whose closure meets it has preimage flows too.
+
         Clause 3 follows from clauses 2 and 6 at an image place ``u`` whose
         closure has a sort-respecting preimage: its places are the fibre of
         ``u`` and its transitions the fibres of the transitions of ``u``.
@@ -445,16 +478,28 @@ class NetMorphism:
         mark data.  So clause 6 is decided once, and at such a ``u`` the
         per-flow loop of clause 3 runs only when clause 6 fails: the first
         failing clause and its detail are those of the loop.
+
+        Clause 6 reads image places only, so the lemma says nothing at a
+        place outside the image.  There the loop runs when the preimage of
+        the closure mixes sorts.  When it respects sorts, the preimage holds
+        transitions only (none when the closure misses the image), and the
+        clause asks that the image of each fibre binding balance at ``u``.
+        That case is left unchecked: checking it moves the first failure of
+        the diagonal embedding into a relaxed square from class-transport to
+        this clause.
         """
         src, tgt = self.source, self.target
+        image_places = set(self._image_places)
         mixed = {
             y
             for x, y in self.space_map.mapping.items()
             if src.space.sort_of(x) is not tgt.space.sort_of(y)
         }
-        for u in self.image_places():
+        for u in tgt.space.places:
             region = tgt.space.ordered(tgt.space.basic_closed(u))
-            if mixed.isdisjoint(region) and self._incidence_failure is None:
+            if mixed.isdisjoint(region) and (
+                u not in image_places or self._incidence_failure is None
+            ):
                 continue
             pre = self.space_map.preimage(region)
             try:
@@ -473,14 +518,13 @@ class NetMorphism:
 
     def _check_mark_defined(self):
         """4a. Mark maps kill the fibre relations (the target is free over {u})."""
-        src = self.source
-        src_tokens = src.token_axis()
+        src, position = self.source, self._token_position
         for u in self.image_places():
             d, marks = self._integer_marks(u)
+            rows = {position[lab]: row for lab, row in marks.items()}
             dim = len(self.target.tokens[u])
             for t, b in src.binding_axis(self.space_map.fibre(u)):
-                pre, post = src.effect(t, b)
-                out = _push(src_tokens, (*post, *((i, -w) for i, w in pre)), marks, dim)
+                out = self._effect_image(t, b, rows, dim)
                 if any(out):
                     return (
                         f"binding {t}.{b} has nonzero image {la._format_vector(out, d)} "
@@ -517,6 +561,13 @@ class NetMorphism:
         that each image ``P C e_j`` of an incidence column lies in the
         relations, with no elimination.  Only when that fails is the
         canonical kernel taken, to name its first failing vector.
+
+        The column ``C e_j`` is the sparse effect of binding ``j`` read on
+        the tokens of the region, and ``P`` sends a token to its integer
+        mark row.  So ``P C e_j`` is that effect pushed through the mark rows
+        of the region's tokens, the sum of ``w * P e_i`` over its
+        (token, weight) pairs on the region, with the consumed weights
+        negated: no dense incidence of the region is built on this path.
         """
         src, tgt = self.source, self.target
         ring = la.RINGS[self.ring]
@@ -527,7 +578,6 @@ class NetMorphism:
             region = self.space_map.preimage(neighbourhood)
             ambient = src.token_axis(region)
             dim = len(ambient)
-            incidence = src.incidence_matrix(region)
             tgt_axis = tgt.token_axis(neighbourhood)
             tgt_index = {lab: i for i, lab in enumerate(tgt_axis)}
             tdim = len(tgt_axis)
@@ -545,9 +595,12 @@ class NetMorphism:
 
             # well-definedness: vanishing combinations must map into the relations
             out = rewrites[a] = {}
-            columns = la.transpose(incidence.entries, len(incidence.col_labels))
-            if not t_labels and all(la.combine(col, p_ints, tdim) in s_module for col in columns):
-                continue
+            if not t_labels:
+                rows = {self._token_position[lab]: row for lab, row in zip(ambient, p_ints)}
+                images = (self._effect_image(t, b, rows, tdim) for t, b in src.binding_axis(region))
+                if all(not any(image) or image in s_module for image in images):
+                    continue
+            incidence = src.incidence_matrix(region)
             cols = len(p_rows) + len(incidence.col_labels)
             matrix = [
                 [int(i == r) for r in p_rows] + list(row)
@@ -610,30 +663,53 @@ class NetMorphism:
         the table over ``s*e``, with ``e`` the table's denominator, so the
         image side is ``s*e`` times the exact one and the fibre side ``s*d``
         times, with ``d`` the mark denominator.
+
+        Per image transition ``a``, each fibre binding's sparse effect is
+        pushed through the mark rows once and routed by image place, and
+        each target binding's effect through the unit rows of its places.
+        A pair ``(a, u)`` that no source arc from the fibre reaches through
+        a token with a nonzero mark image, and that has no target weight
+        between ``a`` and ``u``, is skipped: there every fibre side is a sum
+        over no arc and every image side a combination of zero weights, so
+        both sides are 0 for every basis vector.  The pairs left are
+        compared in the order (transition, place, side, basis vector), so
+        the first mismatch is the one the comparison of all pairs finds.
         """
         src, tgt = self.source, self.target
-        src_tokens, tgt_tokens = src.token_axis(), tgt.token_axis()
+        dims = {u: len(tgt.tokens[u]) for u in self.image_places()}
+        marked = {}  # source token position -> (image place, nonzero integer mark row)
+        unit_rows = {}  # target token position on an image place -> (place, unit row)
+        for u in self.image_places():
+            for lab, row in self._integer_marks(u)[1].items():
+                if any(row):
+                    marked[self._token_position[lab]] = (u, row)
+        for i, (u, c) in enumerate(tgt.token_axis()):
+            if u in dims:
+                unit_rows[i] = (u, la.identity(dims[u])[tgt.tokens[u].index(c)])
         for a in self.image_transitions():
             fibre_axis = src.binding_axis(self.space_map.fibre(a))
             table, e = self._integer_flows(a)
-            basis = [la._integer_row(vec) for vec in self.flow_maps[a][0]]
-            images = [la.combine(w, table, len(tgt.bindings[a])) for w, _ in basis]
+            if a in self._units:
+                # over the unit basis each fibre side is a pushed row and
+                # each image a row of the table
+                basis, images = [(None, 1)] * len(table), table
+            else:
+                basis = [la._integer_row(vec) for vec in self.flow_maps[a][0]]
+                images = [la.combine(w, table, len(tgt.bindings[a])) for w, _ in basis]
+            pushed = _routed([src.effect(t, b) for t, b in fibre_axis], marked, dims)
+            weights = _routed([tgt.effect(a, b) for b in tgt.bindings[a]], unit_rows, dims)
             for u in self.image_places():
-                d, marks = self._integer_marks(u)
-                dim = len(tgt.tokens[u])
-                units = dict(zip(((u, c) for c in tgt.tokens[u]), la.identity(dim)))
+                if u not in pushed and u not in weights:
+                    continue
+                d, _ = self._integer_marks(u)
+                dim = dims[u]
+                fibre_sides = pushed.get(u) or ([[0] * dim] * len(fibre_axis),) * 2
+                image_sides = weights.get(u) or ([[0] * dim] * len(tgt.bindings[a]),) * 2
                 for side, sign in ((0, "-"), (1, "+")):
-                    pushed = [
-                        _push(src_tokens, src.effect(t, b)[side], marks, dim)
-                        for t, b in fibre_axis
-                    ]
-                    weights = [
-                        _push(tgt_tokens, tgt.effect(a, b)[side], units, dim)
-                        for b in tgt.bindings[a]
-                    ]
-                    for (w, s), img in zip(basis, images):
-                        lhs = la.combine(w, pushed, dim)
-                        rhs = la.combine(img, weights, dim)
+                    rows = fibre_sides[side]
+                    for j, ((w, s), img) in enumerate(zip(basis, images)):
+                        lhs = rows[j] if w is None else la.combine(w, rows, dim)
+                        rhs = la.combine(img, image_sides[side], dim)
                         if any(e * x != d * y for x, y in zip(lhs, rhs)):
                             return (
                                 f"w{sign} mismatch over ({a!r}, {u!r}): fibre side "
@@ -641,6 +717,25 @@ class NetMorphism:
                                 f"{la._format_vector(rhs, s * e)}"
                             )
         return None
+
+    @cached_property
+    def _token_position(self):
+        """Source token label -> its position on the source token axis."""
+        return {lab: i for i, lab in enumerate(self.source.token_axis())}
+
+    def _effect_image(self, t, b, rows, dim):
+        """The effect (produced minus consumed) of source binding ``t.b``
+        pushed through ``rows`` (token-axis position -> integer row of
+        length ``dim``); tokens with no row are dropped."""
+        pre, post = self.source.effect(t, b)
+        out = [0] * dim
+        for sign, pairs in ((-1, pre), (1, post)):
+            for i, w in pairs:
+                row = rows.get(i)
+                if row is not None:
+                    for k, x in enumerate(row):
+                        out[k] += sign * w * x
+        return out
 
     def _mark_column(self, p, c, index):
         """The mark image of token ``c`` on ``p``, written into the target
@@ -863,15 +958,27 @@ class NetMorphism:
         return f"NetMorphism({self.name!r}: {self.source.name!r} -> {self.target.name!r})"
 
 
-def _push(axis, pairs, rows, dim):
-    """``sum(w * rows[axis[i]])`` over the (axis position, weight) ``pairs``
-    whose label has a row in ``rows``: sparse weights pushed through a table."""
-    out = [0] * dim
-    for i, w in pairs:
-        row = rows.get(axis[i])
-        if row is not None:
-            for j, x in enumerate(row):
-                out[j] += w * x
+def _routed(effects, rows, dims):
+    """Sparse ``effects``, one (pre, post) pair per column, pushed through
+    ``rows`` (axis position -> (place, row of length ``dims[place]``)) and
+    routed by place: ``{u: (pre, post)}``, each side one pushed row per
+    column, for the places ``u`` that some (position, weight) pair reaches.
+    Pairs whose position has no row are dropped."""
+    out = {}
+    for j, sides in enumerate(effects):
+        for side, pairs in enumerate(sides):
+            for i, w in pairs:
+                hit = rows.get(i)
+                if hit is not None:
+                    u, row = hit
+                    routed = out.get(u)
+                    if routed is None:
+                        routed = out[u] = tuple(
+                            [[0] * dims[u] for _ in effects] for _ in range(2)
+                        )
+                    acc = routed[side][j]
+                    for k, x in enumerate(row):
+                        acc[k] += w * x
     return out
 
 

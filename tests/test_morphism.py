@@ -12,8 +12,9 @@ from petrisheaf.morphism import (
     from_winskel,
     identity_morphism,
 )
-from petrisheaf.net import ColouredNet, place_transition_net
+from petrisheaf.net import ColouredNet, NetError, place_transition_net
 from petrisheaf.product import diagonal
+from petrisheaf.topology import PetriSpace
 
 from fixtures import (
     FOLD_NODE_MAP,
@@ -346,6 +347,59 @@ def test_discrete_flow_image_fault_fails_flow_map_extends():
     assert clause_details(moved) == PASSED[:2] + [
         ("flow-map-extends", "failed", "image family of [1, 1] violates the balance at 'p0'")
     ]
+
+
+def test_flow_extension_runs_at_a_place_outside_the_image():
+    # one place p0 that t0 empties and t1 fills; f and g send every node to
+    # t0, f with (1,1) -> (1) and g with (1,1) -> (0).  p0 is not in the
+    # image, but its closure is, through a preimage that mixes sorts: f's
+    # image binding vector (1, 0) is no flow at p0, so f fails clause 3
+    # there and composing through it refuses f, where it once raised "vector
+    # is not in the span of the flow basis over 't0'" from inside ``then``
+    n1 = place_transition_net("n1", ["p0"], ["t0", "t1"], {"t0": {"p0": 1}}, {"t1": {"p0": 1}})
+    to_t0 = {x: "t0" for x in n1.space.nodes}
+    f = NetMorphism(n1, n1, to_t0, {"t0": [((1, 1), (1,))]}, {}, name="f")
+    g = NetMorphism(n1, n1, to_t0, {"t0": [((1, 1), (0,))]}, {}, name="g")
+    assert clause_details(f) == PASSED[:2] + [
+        ("flow-map-extends", "failed", "image family of [1, 1] violates the balance at 'p0'")
+    ]
+    assert g.verify().ok
+    assert g.then(g).verify().ok
+    for first, second in ((f, g), (g, f), (f, f)):
+        with pytest.raises(MorphismError, match="morphism 'f' failed verification"):
+            first.then(second)
+
+
+def test_a_unit_basis_on_a_fibre_that_holds_a_place_is_checked():
+    # every node of n1 goes to t0, so the fibre over t0 holds p0, whose row
+    # makes (1, 1) span the fibre flows: the unit basis is no flow basis
+    n1 = place_transition_net("n1", ["p0"], ["t0", "t1"], {"t0": {"p0": 1}}, {"t1": {"p0": 1}})
+    f = NetMorphism(
+        n1, n1, {x: "t0" for x in n1.space.nodes}, {"t0": [((1, 0), (1,)), ((0, 1), (0,))]}, {}
+    )
+    assert clause_details(f) == PASSED[:1] + [
+        ("flow-basis", "failed", "vector [1, 0] is not a flow of the fibre over 't0'")
+    ]
+
+
+def test_an_induced_family_refuses_a_restriction_that_is_no_fibre_flow():
+    # the fibre of the fold over 'a' holds p1 and p2, and t1 alone is no
+    # flow of it (see test_fault_nonflow_basis_vector)
+    _, mapper = fold_morphism()._integer_family(("u", "a"))
+    with pytest.raises(NetError, match="restriction to the fibre over 'a' is not a flow"):
+        mapper([1, 0, 0, 0, 0, 0])
+
+
+def test_an_arc_with_no_target_weight_fails_incidence_compat():
+    # t consumes and produces one c on p; the relaxed target joins a and u
+    # with no weight, so the pair (a, u) has a fibre side and a zero image
+    # side, and clause 6 compares it
+    source = place_transition_net("loop", ["p"], ["t"], {"t": {"p": 1}}, {"t": {"p": 1}})
+    space = PetriSpace([("u", "place"), ("a", "transition")], [("u", "a")])
+    target = ColouredNet(space, {"a": ("g",)}, {"u": ("c",)}, {}, {}, strict=False, name="bare")
+    f = NetMorphism.discrete(source, target, {"p": "u", "t": "a"}, lambda x, e: [1])
+    detail = "w- mismatch over ('a', 'u'): fibre side [1] vs image side [0]"
+    assert clause_details(f) == BEFORE_INCIDENCE + [("incidence-compat", "failed", detail)]
 
 
 def test_constructor_rejects_wrong_data_shape():

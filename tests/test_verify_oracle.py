@@ -5,7 +5,9 @@
 transport on exact targets, and signedness read off the enumerated Hilbert
 basis of each fibre, naming the first failing generator.  Only its clause
 details changed, to render vectors with ``intlinalg._format_vector`` as the
-integer code does.  The property runs both on verified discrete morphisms
+integer code does, and its flow-extension loop, which runs flow by flow at
+the image places and at every other target place whose closure has a
+preimage that mixes sorts, as the clause does.  The property runs both on verified discrete morphisms
 (identities, product projections, Winskel folds and projections, composites,
 mediating maps, diagonal embeddings), on the non-discrete fixture morphisms,
 and on copies with one mark or flow-image entry moved, over Z and over Q.
@@ -140,9 +142,15 @@ class Reference:
                 return report
         passed(CLAUSE_FLOW_BASIS)
 
-        for u in f.image_places():
+        # the image places, and every other target place whose closure meets
+        # the image through a preimage that mixes sorts
+        image = set(f.space_map.mapping.values())
+        for u in tgt.space.places:
             region = tgt.space.ordered(tgt.space.basic_closed(u))
             pre = f.space_map.preimage(region)
+            mixed = any(src.space.sort_of(x) is not tgt.space.sort_of(f.space_map(x)) for x in pre)
+            if u not in image and not mixed:
+                continue
             try:
                 mapper = self.mapper(region)
                 target_flows = tgt.flows(region, ring=f.ring)
@@ -437,8 +445,31 @@ def test_a_rational_fault_reads_the_same_in_both():
     assert want[1] is not None
 
 
+def skipped_incidence_pair(g):
+    """Is there an (image transition, image place) pair that clause 6 skips:
+    no source arc from the fibre reaches a token with a nonzero mark image
+    on the place's fibre, and the target has no weight between the two?"""
+    src, tgt, sm = g.source, g.target, g.space_map
+    src_tokens, tgt_tokens = src.token_axis(), tgt.token_axis()
+    for a in g.image_transitions():
+        reached = set()
+        for t, b in src.binding_axis(sm.fibre(a)):
+            for pairs in src.effect(t, b):
+                for i, _ in pairs:
+                    p, c = src_tokens[i]
+                    u = sm(p)
+                    if tgt.space.is_place(u) and any(g.mark_maps[u][(p, c)]):
+                        reached.add(u)
+        for b in tgt.bindings[a]:
+            for pairs in tgt.effect(a, b):
+                reached.update(tgt_tokens[i][0] for i, _ in pairs)
+        if set(g.image_places()) - reached:
+            return True
+    return False
+
+
 def shortcut_cases(g):
-    """The cases of the two shortcuts of ``verify`` that ``g`` reaches:
+    """The cases of the shortcuts of ``verify`` that ``g`` reaches:
 
     * ``lemma``: clause 3 is reached at an image place whose closure has a
       sort-respecting preimage, and clause 6 holds, so the lemma decides it;
@@ -447,7 +478,15 @@ def shortcut_cases(g):
     * ``tokens-in-transition-fibres``: class transport rewrites a token on a
       transition fibre, the case that keeps the canonical kernel;
     * ``units-fail-4b``: with no such token, class transport fails, so the
-      canonical kernel is taken to name the failing vector.
+      canonical kernel is taken to name the failing vector;
+    * ``place-free-unit-basis``: clause 2 is reached at an image transition
+      whose fibre holds no place and whose supplied basis is the unit one,
+      so no fibre kernel is taken;
+    * ``skipped-incidence-pair``: clause 6 is decided and skips a pair that
+      no arc joins on either side;
+    * ``sparse-class-transport``: class transport holds, and some image
+      transition has no token of its region on a transition fibre, so it is
+      decided from the sparse column images alone.
     """
     ref = Reference(g)
     _, first = outcome(ref.verify)
@@ -471,6 +510,24 @@ def shortcut_cases(g):
         tgt.space.is_place(sm(p)) for p in src.space.places
     ):
         cases.add("units-fail-4b")
+
+    def place_free_unit_basis(a):
+        fibre = sm.fibre(a)
+        unit = la.identity(len(src.binding_axis(fibre)))
+        basis = [list(v) for v in g.flow_maps[a][0]]
+        return all(src.space.is_transition(x) for x in fibre) and basis == unit
+
+    def tokens_on_place_fibres(a):
+        region = sm.preimage(tgt.space.basic_open(a))
+        return all(tgt.space.is_place(sm(x)) for x in region if src.space.is_place(x))
+
+    if first != CLAUSE_CONTINUITY and any(map(place_free_unit_basis, g.image_transitions())):
+        cases.add("place-free-unit-basis")
+    if first in (None, CLAUSE_INCIDENCE) and skipped_incidence_pair(g):
+        cases.add("skipped-incidence-pair")
+    passed_4b = first in (None, CLAUSE_SIGNEDNESS, CLAUSE_INCIDENCE)
+    if passed_4b and any(map(tokens_on_place_fibres, g.image_transitions())):
+        cases.add("sparse-class-transport")
     return cases
 
 
@@ -483,5 +540,13 @@ def test_the_property_draws_reach_every_shortcut_case():
                 for moved in (False, True):
                     for g in drawn(ring, kind, seed, moved):
                         seen[ring] |= shortcut_cases(g)
-    every = {"lemma", "discrete-fails-3", "tokens-in-transition-fibres", "units-fail-4b"}
+    every = {
+        "lemma",
+        "discrete-fails-3",
+        "tokens-in-transition-fibres",
+        "units-fail-4b",
+        "place-free-unit-basis",
+        "skipped-incidence-pair",
+        "sparse-class-transport",
+    }
     assert seen == {"Z": every, "Q": every}
