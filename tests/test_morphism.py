@@ -349,14 +349,18 @@ def test_discrete_flow_image_fault_fails_flow_map_extends():
     ]
 
 
+def one_place_net():
+    """One place p0 that t0 empties and t1 fills."""
+    return place_transition_net("n1", ["p0"], ["t0", "t1"], {"t0": {"p0": 1}}, {"t1": {"p0": 1}})
+
+
 def test_flow_extension_runs_at_a_place_outside_the_image():
-    # one place p0 that t0 empties and t1 fills; f and g send every node to
-    # t0, f with (1,1) -> (1) and g with (1,1) -> (0).  p0 is not in the
-    # image, but its closure is, through a preimage that mixes sorts: f's
-    # image binding vector (1, 0) is no flow at p0, so f fails clause 3
-    # there and composing through it refuses f, where it once raised "vector
-    # is not in the span of the flow basis over 't0'" from inside ``then``
-    n1 = place_transition_net("n1", ["p0"], ["t0", "t1"], {"t0": {"p0": 1}}, {"t1": {"p0": 1}})
+    # f and g send every node of n1 to t0, f with (1,1) -> (1) and g with
+    # (1,1) -> (0).  p0 is not in the image, but its closure is, through a
+    # preimage that mixes sorts: f's image binding vector (1, 0) is no flow
+    # at p0, so f fails clause 3 there, and every composite through f
+    # refuses it rather than raising from inside ``then``
+    n1 = one_place_net()
     to_t0 = {x: "t0" for x in n1.space.nodes}
     f = NetMorphism(n1, n1, to_t0, {"t0": [((1, 1), (1,))]}, {}, name="f")
     g = NetMorphism(n1, n1, to_t0, {"t0": [((1, 1), (0,))]}, {}, name="g")
@@ -373,7 +377,7 @@ def test_flow_extension_runs_at_a_place_outside_the_image():
 def test_a_unit_basis_on_a_fibre_that_holds_a_place_is_checked():
     # every node of n1 goes to t0, so the fibre over t0 holds p0, whose row
     # makes (1, 1) span the fibre flows: the unit basis is no flow basis
-    n1 = place_transition_net("n1", ["p0"], ["t0", "t1"], {"t0": {"p0": 1}}, {"t1": {"p0": 1}})
+    n1 = one_place_net()
     f = NetMorphism(
         n1, n1, {x: "t0" for x in n1.space.nodes}, {"t0": [((1, 0), (1,)), ((0, 1), (0,))]}, {}
     )
