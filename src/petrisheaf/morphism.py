@@ -486,7 +486,8 @@ class NetMorphism:
         clause asks that the image of each fibre binding balance at ``u``.
         That case is left unchecked: checking it moves the first failure of
         the diagonal embedding into a relaxed square from class-transport to
-        this clause.
+        this clause.  So a map can pass here that is no morphism of flows;
+        a strict xfail test pins the smallest such map.
         """
         src, tgt = self.source, self.target
         image_places = set(self._image_places)
@@ -685,13 +686,16 @@ class NetMorphism:
                     marked[self._token_position[lab]] = (u, row)
         for i, (u, c) in enumerate(tgt.token_axis()):
             if u in dims:
-                unit_rows[i] = (u, la.identity(dims[u])[tgt.tokens[u].index(c)])
+                k = tgt.tokens[u].index(c)
+                unit_rows[i] = (u, [int(j == k) for j in range(dims[u])])
         for a in self.image_transitions():
             fibre_axis = src.binding_axis(self.space_map.fibre(a))
             table, e = self._integer_flows(a)
             if a in self._units:
                 # over the unit basis each fibre side is a pushed row and
-                # each image a row of the table
+                # each image a row of the table; this spares scaling each
+                # basis vector to integers and combining by it, which over Q
+                # (Fraction entries) nearly doubles the clause on discrete maps
                 basis, images = [(None, 1)] * len(table), table
             else:
                 basis = [la._integer_row(vec) for vec in self.flow_maps[a][0]]

@@ -32,9 +32,9 @@ is decided on the same index maps by one comparison of rational row spaces
 (the lemma is in ``verify_flow_gluing``).
 
 A net is not changed after construction, so it memoises its token and
-binding axes per region, its flow modules and its class modules per region
-and ring, and the index maps of ``_positions`` per axis and (region,
-subregion).  A call that raises stores nothing.
+binding axes per region, its flow modules per region and ring, and the
+index maps of ``_positions`` per axis and (region, subregion).  A call
+that raises stores nothing.
 """
 
 from __future__ import annotations
@@ -93,10 +93,9 @@ class ColouredNet:
         self.name = name
         self.strict = bool(strict)
         self.ring = ring
-        # axes keyed by (kind, region), flow and class modules by ("flows",
-        # region, ring) and ("classes", region, ring), index maps by
-        # ("positions", kind, region, subregion); a region is a frozenset, or
-        # None for the whole net
+        # axes keyed by (kind, region), flow modules by ("flows", region, ring),
+        # index maps by ("positions", kind, region, subregion); a region is a
+        # frozenset, or None for the whole net
         self._memo = {}
 
         def check_axes(given, nodes, what):
@@ -236,20 +235,14 @@ class ColouredNet:
     def marking_classes(self, region=None, ring=None):
         """Marking classes on an open region: cokernel of its incidence."""
         ring = ring or self.ring
-        key = ("classes", None if region is None else frozenset(region), ring)
-        classes = self._memo.get(key)
-        if classes is None:
-            region = tuple(self.space.nodes) if region is None else self.space.ordered(region)
-            if not self.space.is_open(region):
-                raise NetError(
-                    f"marking classes need an open region, {list(region)} is not open"
-                )
-            mat = self.incidence_matrix(region)
-            relations = la.RINGS[ring].module(
-                len(mat.row_labels), la.transpose(mat.entries, len(mat.col_labels))
-            )
-            classes = self._memo[key] = ClassModule(self, region, mat, ring, relations)
-        return classes
+        region = tuple(self.space.nodes) if region is None else self.space.ordered(region)
+        if not self.space.is_open(region):
+            raise NetError(f"marking classes need an open region, {list(region)} is not open")
+        mat = self.incidence_matrix(region)
+        relations = la.RINGS[ring].module(
+            len(mat.row_labels), la.transpose(mat.entries, len(mat.col_labels))
+        )
+        return ClassModule(self, region, mat, ring, relations)
 
     # -- restriction / extension -----------------------------------------
 

@@ -374,6 +374,26 @@ def test_flow_extension_runs_at_a_place_outside_the_image():
             first.then(second)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="flow extension is not checked at a place outside the image whose "
+    "closure has a sort-respecting preimage (ROADMAP item 14)",
+)
+def test_flow_extension_at_a_place_outside_the_image_with_a_transition_preimage():
+    # t has no arc and goes to a, which consumes one c from u; u is outside
+    # the image and the preimage of its closure is {t}.  The flow (1) of t
+    # maps to the binding (1) of a, which does not balance at u, so this is
+    # no morphism of flows, yet every clause passes today
+    source = place_transition_net("lone", ["q"], ["t"], {}, {})
+    target = place_transition_net("drain", ["u", "v"], ["a"], {"a": {"u": 1}}, {})
+    f = NetMorphism(
+        source, target, {"t": "a", "q": "v"}, {"a": [((1,), (1,))]}, {"v": {("q", "q"): (1,)}}
+    )
+    assert clause_details(f) == PASSED[:2] + [
+        ("flow-map-extends", "failed", "image family of [1] violates the balance at 'u'")
+    ]
+
+
 def test_a_unit_basis_on_a_fibre_that_holds_a_place_is_checked():
     # every node of n1 goes to t0, so the fibre over t0 holds p0, whose row
     # makes (1, 1) span the fibre flows: the unit basis is no flow basis

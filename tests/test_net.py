@@ -645,38 +645,6 @@ def test_non_closed_region_raises_on_every_call(net):
                 net.flows(region)
 
 
-def class_fields(classes):
-    fields = ("region", "ring", "matrix", "relations", "invariant_factors")
-    return tuple(getattr(classes, name) for name in fields)
-
-
-@given(any_nets)
-@settings(max_examples=30, deadline=None)
-def test_marking_classes_memo_keeps_rings_apart(net):
-    for first, second in (("Z", "Q"), ("Q", "Z")):
-        memo = fresh_copy(net)
-        for region in [None, *basic_regions(net.space, "open")]:
-            a = memo.marking_classes(region, ring=first)
-            b = memo.marking_classes(region, ring=second)
-            assert class_fields(a) == class_fields(fresh_copy(net).marking_classes(region, first))
-            assert class_fields(b) == class_fields(fresh_copy(net).marking_classes(region, second))
-            assert memo.marking_classes(region, ring=first) is a
-            # the default ring is applied before the memo is consulted
-            assert memo.marking_classes(region) is memo.marking_classes(region, ring=memo.ring)
-
-
-@given(any_nets)
-@settings(max_examples=30, deadline=None)
-def test_non_open_region_raises_on_every_marking_classes_call(net):
-    net.marking_classes()  # a memo entry for the whole net
-    for region in basic_regions(net.space, "closed"):
-        if net.space.is_open(region):
-            continue
-        for _ in range(2):
-            with pytest.raises(NetError, match="not open"):
-                net.marking_classes(region)
-
-
 def test_unknown_nodes_raise_on_every_call():
     net = x_net()
     net.token_axis(U1)

@@ -7,7 +7,11 @@ basis of each fibre, naming the first failing generator.  Only its clause
 details changed, to render vectors with ``intlinalg._format_vector`` as the
 integer code does, and its flow-extension loop, which runs flow by flow at
 the image places and at every other target place whose closure has a
-preimage that mixes sorts, as the clause does.  The property runs both on verified discrete morphisms
+preimage that mixes sorts, as the clause does.  With ``every_place`` it runs
+at every target place whose closure meets the image, as a morphism of flows
+requires; ``verify`` still skips the places outside the image whose closure
+has a sort-respecting preimage, and a test pins that this is the only
+difference.  The property runs both on verified discrete morphisms
 (identities, product projections, Winskel folds and projections, composites,
 mediating maps, diagonal embeddings), on the non-discrete fixture morphisms,
 and on copies with one mark or flow-image entry moved, over Z and over Q.
@@ -49,8 +53,10 @@ from fixtures import fold_morphism, squash_morphism, squeeze_morphism, unfolding
 class Reference:
     """The Fraction-arithmetic clause code, one instance per morphism."""
 
-    def __init__(self, f):
+    def __init__(self, f, every_place=False):
         self.f = f
+        self.every_place = every_place
+        self.extends_failure_at = None  # the place where flow extension fails
         self.ring = la.RINGS[f.ring]
         self.solvers = {}
         self.rewrites = None
@@ -143,14 +149,16 @@ class Reference:
         passed(CLAUSE_FLOW_BASIS)
 
         # the image places, and every other target place whose closure meets
-        # the image through a preimage that mixes sorts
+        # the image through a preimage that mixes sorts (with every_place,
+        # through any preimage)
         image = set(f.space_map.mapping.values())
         for u in tgt.space.places:
             region = tgt.space.ordered(tgt.space.basic_closed(u))
             pre = f.space_map.preimage(region)
             mixed = any(src.space.sort_of(x) is not tgt.space.sort_of(f.space_map(x)) for x in pre)
-            if u not in image and not mixed:
+            if u not in image and not mixed and not (self.every_place and pre):
                 continue
+            self.extends_failure_at = u
             try:
                 mapper = self.mapper(region)
                 target_flows = tgt.flows(region, ring=f.ring)
@@ -164,6 +172,7 @@ class Reference:
             except (MorphismError, NetError) as exc:
                 fail(CLAUSE_FLOW_EXTENDS, f"over {u!r}: {exc}")
                 return report
+        self.extends_failure_at = None
         passed(CLAUSE_FLOW_EXTENDS)
 
         for u in f.image_places():
@@ -550,3 +559,30 @@ def test_the_property_draws_reach_every_shortcut_case():
         "sparse-class-transport",
     }
     assert seen == {"Z": every, "Q": every}
+
+
+def test_the_every_place_reference_sees_only_the_unchecked_flow_extension():
+    # verify() skips flow extension at a target place outside the image
+    # whose closure has a sort-respecting preimage (ROADMAP item 14); the
+    # every-place reference checks it.  Over the property's first draws the
+    # two differ only there, and the draws reach such a place (diagonal
+    # embeddings and mediating maps into a relaxed square).  Once verify()
+    # checks those places, the two are equal on every draw.
+    gaps = set()
+    for ring, kinds in KINDS.items():
+        for kind in kinds:
+            for seed in range(4):
+                for moved in (False, True):
+                    for g in drawn(ring, kind, seed, moved):
+                        full = Reference(g, every_place=True)
+                        want, got = outcome(full.verify), outcome(g.verify)
+                        if got == want:
+                            continue
+                        assert want[1] == CLAUSE_FLOW_EXTENDS
+                        assert got[0][:2] == want[0][:2]
+                        u, sm = full.extends_failure_at, g.space_map
+                        pre = sm.preimage(g.target.space.basic_closed(u))
+                        assert u not in set(sm.mapping.values())
+                        assert all(g.source.space.is_transition(x) for x in pre)
+                        gaps.add((ring, kind))
+    assert gaps == {("Q", "diagonal"), ("Q", "mediate")}
