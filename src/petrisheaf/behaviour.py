@@ -62,6 +62,8 @@ def marking_vector(net, data):
 
 def _checked_marking(net, marking):
     """``marking`` as a tuple, after checking its length against the token axis."""
+    if isinstance(marking, dict):
+        raise BehaviourError("a marking dict must go through marking_vector first")
     marking = tuple(marking)
     size = len(net.token_axis())
     if len(marking) != size:

@@ -196,11 +196,6 @@ def _pairing(slices, v1, v2):
     return tuple(v1[i] if first else v2[i] for first, i in slices)
 
 
-def _traces(result, m):
-    """``trace_markings`` of a checked product marking."""
-    return tuple(result.left.map_marking(m)), tuple(result.right.map_marking(m))
-
-
 def product_marking(result, first_marking, second_marking):
     """The marking whose side-1 slice copies the first component and
     side-2 slice the second, at every pairing of the other coordinate."""
@@ -212,7 +207,8 @@ def product_marking(result, first_marking, second_marking):
 
 def trace_markings(result, marking):
     """Component markings recovered through the two projections."""
-    return _traces(result, marking_vector(result.net, marking))
+    m = marking_vector(result.net, marking)
+    return tuple(result.left.map_marking(m)), tuple(result.right.map_marking(m))
 
 
 @dataclass(frozen=True)
@@ -235,12 +231,20 @@ def check_reachability_correspondence(
 
     The components are explored ``depth`` steps and the product twice as
     far, which is enough to interleave any two component runs.  The product
-    must reach every pairing of component states, every reached product
-    state must be saturated and trace to component-reachable markings, and
-    when both factors are integer nets with integral starts every reached
-    state stays integral.  Exhausting the state budget anywhere makes the
-    outcome inconclusive; a depth cut does not, the claims are checked on
-    what was explored.
+    must reach every pairing of component states, and every reached product
+    state must be saturated and trace to component-reachable markings.
+    Exhausting the state budget anywhere makes the outcome inconclusive; a
+    depth cut does not, the claims are checked on what was explored.
+
+    Each reached marking is read by the product's token layout, through
+    no morphism.  ``kronecker`` gives a side-1 binding the same weight at
+    ``(p, q)`` for every place ``q`` of the second factor and no side-2
+    weight, and dually for side 2.  So every marking reached from a pairing
+    is a pairing, and its trace (its image under the projections) is its
+    value at any one copy of each factor token; the saturation test is what
+    makes that copy the trace.  Nor does integrality need a check:
+    ``ColouredNet`` takes natural weights only, so an integral start stays
+    integral on every net.
 
     Two counts need no check.  ``_pairing`` copies each first-factor token
     at ``(p, q)`` for every place ``q``, and each second-factor token at
@@ -271,7 +275,7 @@ def check_reachability_correspondence(
             n2,
             len(rp.markings),
         )
-    # every marking below is a checked tuple: pair and trace them directly
+    # every marking below is a checked tuple: pair and read them directly
     slices = _slices(result)
     pairings = {_pairing(slices, a, b) for a in r1.markings for b in r2.markings}
     if not pairings <= rp.markings:
@@ -287,22 +291,17 @@ def check_reachability_correspondence(
     else:
         w1 = reachable(first, first_marking, depth=wide, max_states=max_states)
         w2 = reachable(second, second_marking, depth=wide, max_states=max_states)
-    integral = (
-        first.ring == "Z"
-        and second.ring == "Z"
-        and all(Fraction(x).denominator == 1 for x in start)
-    )
+    # the product position of one copy of each factor token
+    copy = {key: pos for pos, key in enumerate(slices)}
+    copies1 = [copy[True, i] for i in range(len(first.token_axis()))]
+    copies2 = [copy[False, i] for i in range(len(second.token_axis()))]
     matched = 0
     for m in rp.markings:
-        # one trace serves the saturation test and the component lookup
-        t1, t2 = _traces(result, m)
+        t1 = tuple(m[pos] for pos in copies1)
+        t2 = tuple(m[pos] for pos in copies2)
         if _pairing(slices, t1, t2) != m:
             return ReachCorrespondence(
                 "failed", "unsaturated marking reached in the product", n1, n2, matched
-            )
-        if integral and any(x.denominator != 1 for x in m):
-            return ReachCorrespondence(
-                "failed", "non-integral marking reached in the product", n1, n2, matched
             )
         if t1 not in w1.markings or t2 not in w2.markings:
             if w1.budget_exhausted or w2.budget_exhausted:
@@ -709,8 +708,6 @@ def fibre_product(to_target_first, to_target_second, name=None, cones=()):
     for g in (g1, g2):
         _require_discrete(g, "fibre product")
     prod = kronecker(g1.source, g2.source)
-    prod.left.verify()
-    prod.right.verify()
     diag = diagonal(g1.target)
     h = mediate(
         diag.product,

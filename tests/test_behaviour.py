@@ -28,7 +28,7 @@ from petrisheaf.behaviour import (
 from petrisheaf.cli import random_strict_net
 from petrisheaf.morphism import identity_morphism
 from petrisheaf.net import place_transition_net
-from petrisheaf.product import kronecker
+from petrisheaf.product import check_reachability_correspondence, kronecker
 
 from fixtures import fold_morphism, unfolding_morphism, x_net, y_net
 from test_net import strict_nets
@@ -76,6 +76,23 @@ def test_firing_rejects_a_marking_of_the_wrong_length(call, marking):
     net = x_net()
     with pytest.raises(BehaviourError, match=f"marking must have length 4, got {len(marking)}"):
         call(net, marking)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: reachable(y_net(), m),
+        lambda m: fire(y_net(), m, "a", "b1"),
+        lambda m: enabled_events(y_net(), m),
+        lambda m: check_reachability_correspondence(kronecker(y_net(), y_net()), m, (2,)),
+    ],
+    ids=["reachable", "fire", "enabled_events", "check_reachability_correspondence"],
+)
+def test_firing_refuses_a_marking_dict(call):
+    # one key for one token: read as a sequence, the dict would pass the
+    # length check and carry its label into the firing arithmetic
+    with pytest.raises(BehaviourError, match="marking_vector"):
+        call({("u", "c"): 2})
 
 
 def test_fire_sequence_returns_trace():

@@ -13,7 +13,7 @@ from petrisheaf.morphism import (
     identity_morphism,
 )
 from petrisheaf.net import ColouredNet, NetError, place_transition_net
-from petrisheaf.product import diagonal
+from petrisheaf.product import diagonal, kronecker
 from petrisheaf.topology import PetriSpace
 
 from fixtures import (
@@ -412,6 +412,19 @@ def test_an_induced_family_refuses_a_restriction_that_is_no_fibre_flow():
     _, mapper = fold_morphism()._integer_family(("u", "a"))
     with pytest.raises(NetError, match="restriction to the fibre over 'a' is not a flow"):
         mapper([1, 0, 0, 0, 0, 0])
+
+
+def test_a_composite_through_a_projection_fails_on_a_restriction_that_is_no_fibre_flow():
+    # today's verdict on the closure defect of ROADMAP item 7: both factors
+    # verify, but over 'u' the composite's preimage restricts to the fibre
+    # over 'a' by a vector that is no fibre flow, so the induced family
+    # raises and clause 3 reports it
+    proj = kronecker(x_net(), x_net()).left
+    fold = fold_morphism()
+    assert proj.verify().ok and fold.verify().ok
+    assert clause_details(proj.then(fold)) == PASSED[:2] + [
+        ("flow-map-extends", "failed", "over 'u': restriction to the fibre over 'a' is not a flow")
+    ]
 
 
 def test_an_arc_with_no_target_weight_fails_incidence_compat():

@@ -456,6 +456,34 @@ def test_bad_cover_reported():
     assert any("exhaust" in f for f in report.failures)
 
 
+@pytest.mark.parametrize(
+    "kind, verify, openness, lone, other",
+    [
+        ("token-sheaf", verify_token_sheaf, "open", "t1", "t2"),
+        ("binding-cosheaf", verify_binding_cosheaf, "closed", "p1", "p2"),
+        ("flow-gluing", verify_flow_gluing, "closed", "p1", "p2"),
+    ],
+)
+def test_bad_regions_and_cover_elements_are_reported(kind, verify, openness, lone, other):
+    # a lone transition with places around it is not open, a lone place with
+    # transitions around it is not closed; the basic set of ``other`` holds
+    # a node outside that of ``lone``, so the union is no longer the region
+    net = x_net()
+    space = net.space
+    basic = space.basic_open if openness == "open" else space.basic_closed
+    report = verify(net, [lone])
+    assert (report.kind, report.ok, report.cover) == (kind, False, ())
+    assert report.failures == [f"region is not {openness}"]
+    region = basic(lone)
+    report = verify(net, region, [region, [lone], basic(other)])
+    assert (report.kind, report.ok) == (kind, False)
+    assert report.failures == [
+        f"cover element {[lone]} is not {openness}",
+        f"cover element {list(space.ordered(basic(other)))} leaves the region",
+        "cover does not exhaust the region",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # random strict nets
 

@@ -904,6 +904,31 @@ def test_correspondence_equals_the_two_trace_reference(first, second, seed, dept
             assert got == want
 
 
+@settings(max_examples=20, deadline=None)
+@given(factor_nets, factor_nets, st.integers(0, 1000))
+def test_reached_product_markings_copy_their_traces(first, second, seed):
+    # the lemma that lets check_reachability_correspondence read a reached
+    # marking by its token layout: each product token copies one factor
+    # token, every copy of it holds one value, and that value is the trace
+    rng = random.Random(seed)
+    res = kronecker(first, second)
+    assert res.left.verify().ok
+    assert res.right.verify().ok
+    copied = []
+    for node, tagged in res.net.token_axis():
+        side, label = int(tagged[0]), tagged[2:]
+        copied.append((side, res.pairs[node][side - 1], label))
+    start = product_marking(res, start_marking(first, rng), start_marking(second, rng))
+    for m in reachable(res.net, start, depth=4, max_states=300).markings:
+        values = {}
+        for key, v in zip(copied, m):
+            values.setdefault(key, set()).add(v)
+        assert all(len(vs) == 1 for vs in values.values())
+        t1, t2 = trace_markings(res, m)
+        for trace, factor, side in ((t1, first, 1), (t2, second, 2)):
+            assert list(trace) == [values[side, p, c].pop() for p, c in factor.token_axis()]
+
+
 def bumped(net, rng):
     """A copy of ``net`` with one output weight raised by one."""
     w_minus = dict(net.arcs("minus"))

@@ -5,11 +5,13 @@
 Run from anywhere inside a source checkout; only the standard library is
 used.  For each workload that ``BENCHMARK.json`` declares, ``bench/run.py``
 runs end to end once at each of the fixed ``SEEDS``, and once traced
-(``--trace 1``) at the first of them, each run in a process of its own and
-for the ``run_seconds`` of ``BENCHMARK.json``; about eight minutes in all.
+(``--trace 1``) at each of them too, each run in a process of its own and
+for the ``run_seconds`` of ``BENCHMARK.json``; about ten minutes in all.
 The file holds, per workload, the median of each end-to-end metric over the
-runs, every run's ``correct``/``attempted``/``failed`` and metrics, and the
-traced per-layer metrics; and, for the checkout, the line count of each
+plain runs, every run's ``correct``/``attempted``/``failed`` and metrics,
+and the median of each per-layer metric over the traced runs (one traced
+run's layers differ from another's by about a third on the same code); and,
+for the checkout, the line count of each
 ``src/petrisheaf/*.py`` (as ``wc -l`` counts it) and the commit, with a flag
 for uncommitted changes.
 
@@ -59,24 +61,28 @@ def commit():
     return {"commit": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain"))}
 
 
+def medians(reports):
+    """The median over ``reports`` of each metric of the first."""
+    return {
+        metric: statistics.median(r["metrics"][metric]["value"] for r in reports)
+        for metric in reports[0]["metrics"]
+    }
+
+
 def record():
     out = {}
     for name in (w["name"] for w in SPEC["workloads"]):
         reports = [bench(name, seed, 0) for seed in SEEDS]
-        traced = bench(name, SEEDS[0], 1)
-        medians = {
-            metric: statistics.median(r["metrics"][metric]["value"] for r in reports)
-            for metric in reports[0]["metrics"]
-        }
+        traced = [bench(name, seed, 1) for seed in SEEDS]
         out[name] = {
             "seeds": list(SEEDS),
             "seconds": SPEC["run_seconds"],
-            "correct": all(r["correct"] for r in reports + [traced]),
-            "failed": max(r["failed"] for r in reports + [traced]),
-            "end_to_end": medians,
+            "correct": all(r["correct"] for r in reports + traced),
+            "failed": max(r["failed"] for r in reports + traced),
+            "end_to_end": medians(reports),
             "runs": reports,
-            "per_layer": {m: v["value"] for m, v in traced["metrics"].items()},
-            "traced_run": {k: traced[k] for k in ("correct", "attempted", "failed")},
+            "per_layer": medians(traced),
+            "traced_runs": [{k: r[k] for k in ("correct", "attempted", "failed")} for r in traced],
         }
     return out
 
