@@ -150,15 +150,24 @@ def _coeff(ring, value):
     return f
 
 
-def _as_vector(data, axis, ring, what):
+# the zero of each ring, shared by every entry a dict leaves out
+_ZEROS = {"Z": 0, "Q": la._ZERO}
+
+
+def _as_vector(data, index, ring, what):
+    """``data``, a vector or a dict of labels, over the axis whose positions
+    ``index`` holds, as a tuple of ring coefficients."""
     if isinstance(data, dict):
-        extra = set(data) - set(axis)
+        extra = [lab for lab in data if lab not in index]
         if extra:
             raise MorphismError(f"{what}: unknown labels {sorted(extra, key=str)!r}")
-        return tuple(_coeff(ring, data.get(lab, 0)) for lab in axis)
+        out = [_ZEROS[ring]] * len(index)
+        for lab, value in data.items():
+            out[index[lab]] = _coeff(ring, value)
+        return tuple(out)
     data = list(data)
-    if len(data) != len(axis):
-        raise MorphismError(f"{what}: expected length {len(axis)}, got {len(data)}")
+    if len(data) != len(index):
+        raise MorphismError(f"{what}: expected length {len(index)}, got {len(data)}")
     return tuple(_coeff(ring, x) for x in data)
 
 
@@ -193,20 +202,24 @@ class NetMorphism:
         self.flow_maps = {}
         self._place_free = set()  # image transitions whose fibre holds no place
         self._units = set()  # image transitions whose supplied basis is the unit one
+        zero = _ZEROS[self.ring]
         for a in image_transitions:
             fibre = self.space_map.fibre(a)
-            fibre_axis = source.binding_axis(fibre)
-            target_axis = target.bindings[a]
+            fibre_index = {lab: i for i, lab in enumerate(source.binding_axis(fibre))}
+            target_index = {b: i for i, b in enumerate(target.bindings[a])}
             raw = flow_maps[a]
             pairs = list(raw.items()) if isinstance(raw, dict) else list(raw)
             basis, images = [], []
             for vec, img in pairs:
-                basis.append(_as_vector(vec, fibre_axis, self.ring, f"flow basis over {a}"))
-                images.append(_as_vector(img, target_axis, self.ring, f"flow image over {a}"))
+                basis.append(_as_vector(vec, fibre_index, self.ring, f"flow basis over {a}"))
+                images.append(_as_vector(img, target_index, self.ring, f"flow image over {a}"))
             self.flow_maps[a] = (tuple(basis), tuple(images))
             if not any(source.space.is_place(x) for x in fibre):
                 self._place_free.add(a)
-            if [list(v) for v in basis] == la.identity(len(fibre_axis)):
+            n = len(fibre_index)
+            if len(basis) == n and all(
+                v[i] == 1 and v.count(zero) == n - 1 for i, v in enumerate(basis)
+            ):
                 self._units.add(a)
 
         mark_maps = dict(mark_maps)
@@ -217,7 +230,7 @@ class NetMorphism:
         self.mark_maps = {}
         for u in image_places:
             fibre_tokens = source.token_axis(self.space_map.fibre(u))
-            target_axis = target.tokens[u]
+            target_index = {c: i for i, c in enumerate(target.tokens[u])}
             raw = dict(mark_maps[u])
             if set(raw) != set(fibre_tokens):
                 raise MorphismError(
@@ -225,7 +238,7 @@ class NetMorphism:
                     f"{list(fibre_tokens)!r}"
                 )
             self.mark_maps[u] = {
-                lab: _as_vector(raw[lab], target_axis, self.ring, f"mark image of {lab}")
+                lab: _as_vector(raw[lab], target_index, self.ring, f"mark image of {lab}")
                 for lab in fibre_tokens
             }
 
@@ -243,7 +256,7 @@ class NetMorphism:
         over the elements of ``node_map[x]``, as a vector or a dict.  A
         transition fibre holds transitions only, so its incidence has no
         rows, every binding vector is a flow, and the unit bindings, in axis
-        order, are its flow basis.
+        order, are its flow basis; each is given by its one label.
         """
         space_map = SpaceMap(source.space, target.space, node_map)
         for x, y in space_map.mapping.items():
@@ -252,9 +265,7 @@ class NetMorphism:
         flow_maps, mark_maps = {}, {}
         for y, fibre in space_map.fibres().items():
             if target.space.is_transition(y):
-                axis = source.binding_axis(fibre)
-                units = la.identity(len(axis))
-                flow_maps[y] = [(unit, image(x, b)) for unit, (x, b) in zip(units, axis)]
+                flow_maps[y] = [({xb: 1}, image(*xb)) for xb in source.binding_axis(fibre)]
             else:
                 mark_maps[y] = {(x, c): image(x, c) for x, c in source.token_axis(fibre)}
         return cls(source, target, space_map, flow_maps, mark_maps, ring=ring, name=name)

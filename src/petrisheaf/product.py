@@ -21,6 +21,7 @@ transitions alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from . import intlinalg as la
@@ -63,24 +64,35 @@ def _require_discrete(g, what):
 
 @dataclass(frozen=True)
 class ProductResult:
-    """A product net with its two projection morphisms.
+    """A product net over its two factor nets.
 
     ``pairs`` sends each product node name to the pair of factor nodes it
-    stands for.
+    stands for.  The projection morphisms ``left`` and ``right`` are built
+    when first read: the product net, its markings and its reachability
+    check need neither.
     """
 
     net: ColouredNet
-    left: NetMorphism
-    right: NetMorphism
+    first: ColouredNet
+    second: ColouredNet
     pairs: dict
 
     @property
     def factors(self):
-        return (self.left.target, self.right.target)
+        return (self.first, self.second)
+
+    @cached_property
+    def left(self):
+        return _projection(self, 1)
+
+    @cached_property
+    def right(self):
+        return _projection(self, 2)
 
 
 def kronecker(first, second, name=None):
-    """The binary product of two nets, with projections over Q."""
+    """The binary product of two nets; its projections, over Q, are built
+    when first read."""
     s1, s2 = first.space, second.space
     nodes = []
     pairs = {}
@@ -140,21 +152,20 @@ def kronecker(first, second, name=None):
         ring="Q",
         name=name or f"{first.name}*{second.name}",
     )
-    left = _projection(net, pairs, first, second, 1)
-    right = _projection(net, pairs, first, second, 2)
-    return ProductResult(net, left, right, pairs)
+    return ProductResult(net, first, second, pairs)
 
 
-def _projection(prod, pairs, first, second, side):
-    """Projection morphism onto one factor.
+def _projection(result, side):
+    """Projection morphism of a product onto one factor.
 
     Side-tagged unit bindings map to their untagged original, the other
     side's bindings to zero.  Mark images are scaled by the number of
     places of the other factor, so that summing over a place's fibre
     reproduces that place's weights and markings exactly once.
     """
-    factor = first if side == 1 else second
-    other = second if side == 1 else first
+    prod = result.net
+    first, second = result.factors
+    factor, other = (first, second) if side == 1 else (second, first)
     scale = Fraction(1, len(other.space.places))
 
     def image(n, tagged):
@@ -166,7 +177,7 @@ def _projection(prod, pairs, first, second, side):
     return NetMorphism.discrete(
         prod,
         factor,
-        {n: xy[side - 1] for n, xy in pairs.items()},
+        {n: xy[side - 1] for n, xy in result.pairs.items()},
         image,
         ring="Q",
         name=f"proj{side}",

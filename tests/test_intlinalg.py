@@ -327,6 +327,59 @@ def test_kernel_annihilates_and_is_complete(m):
     assert ker.rank == cols - rat_rank(m)
 
 
+def dense_matrices(bound, max_rows=10, max_cols=14):
+    """Matrices of 1 to ``max_rows`` rows and 1 to ``max_cols`` columns, with
+    every entry drawn within ``bound``."""
+    return st.tuples(st.integers(1, max_rows), st.integers(1, max_cols)).flatmap(
+        lambda shape: st.lists(
+            st.lists(st.integers(-bound, bound), min_size=shape[1], max_size=shape[1]),
+            min_size=shape[0],
+            max_size=shape[0],
+        )
+    )
+
+
+def hadamard_bound(m):
+    """The product over the rows of ``m`` of the ceiling of their Euclidean
+    norms, each at least 1: no minor of ``m`` exceeds it."""
+    bound = 1
+    for row in m:
+        square = sum(x * x for x in row)
+        root = math.isqrt(square)
+        bound *= max(1, root + (root * root != square))
+    return bound
+
+
+@given(st.one_of(dense_matrices(6), dense_matrices(10**6), dense_matrices(10**12)))
+@settings(max_examples=150, deadline=None)
+def test_smallest_remainder_keeps_the_carried_entries_within_the_hadamard_bound(m):
+    rows, cols = len(m), len(m[0])
+    vs = la._stacked(m, cols)
+    rank = la._smallest_remainder(vs, rows)
+    assert rank == rat_rank(m)
+    assert all(not any(v[:rows]) for v in vs[rank:])
+    assert max(abs(x) for v in vs for x in v[rows:]) <= hadamard_bound(m)
+
+
+@given(st.one_of(dense_matrices(10**6), dense_matrices(10**12)))
+@settings(max_examples=80, deadline=None)
+def test_the_kernel_equals_the_stacked_hnf_route_on_dense_shapes(m):
+    cols = len(m[0])
+    h, u = reference_hnf(m, cols)
+    rank = sum(1 for col in la.transpose(h, cols) if any(col))
+    assert la.kernel_lattice(m, cols).basis == reference_lattice_basis(
+        cols, la.transpose(u, cols)[rank:]
+    )
+
+
+def test_a_seeded_30_by_40_kernel():
+    rng = random.Random(1)
+    m = [[rng.randint(-3, 3) for _ in range(40)] for _ in range(30)]
+    ker = la.kernel_lattice(m, 40)
+    assert ker.rank == 10 == la.Q.kernel(m, 40).rank
+    assert all(not any(la.matvec(m, b)) for b in ker.basis)
+
+
 @given(matrices, st.lists(st.integers(-3, 3), min_size=1, max_size=5))
 def test_lattice_membership_and_coordinates(m, coeffs):
     ker = la.kernel_lattice(m)

@@ -128,6 +128,25 @@ def test_fault_short_basis_fails_flow_basis():
     assert report.first_failure.clause == "flow-basis"
 
 
+def test_a_place_free_fibre_with_ones_on_the_diagonal_needs_a_unit_basis():
+    # the fibre over 'a' holds the transition alone, so clause 2 skips its
+    # kernel only for the unit basis; each of these has ones on its diagonal
+    def over(basis):
+        return NetMorphism(
+            y_net(),
+            y_net(),
+            {"u": "u", "a": "a"},
+            flow_maps={"a": list(zip(basis, [(1, 0), (0, 1)]))},
+            mark_maps={"u": {("u", "c"): (1,)}},
+        )
+
+    assert over([(1, 0), (0, 1)])._units == {"a"}
+    dependent = over([(1, 1), (1, 1)])
+    assert dependent._units == set()
+    assert dependent.verify().first_failure.clause == "flow-basis"
+    assert over([(1, 1), (0, 1)])._units == set()
+
+
 def test_fault_unbalanced_mark_fails_mark_defined():
     g = NetMorphism(
         x_net(),

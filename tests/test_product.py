@@ -183,6 +183,18 @@ def test_projections_verify_and_are_discrete():
         assert cls.abstraction
 
 
+def test_the_product_and_its_reach_check_build_no_projection():
+    first, second = ring_net(3), ring_net(4, colours=2)
+    res = kronecker(first, second)
+    m1, m2 = start_marking(first, random.Random(1)), start_marking(second, random.Random(2))
+    product_marking(res, m1, m2)
+    assert check_reachability_correspondence(res, m1, m2, depth=2).ok
+    assert "left" not in vars(res) and "right" not in vars(res)
+    # read once, each projection is built over the product net and kept
+    assert res.left is res.left and res.left.source is res.net
+    assert res.right.target is second
+
+
 def test_product_flows_are_exactly_the_pairs_of_factor_flows():
     first, second = x_net(), y_net()
     res = kronecker(first, second)
@@ -894,8 +906,12 @@ def test_correspondence_equals_the_two_trace_reference(first, second, seed, dept
     res = kronecker(first, second)
     m1, m2 = start_marking(first, rng), start_marking(second, rng)
     # a product net with one output weight raised reaches unsaturated
-    # markings, so the failing branches are compared as well
-    for result in (res, ProductResult(bumped(res.net, rng), res.left, res.right, res.pairs)):
+    # markings, so the failing branches are compared as well; that net is no
+    # product, so its own projections fail verification, and the reference
+    # traces its markings through the projections of the product it bumps
+    raised = ProductResult(bumped(res.net, rng), *res.factors, res.pairs)
+    vars(raised).update(left=res.left, right=res.right)
+    for result in (res, raised):
         for max_states in (10_000, 12):
             got = check_reachability_correspondence(
                 result, m1, m2, depth=depth, max_states=max_states
@@ -1057,3 +1073,62 @@ def test_composite_marks_equal_the_dense_transport_product(first, second):
                 continue
             assert f.then(g).mark_maps == want, (f.name, g.name)
     assert composed >= 15
+
+
+def dense_discrete(source, target, node_map, image, ring=None, name="f"):
+    """``NetMorphism.discrete`` built densely: the rows of an identity as
+    the unit flow basis, and every image written out over its axis, so that
+    the constructor coerces each entry, zeros included."""
+    space_map = SpaceMap(source.space, target.space, node_map)
+
+    def dense(data, axis):
+        return [data.get(lab, 0) for lab in axis] if isinstance(data, dict) else list(data)
+
+    flow_maps, mark_maps = {}, {}
+    for y, fibre in space_map.fibres().items():
+        if target.space.is_transition(y):
+            axis = source.binding_axis(fibre)
+            flow_maps[y] = [
+                (unit, dense(image(x, b), target.bindings[y]))
+                for unit, (x, b) in zip(la.identity(len(axis)), axis)
+            ]
+        else:
+            mark_maps[y] = {
+                (x, c): dense(image(x, c), target.tokens[y]) for x, c in source.token_axis(fibre)
+            }
+    return NetMorphism(source, target, space_map, flow_maps, mark_maps, ring=ring, name=name)
+
+
+def entry_types(f):
+    """The type of every entry of the flow and mark data of ``f``."""
+    flows = {a: [[type(x) for x in v] for part in f.flow_maps[a] for v in part] for a in f.flow_maps}
+    marks = {u: {lab: [type(x) for x in v] for lab, v in f.mark_maps[u].items()} for u in f.mark_maps}
+    return flows, marks
+
+
+@settings(max_examples=15, deadline=None)
+@given(factor_nets, factor_nets)
+def test_discrete_morphisms_equal_the_dense_construction_in_value_and_type(first, second):
+    built = []
+    sparse = NetMorphism.discrete.__func__
+
+    def both(cls, *args, **kwargs):
+        f = sparse(cls, *args, **kwargs)
+        built.append((f, dense_discrete(*args, **kwargs)))
+        return f
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(NetMorphism, "discrete", classmethod(both))
+        square, pair = kronecker(first, first), kronecker(first, second)
+        ident = identity_morphism(first)
+        assert square.left.target is square.right.target is first
+        diagonal(first).iso_inverse()
+        mediate(square, ident, ident)
+        mediate(pair, pair.left, pair.right)
+        from_winskel(winskel_data())
+    assert len(built) >= 12
+    for got, want in built:
+        assert got.flow_maps == want.flow_maps, got.name
+        assert got.mark_maps == want.mark_maps, got.name
+        assert entry_types(got) == entry_types(want), got.name
+        assert got._units == want._units, got.name
