@@ -14,6 +14,12 @@ are ignored and declaration must precede use:
     arc + T.B P.C W
     marking P.C N                  (optional initial marking)
 
+A ``.pnet`` is validated in one pass through the table of declared
+references: each ``transition`` and ``place`` line records its
+``NODE.ELEMENT`` strings, bindings and tokens apart, so each reference on an
+``arc`` or ``marking`` line is one lookup, and only a reference that misses is
+split to say whether it is malformed or undeclared.
+
 A ``.pmor`` document declares one morphism; flow data comes as a named
 basis per image transition with one image line per basis vector:
 
@@ -166,25 +172,20 @@ class NetDocument:
         self.nodes = []  # (name, "place" | "transition") in declaration order
         self.bindings = {}
         self.tokens = {}
-        self.arcs = {}  # (kind, t, b, p, c) -> weight
-        self.adjacency = []  # (p, t) pairs, relaxed documents only
+        self.arcs = {"-": {}, "+": {}}  # side -> {(t, b, p, c): nonzero weight}
+        self.adjacency = {}  # (p, t) pairs as keys, relaxed documents only
         self.marking = {}  # (p, c) -> count
 
     def to_net(self):
-        if self.strict:
-            adjacency = sorted({(p, t) for (_k, t, _b, p, _c) in self.arcs})
-        else:
-            adjacency = list(self.adjacency)
-        space = PetriSpace(self.nodes, adjacency)
-        weights = {"-": {}, "+": {}}
-        for (kind, t, b, p, c), w in self.arcs.items():
-            weights[kind][t, b, p, c] = w
+        adjacency = self.adjacency
+        if self.strict:  # the arc support, in first-arc order
+            adjacency = dict.fromkeys((p, t) for side in self.arcs.values() for t, _b, p, _c in side)
         return ColouredNet(
-            space,
+            PetriSpace(self.nodes, adjacency),
             self.bindings,
             self.tokens,
-            weights["-"],
-            weights["+"],
+            self.arcs["-"],
+            self.arcs["+"],
             strict=self.strict,
             ring=self.ring,
             name=self.name,
@@ -193,9 +194,9 @@ class NetDocument:
 
 def _content_lines(text):
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, raw, line.split()
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield lineno, raw, tokens
 
 
 def _open_document(text, keyword, allow_dot=False):
@@ -222,11 +223,35 @@ def _read_link(doc, tokens, lineno, raw):
 def parse_net(text):
     name, lines = _open_document(text, "net")
     doc = NetDocument(name)
+    # every declared "NODE.ELEMENT" against its (node, element) pair; neither
+    # part holds a dot, so a reference is in the table exactly when it splits
+    # into a declared binding (token)
+    binding_refs, token_refs = {}, {}
     for lineno, raw, tokens in lines:
         head = tokens[0]
-        if head == "net":
+        if head == "arc":
+            side = doc.arcs.get(tokens[1]) if len(tokens) == 5 else None
+            if side is None:
+                raise FormatError("expected 'arc -|+ T.B P.C W'", lineno, _column(raw, head))
+            tb, pc = binding_refs.get(tokens[2]), token_refs.get(tokens[3])
+            if tb is None or pc is None:
+                _split_ref(tokens[2], "arc binding", lineno, raw)
+                _split_ref(tokens[3], "arc token", lineno, raw)
+                ref, what = (tokens[2], "binding") if tb is None else (tokens[3], "token")
+                raise FormatError(f"undeclared {what} {ref!r}", lineno, _column(raw, ref))
+            if not _digits(tokens[4]):
+                raise FormatError(
+                    "arc weights are non-negative integers", lineno, _column(raw, tokens[4])
+                )
+            key = tb + pc
+            if key in side:
+                raise FormatError(f"duplicate arc {tokens[2]} {tokens[3]}", lineno, _column(raw, head))
+            weight = _integer(tokens[4], lineno, raw)
+            if weight:
+                side[key] = weight
+        elif head == "net":
             raise FormatError("duplicate net header", lineno, _column(raw, head))
-        if head == "relaxed":
+        elif head == "relaxed":
             if len(tokens) != 1:
                 raise FormatError("relaxed takes no arguments", lineno, _column(raw, tokens[1]))
             doc.strict = False
@@ -241,32 +266,15 @@ def parse_net(text):
                     f"expected '{head} NAME {keyword} ...'", lineno, _column(raw, head)
                 )
             name = _check_name(tokens[1], head, lineno, raw)
-            if any(name == n for n, _s in doc.nodes):
+            if name in doc.bindings or name in doc.tokens:
                 raise FormatError(f"duplicate declaration of {name!r}", lineno, _column(raw, name))
             elements = tuple(_check_name(e, keyword[:-1], lineno, raw) for e in tokens[3:])
             if len(set(elements)) != len(elements):
                 raise FormatError(f"duplicate {keyword} on {name!r}", lineno, _column(raw, name))
             doc.nodes.append((name, head))
             (doc.bindings if head == "transition" else doc.tokens)[name] = elements
-        elif head == "arc":
-            if len(tokens) != 5 or tokens[1] not in ("-", "+"):
-                raise FormatError("expected 'arc -|+ T.B P.C W'", lineno, _column(raw, head))
-            t, b = _split_ref(tokens[2], "arc binding", lineno, raw)
-            p, c = _split_ref(tokens[3], "arc token", lineno, raw)
-            if b not in doc.bindings.get(t, ()):
-                raise FormatError(f"undeclared binding {tokens[2]!r}", lineno, _column(raw, tokens[2]))
-            if c not in doc.tokens.get(p, ()):
-                raise FormatError(f"undeclared token {tokens[3]!r}", lineno, _column(raw, tokens[3]))
-            if not _digits(tokens[4]):
-                raise FormatError(
-                    "arc weights are non-negative integers", lineno, _column(raw, tokens[4])
-                )
-            key = (tokens[1], t, b, p, c)
-            if key in doc.arcs:
-                raise FormatError(f"duplicate arc {tokens[2]} {tokens[3]}", lineno, _column(raw, head))
-            weight = _integer(tokens[4], lineno, raw)
-            if weight:
-                doc.arcs[key] = weight
+            refs = binding_refs if head == "transition" else token_refs
+            refs.update((f"{name}.{e}", (name, e)) for e in elements)
         elif head == "adjacency":
             if doc.strict:
                 raise FormatError("adjacency lines need a relaxed net", lineno, _column(raw, head))
@@ -277,19 +285,19 @@ def parse_net(text):
                 raise FormatError(f"undeclared transition {t!r}", lineno, _column(raw, t))
             if p not in doc.tokens:
                 raise FormatError(f"undeclared place {p!r}", lineno, _column(raw, p))
-            if (p, t) not in doc.adjacency:
-                doc.adjacency.append((p, t))
+            doc.adjacency[p, t] = None
         elif head == "marking":
             if len(tokens) != 3:
                 raise FormatError("expected 'marking P.C N'", lineno, _column(raw, head))
-            p, c = _split_ref(tokens[1], "marking token", lineno, raw)
-            if c not in doc.tokens.get(p, ()):
+            pc = token_refs.get(tokens[1])
+            if pc is None:
+                _split_ref(tokens[1], "marking token", lineno, raw)
                 raise FormatError(f"undeclared token {tokens[1]!r}", lineno, _column(raw, tokens[1]))
             if not _digits(tokens[2]):
                 raise FormatError("marking counts are naturals", lineno, _column(raw, tokens[2]))
-            if (p, c) in doc.marking:
+            if pc in doc.marking:
                 raise FormatError(f"duplicate marking line for {tokens[1]}", lineno, _column(raw, head))
-            doc.marking[(p, c)] = _integer(tokens[2], lineno, raw)
+            doc.marking[pc] = _integer(tokens[2], lineno, raw)
         else:
             raise FormatError(f"unknown directive {head!r}", lineno, _column(raw, head))
     return doc
@@ -454,6 +462,12 @@ def _header_name(tokens, lineno, raw, what):
     return tokens[1][:-1]
 
 
+def _header_body(tokens, rest, sep):
+    """The text after ``HEAD NAME:`` partitioned at ``sep``; all empty when
+    nothing follows the header, even if ``sep`` is inside it."""
+    return rest.split(None, 2)[2].partition(sep) if len(tokens) > 2 else ("", "", "")
+
+
 def parse_morphism(text):
     name, lines = _open_document(text, "morphism", allow_dot=True)
     doc = MorphismDocument(name)
@@ -470,7 +484,7 @@ def parse_morphism(text):
             doc.node_map[tokens[1]] = tokens[3]
         elif head == "flowbasis":
             a = _header_name(tokens, lineno, raw, "flowbasis")
-            name, eq, expr = rest.split(None, 2)[2].partition("=") if "=" in rest else ("", "", "")
+            name, eq, expr = _header_body(tokens, rest, "=")
             if not eq or not name.strip():
                 raise FormatError(
                     "expected 'flowbasis A: NAME = combination'", lineno, _column(raw, head)
@@ -485,7 +499,7 @@ def parse_morphism(text):
             entries.append((name.strip(), comb))
         elif head == "flowmap":
             a = _header_name(tokens, lineno, raw, "flowmap")
-            name, arrow, expr = rest.split(None, 2)[2].partition("->") if "->" in rest else ("", "", "")
+            name, arrow, expr = _header_body(tokens, rest, "->")
             if not arrow or not name.strip():
                 raise FormatError(
                     "expected 'flowmap A: NAME -> combination'", lineno, _column(raw, head)
@@ -496,7 +510,7 @@ def parse_morphism(text):
             table[name.strip()] = _parse_combination(expr, lineno, raw)
         elif head == "markmap":
             u = _header_name(tokens, lineno, raw, "markmap")
-            ref, arrow, expr = rest.split(None, 2)[2].partition("->") if "->" in rest else ("", "", "")
+            ref, arrow, expr = _header_body(tokens, rest, "->")
             if not arrow or not ref.strip():
                 raise FormatError(
                     "expected 'markmap U: X.C -> combination'", lineno, _column(raw, head)

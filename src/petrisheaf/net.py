@@ -115,17 +115,20 @@ class ColouredNet:
         position = {lab: i for i, lab in enumerate(self.token_axis())}
         effect = {tb: ([], []) for tb in self.binding_axis()}
         support = set()
+        effect_of, position_of, support_add = effect.get, position.get, support.add
         for side, (given, which) in enumerate(((w_minus, "consume"), (w_plus, "produce"))):
             for (t, b, p, c), value in dict(given).items():
-                if (t, b) not in effect:
+                sides = effect_of((t, b))
+                if sides is None:
                     raise NetError(f"{which} weight on unknown binding {t}.{b}")
-                if (p, c) not in position:
+                i = position_of((p, c))
+                if i is None:
                     raise NetError(f"{which} weight on unknown token {p}.{c}")
                 if value < 0 or value != int(value):
                     raise NetError(f"{which} weight must be a natural number")
                 if value:
-                    effect[t, b][side].append((position[p, c], int(value)))
-                    support.add((p, t))
+                    sides[side].append((i, int(value)))
+                    support_add((p, t))
         self._position = position
         self._effect = {
             tb: (tuple(sorted(pre)), tuple(sorted(post))) for tb, (pre, post) in effect.items()

@@ -55,8 +55,9 @@ class PetriSpace:
             declared.append(name)
         adj = {name: [] for name in declared}
         pairs = set()
+        sort_of, place, transition = sorts.get, Sort.PLACE, Sort.TRANSITION
         for p, t in adjacency:
-            if sorts.get(p) is not Sort.PLACE or sorts.get(t) is not Sort.TRANSITION:
+            if sort_of(p) is not place or sort_of(t) is not transition:
                 raise SpaceError(f"adjacency {(p, t)!r} must pair a place with a transition")
             if (p, t) in pairs:
                 continue
@@ -67,6 +68,7 @@ class PetriSpace:
         self.places = tuple(n for n in declared if sorts[n] is Sort.PLACE)
         self.transitions = tuple(n for n in declared if sorts[n] is Sort.TRANSITION)
         self._sorts = sorts
+        # neighbours in the order the pairs came, read only as sets
         self._adj = {name: tuple(nbrs) for name, nbrs in adj.items()}
         self.adjacency = frozenset(pairs)
         self._ordered = {}

@@ -19,6 +19,7 @@ from petrisheaf.formats import (
     serialize_net,
     serialize_winskel,
 )
+from petrisheaf.net import NetError
 from petrisheaf.morphism import (
     NetMorphism,
     WinskelMorphism,
@@ -26,6 +27,7 @@ from petrisheaf.morphism import (
     morphisms_equal,
 )
 from petrisheaf.product import kronecker
+from petrisheaf.topology import SpaceError
 
 from fixtures import (
     fold_morphism,
@@ -246,6 +248,10 @@ BAD_MORPHISM_DOCS = [
     ("morphism f\nflowmap a: v1 -> \n", "empty combination"),
     ("morphism f\nmarkmap u: x -> 1*c\n", "NODE.ELEMENT"),
     ("morphism f\nnode x y\n", "expected 'node"),
+    # the separator inside the header token and nothing after it
+    ("morphism f\nflowbasis =t:\n", "expected 'flowbasis A: NAME = combination'.*line 2"),
+    ("morphism f\nflowmap ->t:\n", "expected 'flowmap A: NAME -> combination'.*line 2"),
+    ("morphism f\nmarkmap ->p:\n", "expected 'markmap U: X.C -> combination'.*line 2"),
 ]
 
 
@@ -288,6 +294,53 @@ BAD_WINSKEL_DOCS = [
 def test_bad_winskel_documents_are_rejected(text, needle):
     with pytest.raises(FormatError, match=needle):
         parse_winskel(text)
+
+
+# ---------------------------------------------------------------------------
+# the parsers on arbitrary text: format errors only
+
+# line heads: the three document headers and every directive, declarations
+# and arcs with enough words that a net can load
+DIRECTIVES = [
+    "net n", "morphism n", "winskel n", "relaxed", "ring q", "transition t bindings b",
+    "place p tokens c", "arc -", "arc +", "adjacency t p", "marking", "source", "target",
+    "node", "flowbasis", "flowmap", "markmap", "beta", "eta",
+]
+SEPARATORS = [".", ":", "=t:", "->", "->p:", "#"]
+WORDS = ["t.b", "p.c", "0", "1", "2/3", "+1", "9" * 5000]
+
+
+@st.composite
+def fuzz_tails(draw):
+    """1-6 line tails, each of pieces glued to the one before or set apart
+    by a space or a tab, and led by a space."""
+    tails = []
+    for _ in range(draw(st.integers(1, 6))):
+        pieces = st.one_of(st.sampled_from(SEPARATORS), st.sampled_from(WORDS))
+        tail = ""
+        for i, piece in enumerate(draw(st.lists(pieces, max_size=4))):
+            tail += (" " if i == 0 else draw(st.sampled_from(["", " ", "\t"]))) + piece
+        tails.append(tail)
+    return tails
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(DIRECTIVES), min_size=6, max_size=6), fuzz_tails())
+def test_parsers_raise_only_format_errors(heads, tails):
+    # the document, and each tail after every line head in a document of its
+    # own, so that an earlier bad line hides no later one
+    body = "".join(f"{head}{tail}\n" for head, tail in zip(heads, tails))
+    for kind, parse in (
+        ("net", lambda text: parse_net(text).to_net()),
+        ("morphism", parse_morphism),
+        ("winskel", parse_winskel),
+    ):
+        alone = (f"{kind} n\n{head}{tail}\n" for head in DIRECTIVES for tail in tails)
+        for text in (body, f"{kind} n\n{body}", *alone):
+            try:
+                parse(text)
+            except (FormatError, NetError, SpaceError):
+                pass
 
 
 # ---------------------------------------------------------------------------
