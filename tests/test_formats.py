@@ -19,13 +19,13 @@ from petrisheaf.formats import (
     serialize_net,
     serialize_winskel,
 )
-from petrisheaf.net import NetError
 from petrisheaf.morphism import (
     NetMorphism,
     WinskelMorphism,
     identity_morphism,
     morphisms_equal,
 )
+from petrisheaf.net import NetError
 from petrisheaf.product import kronecker
 from petrisheaf.topology import SpaceError
 
@@ -312,8 +312,8 @@ WORDS = ["t.b", "p.c", "0", "1", "2/3", "+1", "9" * 5000]
 
 @st.composite
 def fuzz_tails(draw):
-    """1-6 line tails, each of pieces glued to the one before or set apart
-    by a space or a tab, and led by a space."""
+    """1-6 line tails, each of up to 4 pieces after a space, a piece glued
+    to the one before it or set apart by a space or a tab."""
     tails = []
     for _ in range(draw(st.integers(1, 6))):
         pieces = st.one_of(st.sampled_from(SEPARATORS), st.sampled_from(WORDS))
