@@ -297,7 +297,8 @@ def axiom_sweep(net):
     """Exactness of all three gluing checks on every basic-set covering.
 
     No check here can fail: each basic cover of a basic set holds the set
-    itself, and its other elements are singletons of the other sort.  A
+    itself, and its other elements are singletons of the other sort, so
+    no element cuts a weight and flow gluing needs no linear algebra.  A
     failing cover, such as the whole of a relaxed net under its default
     cover, needs the library verifiers in ``petrisheaf.net``.
     """

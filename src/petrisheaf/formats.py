@@ -172,14 +172,16 @@ class NetDocument:
         self.nodes = []  # (name, "place" | "transition") in declaration order
         self.bindings = {}
         self.tokens = {}
-        self.arcs = {"-": {}, "+": {}}  # side -> {(t, b, p, c): nonzero weight}
+        self.arcs = {"-": {}, "+": {}}  # side -> {(t, b, p, c): weight}, 0 kept
         self.adjacency = {}  # (p, t) pairs as keys, relaxed documents only
         self.marking = {}  # (p, c) -> count
 
     def to_net(self):
         adjacency = self.adjacency
-        if self.strict:  # the arc support, in first-arc order
-            adjacency = dict.fromkeys((p, t) for side in self.arcs.values() for t, _b, p, _c in side)
+        if self.strict:  # the support of the nonzero arcs, in first-arc order
+            adjacency = dict.fromkeys(
+                (p, t) for side in self.arcs.values() for (t, _b, p, _c), w in side.items() if w
+            )
         return ColouredNet(
             PetriSpace(self.nodes, adjacency),
             self.bindings,
@@ -246,9 +248,7 @@ def parse_net(text):
             key = tb + pc
             if key in side:
                 raise FormatError(f"duplicate arc {tokens[2]} {tokens[3]}", lineno, _column(raw, head))
-            weight = _integer(tokens[4], lineno, raw)
-            if weight:
-                side[key] = weight
+            side[key] = _integer(tokens[4], lineno, raw)
         elif head == "net":
             raise FormatError("duplicate net header", lineno, _column(raw, head))
         elif head == "relaxed":

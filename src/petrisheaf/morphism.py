@@ -145,7 +145,8 @@ def _coeff(ring, value):
     f = Fraction(value)
     if ring == "Z":
         if f.denominator != 1:
-            raise MorphismError(f"non-integer coefficient {value!r} in an integer morphism")
+            value = la._format_scalar(f)
+            raise MorphismError(f"non-integer coefficient {value} in an integer morphism")
         return int(f)
     return f
 

@@ -288,6 +288,23 @@ def test_a_basis_of_twice_the_unit_does_not_span_the_integer_flows(tmp_path, cap
     assert "flow-basis: failed (vectors do not span the fibre flows over 't')" in out
 
 
+def test_a_rational_coefficient_in_an_integer_morphism_exits_2_in_the_cli_rendering(
+    tmp_path, capsys
+):
+    (tmp_path / "one.pnet").write_text(
+        "net one\nplace p tokens c\ntransition t bindings b\narc - t.b p.c 1\n"
+    )
+    (tmp_path / "half.pmor").write_text(
+        "morphism half\nsource one.pnet\ntarget one.pnet\nnode p -> p\nnode t -> t\n"
+        "flowbasis t: v1 = 1*t.b\nflowmap t: v1 -> 1*b\nmarkmap p: p.c -> 1/2*c\n"
+    )
+    code = main(["check-morphism", str(tmp_path / "half.pmor")])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: non-integer coefficient 1/2 in an integer morphism\n"
+    assert "Fraction(" not in captured.err
+
+
 @pytest.mark.parametrize("ring", ["z", "q"])
 def test_a_token_with_no_integer_class_leaves_the_transport_underdetermined(
     tmp_path, capsys, ring

@@ -240,6 +240,20 @@ def test_bad_net_documents_are_rejected(text, needle):
         parse_net(text)
 
 
+@pytest.mark.parametrize("first, second", [(0, 4), (4, 0), (0, 0)])
+def test_an_arc_declared_twice_is_a_duplicate_whatever_its_weights(first, second):
+    # an arc of weight 0 is declared but not stored; the same arc on the
+    # other side is no duplicate
+    head = "net n\ntransition t bindings b g\nplace p tokens c\n"
+    text = head + f"arc - t.g p.c {first}\narc - t.g p.c {second}\n"
+    with pytest.raises(FormatError) as err:
+        parse_net(text)
+    assert str(err.value) == "duplicate arc t.g p.c (line 5, column 1)"
+    other_side = parse_net(head + f"arc - t.g p.c {first}\narc + t.g p.c {second}\n")
+    effect = tuple(((0, w),) if w else () for w in (first, second))
+    assert other_side.to_net().effect("t", "g") == effect
+
+
 BAD_MORPHISM_DOCS = [
     ("", "missing morphism header"),
     ("morphism f\nsource a.pnet\nsource b.pnet\n", "duplicate source"),

@@ -7,7 +7,9 @@ bindings and tokens and found duplicate nodes by scanning the declared ones;
 every ``(kind, t, b, p, c)`` arc into one weight dict per side; and the
 ``ColouredNet`` constructor checked those weights and built the effect table.
 Only the names changed, and the net it returns is the data the tests read
-(the constructor's checks run, its memos are left out).
+(the constructor's checks run, its memos are left out).  One defect of the
+earlier loader is mended in both: an arc declared with weight 0 was not
+stored, so a later line for the same arc loaded as no duplicate.
 
 On valid documents both loaders give equal nodes, sorts, adjacency, effect
 table, bindings, tokens, marking, strictness, ring and name; on invalid ones
@@ -51,6 +53,7 @@ class _ReferenceDocument:
         self.bindings = {}
         self.tokens = {}
         self.arcs = {}  # (kind, t, b, p, c) -> weight
+        self.zero_arcs = set()  # (kind, t, b, p, c) declared with weight 0
         self.adjacency = []
         self.marking = {}
 
@@ -98,11 +101,13 @@ def _reference_parse(text):
                     "arc weights are non-negative integers", lineno, _column(raw, tokens[4])
                 )
             key = (tokens[1], t, b, p, c)
-            if key in doc.arcs:
+            if key in doc.arcs or key in doc.zero_arcs:
                 raise FormatError(f"duplicate arc {tokens[2]} {tokens[3]}", lineno, _column(raw, head))
             weight = _integer(tokens[4], lineno, raw)
             if weight:
                 doc.arcs[key] = weight
+            else:
+                doc.zero_arcs.add(key)
         elif head == "adjacency":
             if doc.strict:
                 raise FormatError("adjacency lines need a relaxed net", lineno, _column(raw, head))
@@ -247,7 +252,7 @@ VALID_DOCS = {
         "  place p tokens c d\narc\t-\tt.b\tp.c\t2 # consume\narc + t.g p.d 1\n"
         "\t# only a comment\nmarking p.c 3   \n"
     ),
-    "weight-0 arcs": HEAD + "arc - t.b p.c 0\narc - t.b p.c 0\narc - t.b p.c 4\narc + t.g p.d 0\n",
+    "weight-0 arcs": HEAD + "arc - t.b p.c 0\narc - t.g p.c 4\narc + t.g p.d 0\n",
     "both sides": HEAD + "arc - t.b p.c 1\narc + t.b p.c 1\narc - t.g p.d 2\n",
     "no arcs": HEAD + "transition s bindings e\n",
     "relaxed": (
@@ -320,6 +325,10 @@ INVALID_DOCS = {
     "other-script weight": HEAD + "arc - t.b p.c ١\n",
     "overlong weight": HEAD + "arc - t.b p.c " + "9" * 5000 + "\n",
     "duplicate arc": HEAD + "arc - t.b p.c 1\narc - t.b p.c 2\n",
+    "weight-0 arcs declared twice": (
+        HEAD + "arc - t.b p.c 0\narc - t.b p.c 0\narc - t.b p.c 4\narc + t.g p.d 0\n"
+    ),
+    "weight-0 arc then its weight": HEAD + "arc - t.g p.c 0\narc - t.g p.c 4\n",
     "duplicate arc after weight 0": HEAD + "arc + t.b p.c 0\narc + t.b p.c 2\narc + t.b p.c 0\n",
     "arc before its transition": "net n\nplace p tokens c\narc - t.b p.c 1\ntransition t bindings b\n",
     "arc before its place": "net n\ntransition t bindings b\narc - t.b p.c 1\nplace p tokens c\n",
