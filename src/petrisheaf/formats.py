@@ -55,7 +55,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .intlinalg import _format_scalar
-from .morphism import NetMorphism, WinskelMorphism
+from .morphism import NetMorphism, WinskelMorphism, morphism_ring
 from .net import ColouredNet
 from .topology import PetriSpace
 
@@ -128,8 +128,9 @@ def _scalar(text, lineno, raw):
     return None
 
 
-def _parse_combination(expr, lineno, raw):
-    """``k*term + k*term`` into [(k, term)]; ``0`` is the empty sum."""
+def _parse_combination(expr, lineno, raw, fractions=None):
+    """``k*term + k*term`` into [(k, term)]; ``0`` is the empty sum.  Each
+    coefficient not an integer goes to ``fractions`` as ``(k, line, column)``."""
     body = expr.strip()
     if not body:
         raise FormatError("empty combination", lineno, _column(raw, expr.strip() or raw))
@@ -147,6 +148,8 @@ def _parse_combination(expr, lineno, raw):
         if star and _scalar(head.strip(), lineno, raw) is not None and rest.strip():
             coeff = _scalar(head.strip(), lineno, raw)
             term = rest.strip()
+            if fractions is not None and coeff.denominator != 1:
+                fractions.append((coeff, lineno, _column(raw, part)))
         terms.append((coeff, term))
     return terms
 
@@ -381,6 +384,7 @@ class MorphismDocument:
         self.flow_bases = {}  # a -> [(vector name, [(k, (T, B)), ...])]
         self.flow_images = {}  # a -> {vector name: [(k, B), ...]}
         self.mark_images = {}  # u -> {(X, C): [(k, C2), ...]}
+        self.fractions = []  # (k, line, column) of each coefficient not an integer
 
     def to_morphism(self, source_net, target_net):
         missing = [x for x in source_net.space.nodes if x not in self.node_map]
@@ -446,6 +450,10 @@ class MorphismDocument:
                 out[(x, c)] = img
             mark_maps[u] = out
 
+        if self.fractions and morphism_ring(source_net.ring, target_net.ring) == "Z":
+            value, line, column = self.fractions[0]
+            message = f"non-integer coefficient {_format_scalar(value)} in an integer morphism"
+            raise FormatError(message, line, column)
         return NetMorphism(
             source_net,
             target_net,
@@ -491,7 +499,7 @@ def parse_morphism(text):
                 )
             comb = [
                 (k, _split_ref(term, "flow term", lineno, raw))
-                for k, term in _parse_combination(expr, lineno, raw)
+                for k, term in _parse_combination(expr, lineno, raw, doc.fractions)
             ]
             entries = doc.flow_bases.setdefault(a, [])
             if any(nm == name.strip() for nm, _ in entries):
@@ -507,7 +515,7 @@ def parse_morphism(text):
             table = doc.flow_images.setdefault(a, {})
             if name.strip() in table:
                 raise FormatError(f"duplicate flowmap {name.strip()!r} of {a!r}", lineno, _column(raw, head))
-            table[name.strip()] = _parse_combination(expr, lineno, raw)
+            table[name.strip()] = _parse_combination(expr, lineno, raw, doc.fractions)
         elif head == "markmap":
             u = _header_name(tokens, lineno, raw, "markmap")
             ref, arrow, expr = _header_body(tokens, rest, "->")
@@ -521,7 +529,7 @@ def parse_morphism(text):
                 raise FormatError(
                     f"duplicate markmap line for {ref.strip()}", lineno, _column(raw, head)
                 )
-            table[key] = _parse_combination(expr, lineno, raw)
+            table[key] = _parse_combination(expr, lineno, raw, doc.fractions)
         else:
             raise FormatError(f"unknown directive {head!r}", lineno, _column(raw, head))
     return doc

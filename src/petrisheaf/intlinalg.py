@@ -7,9 +7,11 @@ small nets), dense row-major storage is fine.
 
 Conventions:
 
-* column Hermite normal form: ``hnf(m)`` returns ``(h, u)`` with
-  ``h = m @ u`` and ``u`` unimodular,
-* Smith normal form: ``snf(m)`` returns ``(s, u, v)`` with ``s = u @ m @ v``,
+* column Hermite normal form (``_hnf_columns``): the pivots (topmost
+  nonzero entries) of the nonzero columns are positive and move strictly
+  down, entries left of a pivot lie in ``[0, pivot)``, zero columns come
+  last; unique for the column lattice, so a canonical lattice basis,
+* ``snf(m)`` is the Smith diagonal, each entry dividing the next,
 * kernels are modules of column vectors with canonical bases,
 * a matrix with zero rows still needs a column count, hence the ``cols``
   argument on the functions that cannot infer it.
@@ -19,10 +21,10 @@ the ``Ring`` instance ``Z`` or ``Q``: each builds its module type (``Lattice``
 or ``Subspace``), kernels and solvers; ``Ring.solver(m, cols)``
 factors ``m`` once and returns a ``solve(v)`` for many right-hand sides.
 ``Z`` runs on the column HNF (``_hnf_columns``, on whole column vectors,
-so a transform stacked under them rides along), the routine whose
-transform ``hnf``, ``snf`` and the Z solver read: ``Lattice._read_hnf``
-reads it into a lattice basis and a solve by coordinates, and ``snf``
-alternates it on the columns and on the rows.  ``kernel_lattice`` instead
+so a transform stacked under them rides along), whose transform only the
+Z solver reads: ``Lattice._read_hnf`` reads the HNF into a lattice basis
+and a solve by coordinates, and ``snf`` alternates it on the columns and
+on the rows with nothing stacked.  ``kernel_lattice`` instead
 eliminates by smallest remainder (``_smallest_remainder``), whose stacked
 transform stays small where the HNF lets it grow (within the Hadamard
 bound of the matrix on every matrix the tests draw), and ``Lattice`` takes
@@ -184,22 +186,6 @@ def _stacked(m, cols):
     return [[*col, *unit] for col, unit in zip(transpose(m, cols), identity(cols))]
 
 
-def hnf(m, cols=None):
-    """Column Hermite normal form.
-
-    Returns ``(h, u)`` with ``h = m @ u`` and ``u`` unimodular.  ``h`` is in
-    column echelon form: the topmost nonzero entry (pivot) of each nonzero
-    column sits strictly below the pivot of the previous column, pivots are
-    positive, entries to the left of a pivot in its row lie in
-    ``[0, pivot)``, and zero columns come last.  This form is unique for the
-    column lattice, so it doubles as a canonical lattice basis.
-    """
-    rows, cols = shape(m, cols)
-    vs = _stacked(m, cols)
-    _hnf_columns(vs, rows)
-    return transpose([v[:rows] for v in vs], rows), transpose([v[rows:] for v in vs], cols)
-
-
 def _hnf_solver(m, cols=None):
     """``solve(v)``: an integer ``x`` with ``m @ x = v``, or None.
 
@@ -270,7 +256,7 @@ class Lattice(_Module):
     @classmethod
     def _of_hnf(cls, ambient_dim, columns):
         """The lattice spanned by ``columns``, which must already be in column
-        HNF (the columns of ``hnf(...)[0]``); no second HNF is taken."""
+        HNF (as ``_hnf_columns`` leaves them); no second HNF is taken."""
         lattice = cls.__new__(cls)
         lattice._read_hnf(ambient_dim, columns)
         return lattice
@@ -387,47 +373,39 @@ def kernel_lattice(m, cols=None):
 
 
 def snf(m, cols=None):
-    """Smith normal form, read off column Hermite forms of the matrix and of
-    its transpose taken in turn (Kannan and Bachem, SIAM J. Comput. 8, 1979).
-
-    Returns ``(s, u, v)`` with ``s = u @ m @ v``, both transforms
-    unimodular, ``s`` diagonal with non-negative entries and each diagonal
-    entry dividing the next.  The transforms ride along, ``v`` stacked under
-    the columns of ``s`` and ``u`` beside its rows, and are never multiplied.
+    """The Smith diagonal of ``m``, read off column Hermite forms of the
+    matrix and of its transpose taken in turn (Kannan and Bachem, SIAM J.
+    Comput. 8, 1979): a tuple of ``min(rows, cols)`` non-negative entries,
+    each dividing the next.  No transform is carried.
     """
     rows, cols = shape(m, cols)
-    s, u, v = m, identity(rows), identity(cols)  # v by columns, u by rows
+    s = m
     # Why this ends: each HNF leaves the gcd of the first row (column) not
     # yet clear at its lead, so that entry can only shrink, and a cleared
     # row or column stays cleared.  Adding row k + 1 to row k turns
     # (a_k, a_k+1) into (gcd, lcm), a lexicographic decrease; a column added
     # instead is undone, as the column HNF reduces entries left of a pivot.
     while True:
-        vs = [[*col, *w] for col, w in zip(transpose(s, cols), v)]
+        vs = transpose(s, cols)
         _hnf_columns(vs, rows)
-        v = [col[rows:] for col in vs]
-        rs = [[*row, *w] for row, w in zip(transpose([col[:rows] for col in vs], rows), u)]
-        _hnf_columns(rs, cols)
-        s = [row[:cols] for row in rs]
-        u = [row[cols:] for row in rs]
+        s = transpose(vs, rows)
+        _hnf_columns(s, cols)
         if any(s[i][j] for i in range(rows) for j in range(cols) if i != j):
             continue
         diag = [s[i][i] for i in range(min(rows, cols))]
         k = next((k for k, d in enumerate(diag[1:]) if diag[k] and d % diag[k]), None)
         if k is None:
-            return s, u, transpose(v, cols)
+            return tuple(diag)
         s[k] = [a + b for a, b in zip(s[k], s[k + 1])]
-        u[k] = [a + b for a, b in zip(u[k], u[k + 1])]
 
 
 def invariant_factors(module):
     """Invariant factors of the ambient module modulo ``module``: for a
     Lattice the Smith diagonal of its (independent) basis columns; a quotient
     of Q^n is free, so a Subspace has none."""
-    if not isinstance(module, Lattice) or not module.rank:
+    if not isinstance(module, Lattice):
         return ()
-    s, _, _ = snf(transpose(module.basis, module.ambient_dim), cols=module.rank)
-    return tuple(s[i][i] for i in range(module.rank))
+    return snf(transpose(module.basis, module.ambient_dim), cols=module.rank)
 
 
 # ---------------------------------------------------------------------------

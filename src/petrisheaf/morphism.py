@@ -141,6 +141,11 @@ class Classification:
         }
 
 
+def morphism_ring(*rings):
+    """The ring of a morphism, or composite, over ``rings``: Q if any is Q."""
+    return "Q" if "Q" in rings else "Z"
+
+
 def _coeff(ring, value):
     f = Fraction(value)
     if ring == "Z":
@@ -181,7 +186,7 @@ class NetMorphism:
         self.source = source
         self.target = target
         self.name = name
-        self.ring = ring or ("Q" if "Q" in (source.ring, target.ring) else "Z")
+        self.ring = ring or morphism_ring(source.ring, target.ring)
         if self.ring not in la.RINGS:
             raise MorphismError(f"ring must be 'Z' or 'Q', got {ring!r}")
         if isinstance(node_map, SpaceMap):
@@ -928,7 +933,7 @@ class NetMorphism:
             raise MorphismError("morphisms do not compose")
         self.require_verified()
         other.require_verified()
-        ring = "Q" if "Q" in (self.ring, other.ring) else "Z"
+        ring = morphism_ring(self.ring, other.ring)
         composed_space = self.space_map.then(other.space_map)
         image = set(composed_space.mapping.values())
 

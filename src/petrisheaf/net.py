@@ -591,13 +591,16 @@ def verify_flow_gluing(net, region=None, covering=None):
     return AxiomReport("flow-gluing", region, covering, not failures, failures)
 
 
-def basic_covers(space, region=None, kind="open", limit=12):
+_COVER_LIMIT = 12  # basic_covers enumerates at most 2**12 subfamilies
+
+
+def basic_covers(space, region=None, kind="open"):
     """All covers of a region by subfamilies of its basic sets.
 
     Open covers: each transition lies only in its own basic open, so those
     are forced and the enumeration ranges over the place singletons.  Closed
     covers dually force the place basics and range over the transition
-    singletons.  Guarded for test-sized regions.
+    singletons.  Guarded for test-sized regions by ``_COVER_LIMIT``.
     """
     region = tuple(space.nodes) if region is None else space.ordered(region)
     region_set = set(region)
@@ -615,7 +618,7 @@ def basic_covers(space, region=None, kind="open", limit=12):
         basic = space.basic_closed
     else:
         raise NetError(f"unknown cover kind {kind!r}")
-    if len(optional) > limit:
+    if len(optional) > _COVER_LIMIT:
         raise NetError("too many optional basics to enumerate covers")
     covered = set().union(*map(set, forced)) if forced else set()
     out = []

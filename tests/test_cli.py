@@ -301,7 +301,9 @@ def test_a_rational_coefficient_in_an_integer_morphism_exits_2_in_the_cli_render
     code = main(["check-morphism", str(tmp_path / "half.pmor")])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
-    assert captured.err == "error: non-integer coefficient 1/2 in an integer morphism\n"
+    assert captured.err == (
+        "error: non-integer coefficient 1/2 in an integer morphism (line 8, column 19)\n"
+    )
     assert "Fraction(" not in captured.err
 
 

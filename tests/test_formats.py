@@ -210,6 +210,44 @@ def test_parse_errors_report_line_and_column():
     assert (err.value.line, err.value.column) == (4, 11)
 
 
+ONE_NET = "net one\n{ring}place p tokens c\ntransition t bindings b\narc - t.b p.c 1\n"
+HALF_DOC = """\
+morphism half
+source one.pnet
+target one.pnet
+node p -> p
+node t -> t
+flowbasis t: v1 = {basis}*t.b
+flowmap t: v1 -> {image}*b
+markmap p: p.c -> {mark}*c
+"""
+
+
+@pytest.mark.parametrize(
+    "coefficients, value, line, column",
+    [
+        ({"basis": "2/2", "image": "-1/3", "mark": "1/2"}, "-1/3", 7, 18),
+        ({"basis": "1", "image": "1", "mark": "3/2"}, "3/2", 8, 19),
+        ({"basis": "4/6", "image": "1", "mark": "1/2"}, "2/3", 6, 19),
+    ],
+    ids=["flowmap", "markmap", "flowbasis"],
+)
+def test_a_non_integer_coefficient_in_an_integer_morphism_names_its_line(
+    coefficients, value, line, column
+):
+    # 2/2 is an integer; the first coefficient that is not one is named
+    doc = parse_morphism(HALF_DOC.format(**coefficients))
+    z_net = parse_net(ONE_NET.format(ring="")).to_net()
+    with pytest.raises(FormatError) as err:
+        doc.to_morphism(z_net, z_net)
+    assert str(err.value) == (
+        f"non-integer coefficient {value} in an integer morphism (line {line}, column {column})"
+    )
+    q_net = parse_net(ONE_NET.format(ring="ring q\n")).to_net()
+    for source, target in ((z_net, q_net), (q_net, z_net)):
+        assert doc.to_morphism(source, target).ring == "Q"
+
+
 BAD_NET_DOCS = [
     ("net n\nnet again\n", "duplicate net header"),
     ("net n\nplace p tokens c\nplace p tokens d\n", "duplicate declaration"),

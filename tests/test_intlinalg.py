@@ -5,9 +5,9 @@ Smith form, explicit kernel combinations) so the tests are independent of
 the implementation.  The plain helpers below (vector sums, matrix equality
 and product, a Bareiss determinant, rank, the rref and the kernel over
 ``Fraction``, the back-substitution solves, and the column HNF and Smith form
-as the library computed them with the transform stored apart and multiplied
-in) are the slow reference paths that the library's fast paths are checked
-against; other test modules import them.
+with their transforms stored apart and multiplied in) are the slow reference
+paths that the library's fast paths are checked against; other test modules
+import them.
 """
 
 import math
@@ -283,23 +283,27 @@ def det_fraction(m):
 @given(matrices)
 def test_hnf_properties(m):
     rows, cols = len(m), len(m[0])
-    h, u = la.hnf(m)
+    h, u = reference_hnf(m)
     assert mat_equal(h, matmul(m, u))
     assert abs(det_fraction(u)) == 1
     assert is_column_hnf(h, rows, cols)
+    basis = la.Lattice(rows, la.transpose(m, cols)).basis
+    assert is_column_hnf(la.transpose(basis, rows), rows, len(basis))
 
 
 def test_hnf_idempotent_on_canonical():
     m = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
-    h, _ = la.hnf(m)
-    h2, _ = la.hnf(h)
-    assert mat_equal(h, h2)
+    h, _ = reference_hnf(m)
+    assert mat_equal(h, reference_hnf(h)[0])
+    basis = la.Lattice(3, la.transpose(m, 3)).basis
+    assert la.Lattice(3, basis).basis == basis
 
 
 def test_hnf_zero_rows():
-    h, u = la.hnf([], cols=3)
+    h, u = reference_hnf([], cols=3)
     assert h == []
     assert mat_equal(u, la.identity(3))
+    assert la.Lattice(0, [(), (), ()]).basis == ()
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +405,7 @@ def test_lattice_membership_and_coordinates(m, coeffs):
 @given(matrices)
 def test_a_lattice_read_off_an_hnf_equals_the_lattice_of_the_columns(m):
     rows, cols = len(m), len(m[0])
-    read = la.Lattice._of_hnf(rows, la.transpose(la.hnf(m)[0], cols))
+    read = la.Lattice._of_hnf(rows, la.transpose(reference_hnf(m)[0], cols))
     built = la.Lattice(rows, la.transpose(m, cols))
     assert read == built
     assert read.pivots == built.pivots
@@ -428,51 +432,43 @@ def test_solve_columns():
 # Smith form and quotients
 
 
+def smith_diagonal(s, rows, cols):
+    """The diagonal of a ``rows`` x ``cols`` Smith form ``s``."""
+    return tuple(s[i][i] for i in range(min(rows, cols)))
+
+
 def test_snf_classic_example():
     m = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
-    s, u, v = la.snf(m)
+    s, u, v = reference_snf(m)
     assert mat_equal(s, matmul(matmul(u, m), v))
-    assert [s[i][i] for i in range(3)] == [2, 6, 12]
+    assert la.snf(m) == smith_diagonal(s, 3, 3) == (2, 6, 12)
     assert abs(det_fraction(u)) == 1
     assert abs(det_fraction(v)) == 1
-
-
-@given(matrices)
-@settings(max_examples=60)
-def test_snf_properties(m):
-    rows, cols = len(m), len(m[0])
-    s, u, v = la.snf(m)
-    assert mat_equal(s, matmul(matmul(u, m), v))
-    assert abs(det_fraction(u)) == 1
-    assert abs(det_fraction(v)) == 1
-    diag = [s[i][i] for i in range(min(rows, cols))]
-    for i in range(rows):
-        for j in range(cols):
-            if i != j:
-                assert s[i][j] == 0
-    for a, b in zip(diag, diag[1:]):
-        assert a >= 0
-        if a:
-            assert b % a == 0
-        else:
-            assert b == 0
 
 
 def smith_form(m, cols):
-    """``snf(m)``, checked: ``s = u @ m @ v``, unimodular transforms, ``s``
-    diagonal with a divisibility chain of non-negative entries."""
+    """``reference_snf(m)``, checked: ``s = u @ m @ v``, unimodular
+    transforms, ``s`` diagonal with a divisibility chain of non-negative
+    entries, and ``snf(m)`` its diagonal."""
     rows = len(m)
-    s, u, v = la.snf(m, cols)
+    s, u, v = reference_snf(m, cols)
     assert (len(s), len(u), len(v)) == (rows, rows, cols)
     assert mat_equal(s, matmul(matmul(u, m), v))
     assert abs(det_fraction(u)) == 1
     assert abs(det_fraction(v)) == 1
     assert all(s[i][j] == 0 for i in range(rows) for j in range(cols) if i != j)
-    diag = [s[i][i] for i in range(min(rows, cols))]
+    diag = smith_diagonal(s, rows, cols)
     for a, b in zip(diag, diag[1:]):
         assert a >= 0
         assert b % a == 0 if a else b == 0
+    assert la.snf(m, cols) == diag
     return s
+
+
+@given(matrices)
+@settings(max_examples=60)
+def test_snf_properties(m):
+    smith_form(m, len(m[0]))
 
 
 @pytest.mark.parametrize(
@@ -498,6 +494,13 @@ def test_snf_edge_cases(m, cols, diagonal):
 @settings(max_examples=40, deadline=None)
 def test_snf_properties_on_large_coefficients(m):
     smith_form(m, len(m[0]))
+
+
+@given(st.one_of(dense_matrices(3, max_rows=18, max_cols=23), dense_matrices(10**12)))
+@settings(max_examples=150, deadline=None)
+def test_snf_is_the_reference_diagonal_on_dense_shapes(m):
+    rows, cols = len(m), len(m[0])
+    assert la.snf(m, cols) == smith_diagonal(reference_snf(m, cols)[0], rows, cols)
 
 
 def test_quotient_module():
@@ -804,9 +807,8 @@ big_entries = st.one_of(st.integers(-4, 4), st.integers(-(10**12), 10**12))
 def test_every_z_elimination_equals_the_two_matrix_reference(case, data):
     m, cols = case
     rows = len(m)
-    h, u = reference_hnf(m, cols)
-    assert la.hnf(m, cols) == (h, u)
-    assert la.snf(m, cols) == reference_snf(m, cols)
+    _, u = reference_hnf(m, cols)
+    assert la.snf(m, cols) == smith_diagonal(reference_snf(m, cols)[0], rows, cols)
     rank = len(reference_lattice_basis(rows, la.transpose(m, cols)))
     assert la.kernel_lattice(m, cols).basis == reference_lattice_basis(
         cols, la.transpose(u, cols)[rank:]
@@ -918,6 +920,7 @@ def test_shape_of_an_empty_matrix():
     assert la.shape([]) == (0, 0)
     assert la.shape([], 3) == (0, 3)
     assert la.shape([[1, 2]]) == (1, 2)
-    assert la.hnf([]) == ([], [])
+    assert reference_hnf([]) == ([], [])
+    assert la.snf([]) == ()
     assert la.kernel_lattice([]).ambient_dim == 0
     assert la.hilbert_basis([]) == []

@@ -26,7 +26,7 @@ from petrisheaf.net import (
     verify_token_sheaf,
 )
 from petrisheaf.product import kronecker
-from petrisheaf.topology import PetriSpace, SpaceError
+from petrisheaf.topology import PetriSpace, Sort, SpaceError
 
 from fixtures import (
     A1,
@@ -373,6 +373,17 @@ def test_binding_cosheaf_axioms_on_running_example():
     covers = basic_covers(net.space, kind="closed")
     for cover in covers[:16]:
         assert verify_binding_cosheaf(net, covering=cover).ok
+
+
+def test_basic_covers_refuse_more_than_twelve_optional_basics():
+    # the place singletons are the optional basic opens: 2**12 subfamilies
+    # are enumerated, 2**13 refused
+    def places(n):
+        return PetriSpace([(f"p{i}", Sort.PLACE) for i in range(n)])
+
+    assert len(basic_covers(places(12))) == 1
+    with pytest.raises(NetError, match="^too many optional basics to enumerate covers$"):
+        basic_covers(places(13))
 
 
 def test_flow_gluing_on_running_example():
