@@ -144,9 +144,16 @@ def _parse_combination(expr, lineno, raw, fractions=None):
         coeff = 1
         term = part
         head, star, rest = part.partition("*")
+        head = head.strip()
+        num, slash, den = head.partition("/")
+        zero = slash and _digits(den) and not den.strip("0")
+        if star and zero and _scalar(num, lineno, raw) is not None:
+            raise FormatError(
+                f"zero denominator in coefficient {head!r}", lineno, _column(raw, head)
+            )
         # only split when the prefix reads as a number, names may contain *
-        if star and _scalar(head.strip(), lineno, raw) is not None and rest.strip():
-            coeff = _scalar(head.strip(), lineno, raw)
+        if star and _scalar(head, lineno, raw) is not None and rest.strip():
+            coeff = _scalar(head, lineno, raw)
             term = rest.strip()
             if fractions is not None and coeff.denominator != 1:
                 fractions.append((coeff, lineno, _column(raw, part)))

@@ -40,7 +40,6 @@ support of each place.  A call that raises stores nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from . import intlinalg as la
 from .topology import PetriSpace, Sort
@@ -590,43 +589,3 @@ def verify_flow_gluing(net, region=None, covering=None):
         failures.append("glued flows differ from the agreeing families")
     return AxiomReport("flow-gluing", region, covering, not failures, failures)
 
-
-_COVER_LIMIT = 12  # basic_covers enumerates at most 2**12 subfamilies
-
-
-def basic_covers(space, region=None, kind="open"):
-    """All covers of a region by subfamilies of its basic sets.
-
-    Open covers: each transition lies only in its own basic open, so those
-    are forced and the enumeration ranges over the place singletons.  Closed
-    covers dually force the place basics and range over the transition
-    singletons.  Guarded for test-sized regions by ``_COVER_LIMIT``.
-    """
-    region = tuple(space.nodes) if region is None else space.ordered(region)
-    region_set = set(region)
-    if kind == "open":
-        if not space.is_open(region):
-            raise NetError("basic open covers need an open region")
-        forced = [space.basic_open(t) for t in region if space.sort_of(t) is Sort.TRANSITION]
-        optional = [x for x in region if space.sort_of(x) is Sort.PLACE]
-        basic = space.basic_open
-    elif kind == "closed":
-        if not space.is_closed(region):
-            raise NetError("basic closed covers need a closed region")
-        forced = [space.basic_closed(p) for p in region if space.sort_of(p) is Sort.PLACE]
-        optional = [x for x in region if space.sort_of(x) is Sort.TRANSITION]
-        basic = space.basic_closed
-    else:
-        raise NetError(f"unknown cover kind {kind!r}")
-    if len(optional) > _COVER_LIMIT:
-        raise NetError("too many optional basics to enumerate covers")
-    covered = set().union(*map(set, forced)) if forced else set()
-    out = []
-    for r in range(len(optional) + 1):
-        for extra in combinations(optional, r):
-            chosen = [basic(x) for x in extra]
-            union = covered.union(*map(set, chosen)) if chosen else set(covered)
-            if union == region_set:
-                family = forced + chosen
-                out.append(tuple(space.ordered(c) for c in family))
-    return out

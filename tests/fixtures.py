@@ -12,8 +12,16 @@ bindings b1, b2, both consuming and producing 2c.  The fold maps
 p1, p2, t1..t4 onto a and p3, p4, t5, t6 onto u.
 """
 
-from petrisheaf.net import ColouredNet, place_transition_net
-from petrisheaf.topology import PetriSpace, SpaceMap
+from itertools import combinations
+
+from petrisheaf.net import (
+    ColouredNet,
+    place_transition_net,
+    verify_binding_cosheaf,
+    verify_flow_gluing,
+    verify_token_sheaf,
+)
+from petrisheaf.topology import PetriSpace, Sort, SpaceMap
 
 X_COLUMNS = {
     "t1": (-1, -1, 1, 1),
@@ -244,3 +252,49 @@ def squeeze_morphism():
         mark_maps={"u": {("q", "c"): (1,)}, "w": {("r", "c"): (1,)}},
         name="squeeze",
     )
+
+
+def basic_covers(space, region=None, kind="open"):
+    """All covers of an open (``kind="open"``) or closed region by
+    subfamilies of its basic sets, enumerated.
+
+    Open covers: each transition lies only in its own basic open, so those
+    are forced and the enumeration ranges over the place singletons.  Closed
+    covers dually force the place basics and range over the transition
+    singletons.
+    """
+    region = tuple(space.nodes) if region is None else space.ordered(region)
+    forced_sort, basic = {
+        "open": (Sort.TRANSITION, space.basic_open),
+        "closed": (Sort.PLACE, space.basic_closed),
+    }[kind]
+    forced = [basic(x) for x in region if space.sort_of(x) is forced_sort]
+    optional = [x for x in region if space.sort_of(x) is not forced_sort]
+    covered = set().union(*forced)
+    out = []
+    for r in range(len(optional) + 1):
+        for extra in combinations(optional, r):
+            chosen = [basic(x) for x in extra]
+            if covered.union(*chosen) == set(region):
+                out.append(tuple(space.ordered(c) for c in forced + chosen))
+    return out
+
+
+def reference_sweep(net):
+    """The library verifiers on every basic cover of every basic set:
+    ``(counts, reports)``, the counts keyed by report kind."""
+    space = net.space
+    counts = {"token-sheaf": 0, "binding-cosheaf": 0, "flow-gluing": 0}
+    reports = []
+    for kind, basic, verifiers in (
+        ("open", space.basic_open, (verify_token_sheaf,)),
+        ("closed", space.basic_closed, (verify_binding_cosheaf, verify_flow_gluing)),
+    ):
+        for x in space.nodes:
+            region = basic(x)
+            for cover in basic_covers(space, region, kind):
+                for verify in verifiers:
+                    report = verify(net, region, cover)
+                    counts[report.kind] += 1
+                    reports.append(report)
+    return counts, reports

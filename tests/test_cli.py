@@ -160,6 +160,21 @@ def test_axioms_sweep_is_exact(workdir, capsys):
     assert "random nets: 2 swept" in out
 
 
+def test_axioms_counts_the_covers_of_a_place_next_to_thirteen_transitions(tmp_path, capsys):
+    # 2**13 closed covers of the place's basic closed set, 2 open covers of
+    # each transition's basic open: counted, not enumerated
+    transitions = [f"t{i}" for i in range(13)]
+    star = place_transition_net(
+        "star", ["p"], transitions, consume={t: {"p": 1} for t in transitions}, produce={}
+    )
+    (tmp_path / "star.pnet").write_text(serialize_net(star))
+    code, out = run(capsys, "axioms", tmp_path / "star.pnet", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["checks"] == {"token-sheaf": 27, "binding-cosheaf": 8205, "flow-gluing": 8205}
+    assert payload["failures"] == []
+
+
 def test_check_morphism_prints_the_classification(workdir, capsys):
     code, out = run(capsys, "check-morphism", workdir / "fold.pmor")
     assert code == 0

@@ -248,6 +248,25 @@ def test_a_non_integer_coefficient_in_an_integer_morphism_names_its_line(
         assert doc.to_morphism(source, target).ring == "Q"
 
 
+@pytest.mark.parametrize(
+    "parse, text, coefficient, line, column",
+    [
+        (parse_morphism, HALF_DOC.format(basis="2/0", image="1", mark="1"), "2/0", 6, 19),
+        (parse_morphism, HALF_DOC.format(basis="1", image="1/00", mark="1"), "1/00", 7, 18),
+        (parse_morphism, HALF_DOC.format(basis="1", image="1", mark="1/0"), "1/0", 8, 19),
+        (parse_winskel, "winskel w\nbeta p -> 1/0*p\n", "1/0", 2, 11),
+    ],
+    ids=["flowbasis", "flowmap", "markmap", "beta"],
+)
+def test_a_zero_denominator_names_its_coefficient_and_line(parse, text, coefficient, line, column):
+    # N/0 is no number, so it must not be read as the start of a name
+    with pytest.raises(FormatError) as err:
+        parse(text)
+    assert str(err.value) == (
+        f"zero denominator in coefficient {coefficient!r} (line {line}, column {column})"
+    )
+
+
 BAD_NET_DOCS = [
     ("net n\nnet again\n", "duplicate net header"),
     ("net n\nplace p tokens c\nplace p tokens d\n", "duplicate declaration"),

@@ -18,7 +18,6 @@ from petrisheaf.net import (
     NetError,
     _checked_cover,
     _positions,
-    basic_covers,
     place_transition_net,
     same_net,
     verify_binding_cosheaf,
@@ -26,7 +25,7 @@ from petrisheaf.net import (
     verify_token_sheaf,
 )
 from petrisheaf.product import kronecker
-from petrisheaf.topology import PetriSpace, Sort, SpaceError
+from petrisheaf.topology import PetriSpace, SpaceError
 
 from fixtures import (
     A1,
@@ -38,6 +37,8 @@ from fixtures import (
     X_PLACES,
     X_TRANSITIONS,
     bad_weight_target,
+    basic_covers,
+    reference_sweep,
     x_net,
     y_net,
 )
@@ -373,17 +374,6 @@ def test_binding_cosheaf_axioms_on_running_example():
     covers = basic_covers(net.space, kind="closed")
     for cover in covers[:16]:
         assert verify_binding_cosheaf(net, covering=cover).ok
-
-
-def test_basic_covers_refuse_more_than_twelve_optional_basics():
-    # the place singletons are the optional basic opens: 2**12 subfamilies
-    # are enumerated, 2**13 refused
-    def places(n):
-        return PetriSpace([(f"p{i}", Sort.PLACE) for i in range(n)])
-
-    assert len(basic_covers(places(12))) == 1
-    with pytest.raises(NetError, match="^too many optional basics to enumerate covers$"):
-        basic_covers(places(13))
 
 
 def test_flow_gluing_on_running_example():
@@ -747,14 +737,15 @@ def test_default_verifiers_agree_with_the_honest_hooks(net):
                 assert report_fields(verify(net, region, cover)) == report_fields(expected)
 
 
-@given(st.one_of(any_nets, products()))
-@settings(max_examples=40, deadline=None)
-def test_the_axiom_sweep_reports_no_failure(net):
+@given(st.one_of(strict_nets(), any_nets, products()))
+@settings(max_examples=60, deadline=None)
+def test_axiom_sweep_counts_match_the_reference_sweep(net):
     # every basic cover of a basic set holds the set itself, and its other
-    # elements hold no place (closed) or no transition (open)
-    counts, failures = axiom_sweep(net)
-    assert failures == []
-    assert counts["token-sheaf"] > 0 and counts["binding-cosheaf"] > 0
+    # elements hold no place (closed) or no transition (open): the closed
+    # form counts them and the verifiers pass on each
+    counts, reports = reference_sweep(net)
+    assert axiom_sweep(net) == counts
+    assert [report_fields(r) for r in reports if not r.ok] == []
 
 
 def matrix_flow_gluing(net, region=None, covering=None, ring=None):
@@ -906,8 +897,8 @@ def test_flow_gluing_builds_a_row_space_only_where_a_weight_is_cut(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(la.Q, "module", refuse)
         for net in nets:
-            counts, failures = axiom_sweep(net)
-            assert failures == [] and counts["flow-gluing"] > 0
+            counts, reports = reference_sweep(net)
+            assert all(r.ok for r in reports) and counts["flow-gluing"] > 0
         # the default cover of lift cuts the weights of t0 and t2 on p1
         with pytest.raises(AssertionError, match="a row space was built"):
             verify_flow_gluing(lift)
