@@ -42,15 +42,15 @@ Every clause is exact: a report is ``ok`` or ``failed``.  Signedness asks
 each image coordinate, as a functional on the fibre bindings, to be
 non-negative on the cone of non-negative fibre flows; ``intlinalg.cone_witness``
 decides that by linear programming and names a Hilbert generator that fails.
-A modification is discrete, so its place fibres carry no relations: the
-preimage class of a target token is one vector, signed or not.
+A modification is decided on the same tables by a lemma, in
+``classify``'s docstring.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 from fractions import Fraction
 
 from . import intlinalg as la
@@ -295,10 +295,6 @@ class NetMorphism:
 
     def _module(self, dim, vectors):
         return la.RINGS[self.ring].module(dim, vectors)
-
-    def _solver(self, vectors, dim):
-        """``solve(v)`` for the matrix whose columns are ``vectors`` (length dim)."""
-        return la.RINGS[self.ring].solver(la.transpose(vectors, dim), len(vectors))
 
     def _kernel(self, vectors, dim):
         return la.RINGS[self.ring].kernel(la.transpose(vectors, dim), len(vectors)).basis
@@ -830,69 +826,57 @@ class NetMorphism:
     # -- classification ----------------------------------------------------
 
     def classify(self):
+        """The kinds of map this verified morphism is.
+
+        A modification is a surjective discrete map whose flow and mark
+        components are isomorphisms with non-negative inverses.  On a
+        verified discrete morphism that is read off the tables of
+        ``_integer_flows`` and ``_integer_marks``.  A transition fibre holds
+        no place and a place fibre no transition, so no component has
+        relations: each is the linear map of its table, non-negative by
+        ``signedness``.  A non-negative matrix with a non-negative inverse
+        is monomial (A. Berman and R. J. Plemmons, *Nonnegative Matrices in
+        the Mathematical Sciences*, 1979): square, with one nonzero entry in
+        each row and each column, positive by ``signedness``.  Over Z the
+        inverse of an entry ``e / d`` is ``d / e``, an integer only when
+        ``e = d``, as ``e / d`` is an integer itself (the flow basis spans
+        the fibre flows over Z).
+        """
         self.require_verified()
         src, tgt = self.source, self.target
         sm = self.space_map
 
-        # each component check runs at most once, and only when asked for;
-        # mark data is listed in fibre token order
-        @cache
-        def flow_full(a):
-            return self._module(len(tgt.bindings[a]), self.flow_maps[a][1]).is_full()
-
-        @cache
         def flow_injective(a):
             basis, images = self.flow_maps[a]
             return not (basis and self._kernel(images, len(tgt.bindings[a])))
 
-        @cache
-        def mark_full(u):
-            return self._module(len(tgt.tokens[u]), list(self.mark_maps[u].values())).is_full()
-
-        @cache
         def mark_injective(u):
-            # injective on classes: the kernel of the mark data lies in the relations
+            # injective on classes: the kernel of the mark data, listed in
+            # fibre token order, lies in the relations
             fibre = sm.fibre(u)
             rel_cols = [src.binding_effect(t, b, fibre) for t, b in src.binding_axis(fibre)]
             relations = self._module(len(src.token_axis(fibre)), rel_cols)
             kernel = self._kernel(list(self.mark_maps[u].values()), len(tgt.tokens[u]))
             return all(list(k) in relations for k in kernel)
 
-        def is_modification():
-            """Surjective discrete map whose components are signed isomorphisms."""
-            if not (sm.is_surjective() and sm.is_discrete()):
-                return False
-            for a in self.image_transitions():
-                if not flow_injective(a):
-                    return False
-                # fullness and inverse signedness: each unit binding must have
-                # a preimage, and it must be a non-negative fibre flow
-                basis, images = self.flow_maps[a]
-                dim = len(tgt.bindings[a])
-                fibre_dim = len(src.binding_axis(sm.fibre(a)))
-                solve = self._solver(images, dim)
-                for unit in la.identity(dim):
-                    coords = solve(unit)
-                    if coords is None or any(x < 0 for x in la.combine(coords, basis, fibre_dim)):
-                        return False
-            for u in self.image_places():
-                if not mark_injective(u):
-                    return False
-                # fullness and inverse signedness on classes: each target
-                # token must have a preimage class, one vector as a discrete
-                # place fibre has no relations, and it must be non-negative
-                dim = len(tgt.tokens[u])
-                solve = self._solver(list(self.mark_maps[u].values()), dim)
-                for unit in la.identity(dim):
-                    x = solve(unit)
-                    if x is None or any(v < 0 for v in x):
-                        return False
-            return True
+        def monomial(rows, d, dim):
+            hits = [[x for x in row if x] for row in rows]
+            return (
+                len(rows) == dim
+                and all(len(h) == 1 and (self.ring == "Q" or h[0] == d) for h in hits)
+                and all(any(col) for col in zip(*rows))
+            )
 
         abstraction = (
             sm.is_surjective()
-            and all(flow_full(a) for a in self.image_transitions())
-            and all(mark_full(u) for u in self.image_places())
+            and all(
+                self._module(len(tgt.bindings[a]), self.flow_maps[a][1]).is_full()
+                for a in self.image_transitions()
+            )
+            and all(
+                self._module(len(tgt.tokens[u]), list(self.mark_maps[u].values())).is_full()
+                for u in self.image_places()
+            )
         )
         embedding = (
             sm.is_embedding()
@@ -900,7 +884,19 @@ class NetMorphism:
             and all(mark_injective(u) for u in self.image_places())
         )
         discrete = sm.is_discrete()
-        modification = is_modification()
+        modification = (
+            sm.is_surjective()
+            and discrete
+            and all(
+                monomial(*self._integer_flows(a), len(tgt.bindings[a]))
+                for a in self.image_transitions()
+            )
+            and all(
+                monomial(list(marks.values()), d, len(tgt.tokens[u]))
+                for u in self.image_places()
+                for d, marks in [self._integer_marks(u)]
+            )
+        )
         singleton_t = all(len(sm.fibre(a)) == 1 for a in self.image_transitions())
         singleton_p = all(len(sm.fibre(u)) == 1 for u in self.image_places())
         return Classification(

@@ -28,13 +28,12 @@ maps (``restrict_token_section``, ``extend_binding_section``,
 token sheaf and the binding cosheaf with these maps are decided by the
 cover alone (the lemma is in ``verify_token_sheaf`` and
 ``verify_binding_cosheaf``).  Flow gluing, which can fail on relaxed nets,
-is decided by the weight support when no cover element cuts a weight, else
-by one comparison of row spaces on these maps (see ``verify_flow_gluing``).
+is decided by one comparison of row spaces on these maps (see
+``verify_flow_gluing``).
 
 A net is not changed after construction, so it memoises its token and
-binding axes per region, its flow modules per region and ring, the index
-maps of ``_positions`` per axis and (region, subregion) and the weight
-support of each place.  A call that raises stores nothing.
+binding axes per region and its flow modules per region and ring.  A call
+that raises stores nothing.
 """
 
 from __future__ import annotations
@@ -70,7 +69,7 @@ class ColouredNet:
 
     __slots__ = (
         "name", "space", "bindings", "tokens", "strict", "ring",
-        "_position", "_effect", "_support", "_memo",
+        "_position", "_effect", "_memo",
     )
 
     def __init__(
@@ -93,9 +92,8 @@ class ColouredNet:
         self.name = name
         self.strict = bool(strict)
         self.ring = ring
-        # axes keyed by (kind, region), flow modules by ("flows", region, ring),
-        # index maps by ("positions", kind, region, subregion), weight supports
-        # by ("support", place); a region is a frozenset, or None for the net
+        # axes keyed by (kind, region), flow modules by ("flows", region, ring);
+        # a region is a frozenset, or None for the net
         self._memo = {}
 
         def check_axes(given, nodes, what):
@@ -130,7 +128,6 @@ class ColouredNet:
                     sides[side].append((i, int(value)))
                     support_add((p, t))
         self._position = position
-        self._support = support  # (place, transition) pairs with a nonzero weight
         self._effect = {
             tb: (tuple(sorted(pre)), tuple(sorted(post))) for tb, (pre, post) in effect.items()
         }
@@ -497,22 +494,9 @@ def _checked_cover(net, kind, region, covering, openness):
 
 def _positions(net, axis, big, small):
     """The positions of the labels of ``small`` inside the ``axis``
-    ("tokens" or "bindings") of its superset ``big``, memoised on the net."""
-    key = ("positions", axis, frozenset(big), frozenset(small))
-    positions = net._memo.get(key)
-    if positions is None:
-        index = {lab: k for k, lab in enumerate(net._axis(axis, big))}
-        positions = net._memo[key] = tuple(index[lab] for lab in net._axis(axis, small))
-    return positions
-
-
-def _weight_support(net, place):
-    """The transitions with a nonzero weight on a token of ``place``, memoised."""
-    key = ("support", place)
-    support = net._memo.get(key)
-    if support is None:
-        support = net._memo[key] = frozenset(t for p, t in net._support if p == place)
-    return support
+    ("tokens" or "bindings") of its superset ``big``."""
+    index = {lab: k for k, lab in enumerate(net._axis(axis, big))}
+    return tuple(index[lab] for lab in net._axis(axis, small))
 
 
 def verify_token_sheaf(net, region=None, covering=None):
@@ -558,21 +542,15 @@ def verify_flow_gluing(net, region=None, covering=None):
     region rows and the cut rows have one kernel.  Integer kernels are
     saturated, so that holds over Z exactly when it holds over Q, which is
     when the two row spaces are equal: the verdict does not depend on the
-    ring.  If no element cuts a weight (each transition of the region with
-    a weight on a place of an element lies in the element), each cut row is
-    a region row and, as the cover holds every place, each region row is
-    cut: gluing holds, no matrix built.  No closed element of a strict net
-    cuts a weight: it holds the transitions adjacent to each of its places.
+    ring.  On a strict net gluing always holds: a closed element holds the
+    transitions adjacent to each of its places, which carry all their
+    weights, so each cut row is a region row, and the cover holds every
+    place, so each region row is cut.
     """
     checked = _checked_cover(net, "flow-gluing", region, covering, "closed")
     if not checked:
         return checked
     region, covering = checked.region, checked.cover
-    inside = set(region)
-    if all(
-        _weight_support(net, p) & inside <= set(c) for c in covering for p in c if p in net.tokens
-    ):
-        return checked
 
     mat = net.incidence_matrix(region)
     rows, width = mat.entries, len(mat.col_labels)
